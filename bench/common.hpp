@@ -52,21 +52,29 @@ inline bool write_file(const std::string& path, const std::string& content) {
   return out.good();
 }
 
-/// The commit the bench binary's source tree was at, or "unknown" — read
-/// from .git at run time (follows one level of symbolic ref), so a stale
-/// binary over a moved tree reports the tree, which is what provenance
-/// wants.
-inline std::string git_sha() {
-  std::ifstream head(std::string(HOTC_SOURCE_DIR) + "/.git/HEAD");
+/// The commit the source tree at `root` is at, or "unknown" — read from
+/// .git at run time (follows one level of symbolic ref, loose or packed),
+/// so a stale binary over a moved tree reports the tree, which is what
+/// provenance wants.
+inline std::string git_sha(const std::string& root = HOTC_SOURCE_DIR) {
+  std::ifstream head(root + "/.git/HEAD");
   std::string line;
   if (!head || !std::getline(head, line)) return "unknown";
-  if (line.rfind("ref: ", 0) == 0) {
-    std::ifstream ref(std::string(HOTC_SOURCE_DIR) + "/" + line.substr(5));
-    std::string sha;
-    if (!ref || !std::getline(ref, sha)) return "unknown";
-    return sha;
+  if (line.rfind("ref: ", 0) != 0) return line;  // detached HEAD
+  const std::string ref = line.substr(5);
+  std::ifstream loose(root + "/.git/" + ref);
+  std::string sha;
+  if (loose && std::getline(loose, sha)) return sha;
+  // Once refs are packed (gc, fresh clones) the branch lives in
+  // packed-refs as "<sha> <ref>" lines, next to '#' and '^' lines.
+  std::ifstream packed(root + "/.git/packed-refs");
+  const std::string suffix = " " + ref;
+  while (std::getline(packed, line)) {
+    if (line.ends_with(suffix)) {
+      return line.substr(0, line.size() - suffix.size());
+    }
   }
-  return line;
+  return "unknown";
 }
 
 /// Host/build provenance block, embedded verbatim in every BENCH_*.json:

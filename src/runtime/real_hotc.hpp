@@ -9,21 +9,26 @@
 // state (the "loaded model"), so a warm hit also skips the app-init delay.
 //
 // Thread-safe: submissions may come from any thread; execution happens on
-// the worker pool.  The warm set is the same lock-striped
-// ShardedRuntimePool the rest of the library uses — workers touching
-// distinct runtime keys never contend on a shared lock (the seed version
-// funnelled every lookup through one global mutex + std::map).
+// the worker pool, one request lane per worker.  The warm set is the same
+// lock-striped ShardedRuntimePool the rest of the library uses — workers
+// touching distinct runtime keys never contend on a shared lock (the seed
+// version funnelled every lookup through one global mutex + std::map).
+//
+// Everything the request path needs that depends on the runtime key alone
+// — the modelled cold start, the tiering economics, a stable copy of the
+// spec — is computed once, on the key's first submission, into an
+// immutable per-key plan that later requests read lock-free.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <functional>
 #include <future>
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/flat_map.hpp"
+#include "core/chunked_atomic.hpp"
 #include "core/ranked_mutex.hpp"
 #include "core/time.hpp"
 #include "engine/app.hpp"
@@ -87,13 +92,33 @@ class RealHotC {
   /// The function body: receives the request argument, returns the payload.
   using Handler = std::function<std::string(const std::string&)>;
 
-  /// Submit a request.  The future resolves when the function has run.
+  /// Submit a request.  The future resolves when the function has run; if
+  /// the handler throws, the future rethrows and the runtime it ran in is
+  /// discarded, not re-pooled.  After shutdown() the future resolves at
+  /// once to an empty RealOutcome.
   std::future<RealOutcome> submit(const spec::RunSpec& spec,
                                   const engine::AppModel& app,
                                   Handler handler, std::string argument);
 
   /// Drain outstanding work and stop the workers.
   void shutdown();
+
+  /// What a runtime key costs, computed from its first submission's spec.
+  /// Every field is a pure function of the canonical key: specs that
+  /// differ only outside it (the command) share one plan.
+  struct KeyPlan {
+    spec::RuntimeKey key;
+    spec::RunSpec spec;              // the first submission's, kept stable
+    Duration cold = kZeroDuration;   // modelled full cold start
+    // Tiering economics: trim victims arrive as bare pool entries.
+    Bytes image_bytes = 0;           // modelled checkpoint image size
+    Duration restore = kZeroDuration;  // restoring that image
+    std::uint64_t tenant = 0;
+  };
+  /// The plan of a key submitted at least once, else nullptr.
+  [[nodiscard]] const KeyPlan* plan(spec::KeyId key) const {
+    return plans_.load(key);
+  }
 
   [[nodiscard]] std::uint64_t cold_starts() const { return cold_starts_; }
   [[nodiscard]] std::uint64_t reuses() const { return reuses_; }
@@ -121,24 +146,30 @@ class RealHotC {
         std::chrono::steady_clock::now().time_since_epoch());
   }
 
+  /// One submission, carried by value through a worker lane.
+  struct Request {
+    const KeyPlan* plan = nullptr;
+    std::uint64_t app_tag = 0;  // which app's init state a runtime holds
+    double app_init_seconds = 0.0;
+    Handler handler;
+    std::string argument;
+    std::promise<RealOutcome> promise;
+  };
+
+  /// The key's plan, built and published on its first submission.
+  const KeyPlan& plan_for(const spec::RunSpec& spec);
+
+  /// The worker lanes' runner: serve the request and resolve its future
+  /// with the outcome, or with whatever serve() threw.
+  void run(Request& request);
+  /// Algorithm 1 on a worker thread: pool lookup, miss path, handler,
+  /// readmit and trim.
+  RealOutcome serve(const Request& request);
+
   /// Oldest-first trim back to max_warm after a return (paper eviction).
   /// With tiering on, victims that pass the economic gate are demoted
   /// into the snapshot store instead of being dropped.
   void trim_warm();
-
-  /// Per-key tiering economics, captured at submit time (the only point
-  /// where the spec is in scope; trim victims arrive as bare pool
-  /// entries).  All fields derive deterministically from the canonical
-  /// spec, so last-writer-wins refresh is idempotent.
-  struct KeyCosts {
-    Bytes image_bytes = 0;   // modelled checkpoint image size
-    double cold_s = 0.0;     // full cold start, seconds
-    double restore_s = 0.0;  // checkpoint restore, seconds
-    std::uint64_t tenant = 0;
-  };
-  void record_costs(const spec::RuntimeKey& key, const spec::RunSpec& spec,
-                    const engine::Image& image, Duration cold_total);
-  [[nodiscard]] std::optional<KeyCosts> costs_for(spec::KeyId key) const;
 
   /// Demote one trim victim into the snapshot store.  Returns false when
   /// the economic gate fails (caller falls back to a plain eviction) or
@@ -147,7 +178,6 @@ class RealHotC {
 
   RealOptions options_;
   engine::CostModel cost_;
-  ThreadPool pool_;
   pool::ShardedRuntimePool warm_;
   /// Compatibility index over keys this instance has seen.  Writes to the
   /// warm set itself still go through the pool's lease/return seam only.
@@ -155,17 +185,20 @@ class RealHotC {
   /// The disk-resident middle tier (always constructed; empty and idle
   /// unless options_.tiering.enabled routes traffic through it).
   snapshot::CheckpointStore snapshots_;
-  /// Guards the key -> KeyCosts table.  Band 55 with a sequence past any
-  /// store stripe; held only for the copy-in/copy-out, never across a
-  /// pool or store call.
-  mutable RankedMutex costs_mu_;
-  IdSlotMap cost_index_ HOTC_GUARDED_BY(costs_mu_);  // KeyId -> costs_ slot
-  std::vector<KeyCosts> costs_ HOTC_GUARDED_BY(costs_mu_);
+  /// KeyId -> plan, published once per key under plans_mu_ and read
+  /// lock-free.  Band 55 with a sequence past any store stripe; held only
+  /// to publish a built plan, never across a pool or store call.
+  RankedMutex plans_mu_;
+  ChunkedAtomic<const KeyPlan*> plans_ HOTC_WRITE_GUARDED_BY(plans_mu_);
+  std::vector<std::unique_ptr<KeyPlan>> plan_storage_
+      HOTC_GUARDED_BY(plans_mu_);
   std::atomic<engine::ContainerId> next_runtime_id_{1};
   std::atomic<std::uint64_t> cold_starts_{0};
   std::atomic<std::uint64_t> reuses_{0};
   std::atomic<std::uint64_t> donor_lookups_{0};
   std::atomic<std::uint64_t> donor_hits_{0};
+  /// Declared last: its workers run requests against everything above.
+  ThreadPool<Request> pool_;
 };
 
 }  // namespace hotc::runtime

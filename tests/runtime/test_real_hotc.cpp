@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
+
+#include "engine/cost_model.hpp"
+#include "engine/image.hpp"
+#include "pool/sharded_pool.hpp"
+#include "snapshot/tiering.hpp"
+#include "workload/mix.hpp"
 
 namespace hotc::runtime {
 namespace {
@@ -136,6 +143,96 @@ TEST(RealHotC, SubmitAfterShutdownYieldsEmptyOutcome) {
                                [](const std::string&) { return "x"; }, "")
                        .get();
   EXPECT_TRUE(out.payload.empty());
+}
+
+TEST(RealHotC, ThrowingHandlerFailsItsFutureOnly) {
+  RealHotC hotc(fast_options());
+  const auto app = engine::apps::qr_encoder();
+  const auto ok = [](const std::string&) { return std::string("ok"); };
+  hotc.submit(python_spec(), app, ok, "").get();  // pools one runtime
+  ASSERT_EQ(hotc.warm_count(), 1u);
+
+  auto failed = hotc.submit(
+      python_spec(), app,
+      [](const std::string&) -> std::string {
+        throw std::runtime_error("handler failed");
+      },
+      "");
+  try {
+    failed.get();
+    ADD_FAILURE() << "the future did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "handler failed");
+  }
+  // The runtime the handler failed in was reused, then dropped.
+  EXPECT_EQ(hotc.reuses(), 1u);
+  EXPECT_EQ(hotc.warm_count(), 0u);
+
+  // The workers survive: later requests run, the next one cold.
+  const RealOutcome next = hotc.submit(python_spec(), app, ok, "").get();
+  EXPECT_EQ(next.payload, "ok");
+  EXPECT_FALSE(next.reused);
+  EXPECT_EQ(hotc.cold_starts(), 2u);
+  EXPECT_EQ(hotc.submit(python_spec(), app, ok, "").get().payload, "ok");
+
+  const auto& warm =
+      dynamic_cast<const pool::ShardedRuntimePool&>(hotc.warm_pool());
+  EXPECT_TRUE(warm.check_conservation().ok());
+  const pool::PoolFlows flows = warm.flows_snapshot();
+  EXPECT_EQ(flows.leased, 2u);  // the failed lease never came back
+}
+
+// The per-key plan holds exactly what a fresh per-request computation
+// would, for every spec the benchmark mixes submit.
+TEST(RealHotC, PlanMatchesFreshCostModel) {
+  RealOptions opt = fast_options();
+  opt.cold_start_scale = 0.0;
+  RealHotC hotc(opt);
+  const engine::CostModel cost(opt.host);
+  for (const workload::ConfigMix& mix :
+       {workload::ConfigMix::qr_web_service(16),
+        workload::ConfigMix::sibling_functions(200, 5)}) {
+    for (std::size_t i = 0; i < mix.size(); ++i) {
+      const spec::RunSpec& s = mix.at(i).spec;
+      const RealOutcome out =
+          hotc.submit(s, mix.at(i).app,
+                      [](const std::string&) { return std::string(); }, "")
+              .get();
+      const engine::Image image = engine::image_for_name(s.image);
+      const Duration cold = cost.startup(s, image, 0).total();
+      const Bytes image_bytes = image.base_memory + mib(2);
+      const RealHotC::KeyPlan* plan =
+          hotc.plan(spec::RuntimeKey::from_spec(s).id());
+      ASSERT_NE(plan, nullptr);
+      EXPECT_EQ(plan->cold, cold);
+      EXPECT_EQ(out.modeled_cold, cold);
+      EXPECT_EQ(plan->image_bytes, image_bytes);
+      EXPECT_EQ(to_seconds(plan->restore),
+                to_seconds(cost.restore_time(image_bytes, s)));
+      EXPECT_EQ(plan->tenant, snapshot::tenant_of(s));
+    }
+  }
+}
+
+TEST(RealHotC, SpecsDifferingOnlyInCommandShareAPlan) {
+  RealHotC hotc(fast_options());
+  const auto app = engine::apps::qr_encoder();
+  const auto handler = [](const std::string&) { return std::string(); };
+  spec::RunSpec a = python_spec();
+  a.command = "python app.py --mode=a";
+  spec::RunSpec b = python_spec();
+  b.command = "python app.py --mode=b";
+  const spec::KeyId key = spec::RuntimeKey::from_spec(a).id();
+  ASSERT_EQ(key, spec::RuntimeKey::from_spec(b).id());
+  EXPECT_EQ(hotc.plan(key), nullptr);  // built on first submission
+
+  hotc.submit(a, app, handler, "").get();
+  const RealHotC::KeyPlan* plan = hotc.plan(key);
+  ASSERT_NE(plan, nullptr);
+  const RealOutcome out = hotc.submit(b, app, handler, "").get();
+  EXPECT_TRUE(out.reused);
+  EXPECT_EQ(hotc.plan(key), plan);
+  EXPECT_EQ(plan->spec.command, a.command);  // the first spec, kept stable
 }
 
 }  // namespace

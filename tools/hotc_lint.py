@@ -30,8 +30,9 @@ Rules (each one enforces a convention the compiler cannot):
                    registration site.  Calls passing a variable are
                    skipped (not statically checkable).
   hot-path-alloc   No heap allocation on the pool / dispatch hot path:
-                   src/pool/ and the RealHotC dispatch body
-                   (runtime/real_hotc.cpp) must not construct std::string,
+                   src/pool/, src/snapshot/, the RealHotC dispatch body
+                   (runtime/real_hotc.cpp) and its worker lanes
+                   (runtime/thread_pool.hpp) must not construct std::string,
                    call std::to_string, build a stringstream, or reach for
                    new / make_unique / make_shared.  Hot-path identity is
                    the interned KeyId, storage is the flat slab tables,
@@ -123,9 +124,10 @@ HOT_PATH_ALLOC_RE = re.compile(
 
 # Files the hot-path-alloc rule covers: the whole pool layer, the snapshot
 # tier (its take()/peek() lookups sit on the request miss path) plus the
-# RealHotC dispatch implementation (its header only declares API types).
+# RealHotC dispatch implementation and the worker lanes every request
+# passes through (real_hotc.hpp only declares API types).
 HOT_PATH_ALLOC_SCOPE = ("pool/", "snapshot/")
-HOT_PATH_ALLOC_FILES = {"runtime/real_hotc.cpp"}
+HOT_PATH_ALLOC_FILES = {"runtime/real_hotc.cpp", "runtime/thread_pool.hpp"}
 
 ALLOC_ALLOW = "hot-path-alloc: allow"
 
@@ -561,6 +563,12 @@ SELF_TEST_CASES = {
         "engine/ok_alloc.cpp",
         "#include <string>\nauto s = std::to_string(42);\n",
         None),
+    "hot-path-alloc fires in the worker lanes": (
+        "runtime/thread_pool.hpp",
+        "#pragma once\n#include <memory>\n"
+        "template <typename T> void post(T& t) "
+        "{ auto s = std::make_unique<T>(t); }\n",
+        "hot-path-alloc"),
     "hot-path-alloc exempts the dispatch header": (
         "runtime/real_hotc.hpp",
         "#pragma once\n#include <string>\nstruct R "
