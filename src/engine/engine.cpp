@@ -1,6 +1,7 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "core/log.hpp"
 #include "spec/compat.hpp"
@@ -36,10 +37,42 @@ ContainerEngine::ContainerEngine(sim::Simulator& sim, HostProfile profile)
 void ContainerEngine::set_state(Container& c, ContainerState next) {
   HOTC_ASSERT_MSG(transition_allowed(c.state, next),
                   "illegal container state transition");
+  --state_counts_[state_index(c.state)];
+  ++state_counts_[state_index(next)];
   c.state = next;
+  audit_counts();
   if (obs::Counter* counter = transition_counters_[state_index(next)]) {
     counter->inc();
   }
+}
+
+void ContainerEngine::add_container(Container c) {
+  HOTC_ASSERT(c.state == ContainerState::kProvisioning);
+  const ContainerId id = c.id;
+  containers_.emplace(id, std::move(c));
+  ++state_counts_[state_index(ContainerState::kProvisioning)];
+  audit_counts();
+}
+
+void ContainerEngine::erase_container(ContainerMap::iterator it) {
+  --state_counts_[state_index(it->second.state)];
+  containers_.erase(it);
+  audit_counts();
+}
+
+void ContainerEngine::audit_counts() const {
+#ifdef HOTC_AUDIT
+  std::array<std::size_t, kContainerStateCount> scanned{};
+  for (const auto& [id, c] : containers_) {
+    (void)id;
+    ++scanned[state_index(c.state)];
+  }
+  if (scanned != state_counts_) {
+    HOTC_ERROR("engine.audit")
+        << "container state counts disagree with a scan of the engine";
+    std::abort();
+  }
+#endif
 }
 
 void ContainerEngine::attach_metrics(obs::Registry& registry) {
@@ -153,7 +186,7 @@ void ContainerEngine::launch(const spec::RunSpec& spec, LaunchCallback cb) {
   c.last_used = sim_.now();
   c.idle_memory = img.base_memory;
   reserve_or_swap(c.idle_memory);
-  containers_[id] = c;
+  add_container(std::move(c));
   ++launches_;
 
   HOTC_DEBUG("engine") << "launch " << spec.image.full() << " as #" << id
@@ -175,7 +208,7 @@ void ContainerEngine::launch(const spec::RunSpec& spec, LaunchCallback cb) {
       release_memory(dead.idle_memory);
       warn_if_failed(network_.release(dead.endpoint), "endpoint release");
       warn_if_failed(volumes_.destroy(dead.volume), "volume destroy");
-      containers_.erase(it);
+      erase_container(it);
       cb(make_error<LaunchReport>("engine.launch_failed",
                                   "injected launch failure"));
       return;
@@ -516,7 +549,7 @@ void ContainerEngine::restore(CheckpointId checkpoint, LaunchCallback cb) {
   c.idle_memory = img.image.base_memory;
   c.warm_app = img.warm_app;  // restored process state is warm
   reserve_or_swap(c.idle_memory);
-  containers_[id] = c;
+  add_container(std::move(c));
   ++launches_;
 
   const Duration d = cost_.restore_time(img.size, img.spec);
@@ -622,18 +655,13 @@ void ContainerEngine::discard_checkpointed(ContainerId id, DoneCallback cb) {
     warn_if_failed(network_.release(done.endpoint), "endpoint release");
     warn_if_failed(volumes_.destroy(done.volume), "volume destroy");
     set_state(done, ContainerState::kRemoved);
-    containers_.erase(inner);
+    erase_container(inner);
     cb(true);
   });
 }
 
 std::size_t ContainerEngine::checkpointed_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, c] : containers_) {
-    (void)id;
-    if (c.state == ContainerState::kCheckpointed) ++n;
-  }
-  return n;
+  return state_counts_[state_index(ContainerState::kCheckpointed)];
 }
 
 Bytes ContainerEngine::checkpointed_disk_used() const {
@@ -680,7 +708,7 @@ void ContainerEngine::stop_and_remove(ContainerId id, DoneCallback cb) {
     warn_if_failed(network_.release(done.endpoint), "endpoint release");
     warn_if_failed(volumes_.destroy(done.volume), "volume destroy");
     set_state(done, ContainerState::kRemoved);
-    containers_.erase(inner);
+    erase_container(inner);
     cb(true);
   });
 }
@@ -691,38 +719,20 @@ const Container* ContainerEngine::find(ContainerId id) const {
 }
 
 std::size_t ContainerEngine::live_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, c] : containers_) {
-    (void)id;
-    // Checkpointed containers are on disk, not in RAM: they count against
-    // the disk budget (checkpointed_count), never the live cap.
-    if (c.state != ContainerState::kRemoved &&
-        c.state != ContainerState::kCheckpointed) {
-      ++n;
-    }
-  }
-  return n;
+  // Checkpointed containers are on disk, not in RAM: they count against
+  // the disk budget (checkpointed_count), never the live cap.
+  return containers_.size() -
+         state_counts_[state_index(ContainerState::kRemoved)] -
+         state_counts_[state_index(ContainerState::kCheckpointed)];
 }
 
 std::size_t ContainerEngine::idle_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, c] : containers_) {
-    (void)id;
-    if (c.state == ContainerState::kIdle) ++n;
-  }
-  return n;
+  return state_counts_[state_index(ContainerState::kIdle)];
 }
 
 std::size_t ContainerEngine::busy_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, c] : containers_) {
-    (void)id;
-    if (c.state == ContainerState::kBusy ||
-        c.state == ContainerState::kCleaning) {
-      ++n;
-    }
-  }
-  return n;
+  return state_counts_[state_index(ContainerState::kBusy)] +
+         state_counts_[state_index(ContainerState::kCleaning)];
 }
 
 double ContainerEngine::cpu_utilization() const {

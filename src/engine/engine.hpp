@@ -239,7 +239,15 @@ class ContainerEngine {
   void attach_metrics(obs::Registry& registry);
 
  private:
+  using ContainerMap = std::map<ContainerId, Container>;
+
   void set_state(Container& c, ContainerState next);
+  /// The only containers_ insert and erase; with set_state() they keep
+  /// state_counts_ in step with the map.
+  void add_container(Container c);
+  void erase_container(ContainerMap::iterator it);
+  /// HOTC_AUDIT builds: abort if state_counts_ disagrees with a scan.
+  void audit_counts() const;
   /// Shared phase arithmetic behind respecialize()/estimate_respecialize().
   [[nodiscard]] RespecReport respec_phases(const spec::RunSpec& donor,
                                            const spec::RunSpec& target,
@@ -258,7 +266,10 @@ class ContainerEngine {
   sim::MemoryPool memory_;
   sim::CountingResource cpu_;
 
-  std::map<ContainerId, Container> containers_;
+  ContainerMap containers_;
+  /// Containers per ContainerState; the count queries read these instead
+  /// of walking containers_.
+  std::array<std::size_t, kContainerStateCount> state_counts_{};
   ContainerId next_id_ = 1;
   Bytes swap_used_ = 0;
   std::uint64_t launches_ = 0;

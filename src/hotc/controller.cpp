@@ -112,10 +112,10 @@ HotCController::KeyState& HotCController::key_state(
     state.canonical_spec = spec;
     state.predictor = options_.predictor_factory();
     state.drift = obs::PageHinkley(options_.drift);
-    it = keys_.emplace(key.id(), std::move(state)).first;
     // Every key the controller has seen is a potential donor for its
     // compatibility-class siblings.
-    if (donors_ != nullptr) donors_->record(key, spec);
+    if (donors_ != nullptr) state.compat = donors_->record(key, spec);
+    it = keys_.emplace(key.id(), std::move(state)).first;
   }
   return it->second;
 }
@@ -735,8 +735,8 @@ void HotCController::adaptive_tick() {
       // decays toward (but never reaches) zero.  A drift-muted key is
       // additionally barred from find_donor entirely — its surplus is
       // computed from a forecast the detector just distrusted.
-      donors_->set_muted(key, state.canonical_spec, in.donation_muted);
-      donors_->nominate(key, state.canonical_spec, decision.nominate_donor);
+      donors_->set_flags(state.compat, key, decision.nominate_donor,
+                         in.donation_muted);
     }
     for (std::size_t i = 0; i < decision.prewarms; ++i) prewarm(key, state);
     if (decision.retires > 0) {

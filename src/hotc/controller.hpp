@@ -36,6 +36,7 @@
 #include "share/respecializer.hpp"
 #include "snapshot/checkpoint_store.hpp"
 #include "snapshot/tiering.hpp"
+#include "spec/compat.hpp"
 #include "spec/runtime_key.hpp"
 
 namespace hotc {
@@ -220,6 +221,8 @@ class HotCController {
  private:
   struct KeyState {
     spec::RunSpec canonical_spec;  // a spec that can recreate this runtime
+    /// Donor-registry class of canonical_spec (set only with sharing on).
+    spec::CompatClass compat;
     predict::PredictorPtr predictor;
     TimeSeries demand;     // observed per-interval peak concurrency
     TimeSeries forecast;   // what the predictor said for each interval

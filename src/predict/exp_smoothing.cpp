@@ -1,7 +1,5 @@
 #include "predict/exp_smoothing.hpp"
 
-#include <algorithm>
-
 #include "core/assert.hpp"
 
 namespace hotc::predict {
@@ -26,8 +24,9 @@ std::string ExponentialSmoothing::name() const {
 }
 
 void ExponentialSmoothing::observe(double actual) {
-  history_.push_back(actual);
-  if (history_.size() <= 5) {
+  ++observed_;
+  if (observed_ <= kSeedWindow) {
+    history_.push_back(actual);
     // Seed window still filling: the averaged-history seed changes with
     // each new point, so recompute from scratch (cheap: <= 5 points).
     reseed();
@@ -40,10 +39,9 @@ void ExponentialSmoothing::reseed() {
   HOTC_ASSERT(!history_.empty());
   double seed = history_.front();
   if (init_ == InitialValuePolicy::kAverageOfFirstFive) {
-    const std::size_t k = std::min<std::size_t>(5, history_.size());
     double sum = 0.0;
-    for (std::size_t i = 0; i < k; ++i) sum += history_[i];
-    seed = sum / static_cast<double>(k);
+    for (const double x : history_) sum += x;
+    seed = sum / static_cast<double>(history_.size());
   }
   smoothed_ = seed;
   for (const double x : history_) {
@@ -58,6 +56,7 @@ double ExponentialSmoothing::predict() const {
 
 void ExponentialSmoothing::reset() {
   history_.clear();
+  observed_ = 0;
   smoothed_ = 0.0;
   seeded_ = false;
 }

@@ -35,7 +35,7 @@ class ExponentialSmoothing final : public Predictor {
   [[nodiscard]] double predict() const override;
   void reset() override;
   [[nodiscard]] std::size_t observations() const override {
-    return history_.size();
+    return observed_;
   }
 
   [[nodiscard]] double alpha() const { return alpha_; }
@@ -45,14 +45,17 @@ class ExponentialSmoothing final : public Predictor {
   [[nodiscard]] double smoothed() const { return predict(); }
 
  private:
-  /// Recompute the smoothed value over the whole buffered history.  Called
-  /// only while the seed window is still filling (<= 5 observations);
-  /// afterwards the update is O(1).
+  /// The averaged-history seed covers the first five observations.
+  static constexpr std::size_t kSeedWindow = 5;
+
+  /// Recompute the smoothed value over the buffered seed window.  Called
+  /// only while the window is still filling; afterwards the update is O(1).
   void reseed();
 
   double alpha_;
   InitialValuePolicy init_;
-  std::vector<double> history_;  // kept only until the seed stabilises
+  std::vector<double> history_;  // the seed window only
+  std::size_t observed_ = 0;
   double smoothed_ = 0.0;
   bool seeded_ = false;
 };

@@ -31,57 +31,47 @@ void HybridPredictor::observe(double actual) {
   // The forecast the smoother *would have made* for this interval, before
   // seeing it — that is the residual base.
   const double es_forecast = es_.predict();
-  es_predictions_.push_back(es_forecast);
-  actuals_.push_back(actual);
+  ++observed_;
   es_.observe(actual);
 
   if (options_.mode == HybridMode::kResidualCorrection) {
-    if (actuals_.size() >= 2) {  // first forecast is the cold 0; skip it
+    if (observed_ >= 2) {  // first forecast is the cold 0; skip it
       const double base = std::max(std::abs(es_forecast), kEps);
       double r = (actual - es_forecast) / base;
       r = std::clamp(r, -options_.residual_clamp, options_.residual_clamp);
-      residuals_.push_back(r);
-      chain_.fit(residuals_);
+      chain_.observe(r);
     }
   } else {
-    chain_.fit(actuals_);
+    chain_.observe(actual);
   }
 }
 
 double HybridPredictor::predict() const {
   const double trend = es_.predict();
-  if (actuals_.empty()) return 0.0;
+  if (observed_ == 0) return 0.0;
 
   if (options_.mode == HybridMode::kValueState) {
     if (!chain_.fitted()) return trend;
     // Blend: the Markov midpoint corrects the trend toward the historical
     // state dynamics; equal weight keeps both models' strengths.
-    return 0.5 * trend + 0.5 * chain_.predict_from(actuals_.back());
+    return 0.5 * trend + 0.5 * chain_.predict_from(chain_.series().back());
   }
 
-  if (residuals_.empty() || !chain_.fitted()) return trend;
-  const double next_residual = chain_.predict_from(residuals_.back());
+  if (!chain_.fitted()) return trend;
+  const double next_residual = chain_.predict_from(chain_.series().back());
   return std::max(0.0, trend * (1.0 + next_residual));
 }
 
 int HybridPredictor::markov_region() const {
+  // A fitted chain holds at least two values of its series.
   if (!chain_.fitted()) return -1;
-  if (options_.mode == HybridMode::kValueState) {
-    return actuals_.empty()
-               ? -1
-               : static_cast<int>(chain_.state_of(actuals_.back()));
-  }
-  return residuals_.empty()
-             ? -1
-             : static_cast<int>(chain_.state_of(residuals_.back()));
+  return static_cast<int>(chain_.state_of(chain_.series().back()));
 }
 
 void HybridPredictor::reset() {
   es_.reset();
   chain_ = RegionMarkovChain(options_.regions);
-  actuals_.clear();
-  residuals_.clear();
-  es_predictions_.clear();
+  observed_ = 0;
 }
 
 }  // namespace hotc::predict

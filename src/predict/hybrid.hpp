@@ -20,8 +20,6 @@
 // 8 -> 19 jump of Fig. 10(a) recover quickly.
 #pragma once
 
-#include <vector>
-
 #include "predict/exp_smoothing.hpp"
 #include "predict/markov.hpp"
 #include "predict/predictor.hpp"
@@ -54,7 +52,7 @@ class HybridPredictor final : public Predictor {
   [[nodiscard]] double predict() const override;
   void reset() override;
   [[nodiscard]] std::size_t observations() const override {
-    return actuals_.size();
+    return observed_;
   }
 
   /// Drift restart == reset here: the residual chain was fitted on
@@ -75,10 +73,10 @@ class HybridPredictor final : public Predictor {
  private:
   HybridOptions options_;
   ExponentialSmoothing es_;
+  /// Owns the state series: residual ratios (kResidualCorrection) or
+  /// actuals (kValueState).
   RegionMarkovChain chain_;
-  std::vector<double> actuals_;
-  std::vector<double> residuals_;      // residual-ratio history
-  std::vector<double> es_predictions_; // one-step-ahead ES forecasts
+  std::size_t observed_ = 0;
 };
 
 }  // namespace hotc::predict

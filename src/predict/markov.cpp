@@ -8,24 +8,52 @@
 namespace hotc::predict {
 
 RegionMarkovChain::RegionMarkovChain(std::size_t regions)
-    : regions_(regions) {
+    : regions_(regions),
+      counts_(regions * regions, 0),
+      row_totals_(regions, 0) {
   HOTC_ASSERT(regions >= 2);
 }
 
 void RegionMarkovChain::fit(const std::vector<double>& series) {
-  counts_.assign(regions_ * regions_, 0);
-  row_totals_.assign(regions_, 0);
-  fitted_ = false;
-  if (series.size() < 2) return;
+  series_ = series;
+  if (!series_.empty()) {
+    const auto [mn, mx] = std::minmax_element(series_.begin(), series_.end());
+    min_ = *mn;
+    max_ = *mx;
+  }
+  recount();
+}
 
-  const auto [mn, mx] = std::minmax_element(series.begin(), series.end());
-  lo_ = *mn;
-  hi_ = *mx;
+void RegionMarkovChain::observe(double value) {
+  const bool first = series_.empty();
+  const bool extreme = first || value < min_ || value > max_;
+  min_ = first ? value : std::min(min_, value);
+  max_ = first ? value : std::max(max_, value);
+  series_.push_back(value);
+  if (extreme || !fitted_) {
+    recount();
+    return;
+  }
+  // Bounds unchanged: every earlier state is too, and the new value adds
+  // exactly one transition.
+  const std::size_t i = state_of(series_[series_.size() - 2]);
+  ++counts_[i * regions_ + state_of(value)];
+  ++row_totals_[i];
+}
+
+void RegionMarkovChain::recount() {
+  std::fill(counts_.begin(), counts_.end(), 0);
+  std::fill(row_totals_.begin(), row_totals_.end(), 0);
+  fitted_ = false;
+  if (series_.size() < 2) return;
+
+  lo_ = min_;
+  hi_ = max_;
   if (hi_ <= lo_) hi_ = lo_ + 1.0;  // constant series: one wide region
 
-  for (std::size_t t = 0; t + 1 < series.size(); ++t) {
-    const std::size_t i = state_of(series[t]);
-    const std::size_t j = state_of(series[t + 1]);
+  for (std::size_t t = 0; t + 1 < series_.size(); ++t) {
+    const std::size_t i = state_of(series_[t]);
+    const std::size_t j = state_of(series_[t + 1]);
     ++counts_[i * regions_ + j];
     ++row_totals_[i];
   }
@@ -112,18 +140,14 @@ std::string MarkovChainPredictor::name() const {
   return "markov(n=" + std::to_string(chain_.regions()) + ")";
 }
 
-void MarkovChainPredictor::observe(double actual) {
-  history_.push_back(actual);
-  chain_.fit(history_);
-}
+void MarkovChainPredictor::observe(double actual) { chain_.observe(actual); }
 
 double MarkovChainPredictor::predict() const {
-  if (history_.empty()) return 0.0;
-  return chain_.predict_from(history_.back());
+  if (chain_.series().empty()) return 0.0;
+  return chain_.predict_from(chain_.series().back());
 }
 
 void MarkovChainPredictor::reset() {
-  history_.clear();
   chain_ = RegionMarkovChain(chain_.regions());
 }
 

@@ -18,17 +18,29 @@
 
 namespace hotc::predict {
 
-/// State-space partition plus transition counts over a scalar series.
-/// This is the reusable machinery; MarkovChainPredictor adapts it to the
-/// Predictor interface.
+/// State-space partition plus transition counts over a scalar series the
+/// chain owns.  This is the reusable machinery; MarkovChainPredictor and
+/// HybridPredictor adapt it to the Predictor interface.
+///
+/// The partition is a function of the series' observed min and max only.
+/// A value inside [min, max] therefore leaves every earlier state
+/// assignment unchanged and adds exactly one transition, so observe() is
+/// O(1) for it; only a new extreme pays the full recount fit() does.  The
+/// counts after any sequence of observe() calls equal those of fit() over
+/// the same series, bit for bit.
 class RegionMarkovChain {
  public:
   explicit RegionMarkovChain(std::size_t regions = 6);
 
-  /// Rebuild the partition and the 1-step transition counts from the full
-  /// series (bounds adapt to the observed min/max).
+  /// Replace the series and rebuild the partition and the 1-step
+  /// transition counts from scratch (bounds adapt to the observed
+  /// min/max).
   void fit(const std::vector<double>& series);
 
+  /// Append one value and update the counts incrementally.
+  void observe(double value);
+
+  [[nodiscard]] const std::vector<double>& series() const { return series_; }
   [[nodiscard]] std::size_t regions() const { return regions_; }
   [[nodiscard]] bool fitted() const { return fitted_; }
 
@@ -54,7 +66,13 @@ class RegionMarkovChain {
   [[nodiscard]] std::vector<double> row(std::size_t i) const;
   [[nodiscard]] std::vector<double> row_k(std::size_t i, std::size_t k) const;
 
+  /// Partition and counts over the whole of series_.
+  void recount();
+
   std::size_t regions_;
+  std::vector<double> series_;
+  double min_ = 0.0;  // observed extremes of series_ (hi_ may be widened)
+  double max_ = 0.0;
   double lo_ = 0.0;
   double hi_ = 1.0;
   std::vector<std::size_t> counts_;  // regions x regions, row-major
@@ -71,13 +89,12 @@ class MarkovChainPredictor final : public Predictor {
   [[nodiscard]] double predict() const override;
   void reset() override;
   [[nodiscard]] std::size_t observations() const override {
-    return history_.size();
+    return chain_.series().size();
   }
 
   [[nodiscard]] const RegionMarkovChain& chain() const { return chain_; }
 
  private:
-  std::vector<double> history_;
   RegionMarkovChain chain_;
 };
 

@@ -19,37 +19,27 @@ DonorRegistry::DonorRegistry(std::size_t stripe_count) {
   }
 }
 
-void DonorRegistry::record(const spec::RuntimeKey& key,
-                           const spec::RunSpec& spec) {
+spec::CompatClass DonorRegistry::record(const spec::RuntimeKey& key,
+                                        const spec::RunSpec& spec) {
   const spec::CompatClass cls = spec::CompatClass::from_spec(spec);
   Stripe& stripe = stripe_for(cls);
   const RankedGuard lock(stripe.mu);
   Member& m = stripe.classes[cls][key];
   m.spec = spec;  // refresh; nomination state survives the upsert
+  return cls;
 }
 
-void DonorRegistry::nominate(const spec::RuntimeKey& key,
-                             const spec::RunSpec& spec, bool on) {
-  const spec::CompatClass cls = spec::CompatClass::from_spec(spec);
+void DonorRegistry::set_flags(const spec::CompatClass& cls,
+                              const spec::RuntimeKey& key, bool nominated,
+                              bool muted) {
   Stripe& stripe = stripe_for(cls);
   const RankedGuard lock(stripe.mu);
   const auto cit = stripe.classes.find(cls);
   if (cit == stripe.classes.end()) return;
   const auto mit = cit->second.find(key);
   if (mit == cit->second.end()) return;
-  mit->second.nominated = on;
-}
-
-void DonorRegistry::set_muted(const spec::RuntimeKey& key,
-                              const spec::RunSpec& spec, bool on) {
-  const spec::CompatClass cls = spec::CompatClass::from_spec(spec);
-  Stripe& stripe = stripe_for(cls);
-  const RankedGuard lock(stripe.mu);
-  const auto cit = stripe.classes.find(cls);
-  if (cit == stripe.classes.end()) return;
-  const auto mit = cit->second.find(key);
-  if (mit == cit->second.end()) return;
-  mit->second.muted = on;
+  mit->second.nominated = nominated;
+  mit->second.muted = muted;
 }
 
 void DonorRegistry::forget(const spec::RuntimeKey& key,

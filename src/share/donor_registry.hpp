@@ -61,19 +61,18 @@ class DonorRegistry {
   /// Make a key discoverable as a potential donor (idempotent upsert; the
   /// stored spec is refreshed).  Called whenever the controller first sees
   /// a key and whenever a converted container re-enters under a new key.
-  void record(const spec::RuntimeKey& key, const spec::RunSpec& spec);
+  /// Returns the compatibility class the key was filed under.
+  spec::CompatClass record(const spec::RuntimeKey& key,
+                           const spec::RunSpec& spec);
 
-  /// Mark or clear Algorithm-3 nomination: the hybrid predictor forecasts
-  /// this key as over-provisioned, so its idle surplus should be donated
-  /// first.  No-op if the key was never recorded.
-  void nominate(const spec::RuntimeKey& key, const spec::RunSpec& spec,
-                bool on);
-
-  /// Drift mute (obs/drift.hpp feedback): a muted key is skipped by
-  /// find_donor entirely — its surplus derives from a forecast the drift
-  /// detector just distrusted.  No-op if the key was never recorded.
-  void set_muted(const spec::RuntimeKey& key, const spec::RunSpec& spec,
-                 bool on);
+  /// Set a recorded key's per-tick flags; `cls` is the class record()
+  /// returned for it.  No-op if the key was never recorded there.
+  ///  - nominated: Algorithm 3 forecasts the key as over-provisioned, so
+  ///    its idle surplus is donated first.
+  ///  - muted (obs/drift.hpp feedback): find_donor skips the key entirely;
+  ///    its surplus derives from a forecast the drift detector distrusted.
+  void set_flags(const spec::CompatClass& cls, const spec::RuntimeKey& key,
+                 bool nominated, bool muted);
 
   /// Drop a key from the index (its function was retired).
   void forget(const spec::RuntimeKey& key, const spec::RunSpec& spec);

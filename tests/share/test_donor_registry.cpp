@@ -91,8 +91,8 @@ TEST_F(DonorRegistryTest, NominationReleasesTheLastIdleRuntime) {
   const auto req = function_spec("python", "alpha");
   const auto sib = function_spec("python", "beta");
   const auto sib_key = spec::RuntimeKey::from_spec(sib);
-  registry_.record(sib_key, sib);
-  registry_.nominate(sib_key, sib, true);
+  const spec::CompatClass sib_cls = registry_.record(sib_key, sib);
+  registry_.set_flags(sib_cls, sib_key, /*nominated=*/true, /*muted=*/false);
   add_idle(sib_key, 1);
 
   const auto cand =
@@ -101,7 +101,7 @@ TEST_F(DonorRegistryTest, NominationReleasesTheLastIdleRuntime) {
   EXPECT_EQ(cand->key, sib_key);
   EXPECT_TRUE(cand->nominated);
 
-  registry_.nominate(sib_key, sib, false);
+  registry_.set_flags(sib_cls, sib_key, /*nominated=*/false, /*muted=*/false);
   EXPECT_FALSE(registry_
                    .find_donor(req, spec::RuntimeKey::from_spec(req), pool_)
                    .has_value());
@@ -114,8 +114,8 @@ TEST_F(DonorRegistryTest, NominatedDonorWinsOverMerelyLive) {
   const auto live_key = spec::RuntimeKey::from_spec(live);
   const auto nom_key = spec::RuntimeKey::from_spec(nominated);
   registry_.record(live_key, live);
-  registry_.record(nom_key, nominated);
-  registry_.nominate(nom_key, nominated, true);
+  const spec::CompatClass nom_cls = registry_.record(nom_key, nominated);
+  registry_.set_flags(nom_cls, nom_key, /*nominated=*/true, /*muted=*/false);
   add_idle(live_key, 1);
   add_idle(live_key, 2);
   add_idle(nom_key, 3);
@@ -130,8 +130,9 @@ TEST_F(DonorRegistryTest, NeverCrossesCompatibilityClasses) {
   const auto req = function_spec("python", "alpha");
   const auto other = function_spec("golang", "beta");
   const auto other_key = spec::RuntimeKey::from_spec(other);
-  registry_.record(other_key, other);
-  registry_.nominate(other_key, other, true);
+  const spec::CompatClass other_cls = registry_.record(other_key, other);
+  registry_.set_flags(other_cls, other_key, /*nominated=*/true,
+                      /*muted=*/false);
   add_idle(other_key, 1);
   add_idle(other_key, 2);
   EXPECT_FALSE(registry_
@@ -143,8 +144,8 @@ TEST_F(DonorRegistryTest, ForgetDropsTheKey) {
   const auto req = function_spec("python", "alpha");
   const auto sib = function_spec("python", "beta");
   const auto sib_key = spec::RuntimeKey::from_spec(sib);
-  registry_.record(sib_key, sib);
-  registry_.nominate(sib_key, sib, true);
+  const spec::CompatClass sib_cls = registry_.record(sib_key, sib);
+  registry_.set_flags(sib_cls, sib_key, /*nominated=*/true, /*muted=*/false);
   add_idle(sib_key, 1);
   EXPECT_EQ(registry_.known_keys(), 1u);
   registry_.forget(sib_key, sib);
@@ -155,7 +156,7 @@ TEST_F(DonorRegistryTest, ForgetDropsTheKey) {
 }
 
 // The tsan centerpiece: registry reads (find_donor probing PoolView) and
-// writes (record/nominate) race against pool lease/donate/return traffic.
+// writes (record/set_flags) race against pool lease/donate/return traffic.
 // Afterwards, at quiescence, the pool's conservation audit must close
 // with the donated/respecialized flows balanced.
 TEST_F(DonorRegistryTest, CoherentUnderConcurrentLeaseAndReturn) {
@@ -178,8 +179,9 @@ TEST_F(DonorRegistryTest, CoherentUnderConcurrentLeaseAndReturn) {
   threads.emplace_back([&]() {
     for (int i = 0; i < kOpsPerThread; ++i) {
       const int k = i % kKeys;
-      registry_.record(keys[k], specs[k]);
-      registry_.nominate(keys[k], specs[k], i % 2 == 0);
+      const spec::CompatClass cls = registry_.record(keys[k], specs[k]);
+      registry_.set_flags(cls, keys[k], /*nominated=*/i % 2 == 0,
+                          /*muted=*/false);
     }
   });
   // Returners: keep fresh idle stock flowing into every key.

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The one-command correctness gate: lint, the default build + full test
-# suite, the ASan/UBSan and TSan matrices with HOTC_AUDIT=ON (lock-rank
-# auditing + pool conservation checks compiled in), and clang-tidy over
-# src/core + src/pool when a binary is available.
+# suite (golden figure outputs included), the install-rule check, the
+# ASan/UBSan and TSan matrices with HOTC_AUDIT=ON (lock-rank auditing,
+# pool conservation and engine state-count checks compiled in), and
+# clang-tidy over src/core + src/pool when a binary is available.
 #
 # Usage: tools/check.sh          (from anywhere; or `cmake --build build
 #        --target check` after configuring)
@@ -23,6 +24,9 @@ step "build + test: default (tier-1)"
 cmake -B "$ROOT/build" -S "$ROOT" >/dev/null
 cmake --build "$ROOT/build" -j "$JOBS"
 ctest --test-dir "$ROOT/build" --output-on-failure -j "$JOBS"
+
+step "install: every hotc_* library lands in <prefix>/lib"
+"$ROOT/tools/check_install.sh" "$ROOT/build"
 
 step "static analysis: hotc_analyze (fixtures + src/)"
 ctest --test-dir "$ROOT/build" -L analyze --output-on-failure -j "$JOBS"
