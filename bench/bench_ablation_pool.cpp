@@ -143,7 +143,7 @@ int main() {
     opt.hotc.enable_retire = false;  // idle handling is the only variable
     if (mode == IdleMode::kPause) opt.hotc.pause_idle_after = minutes(2);
     if (mode == IdleMode::kCheckpoint) {
-      opt.hotc.use_checkpoint_restore = true;
+      opt.hotc.tiering.enabled = true;
       opt.hotc.idle_cap = minutes(2);  // retire (to disk) at 2 min idle
     }
     faas::FaasPlatform platform(opt);

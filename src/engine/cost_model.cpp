@@ -1,5 +1,7 @@
 #include "engine/cost_model.hpp"
 
+#include "spec/compat.hpp"
+
 namespace hotc::engine {
 
 Duration CostModel::pull_time(Bytes compressed) const {
@@ -181,6 +183,23 @@ Duration CostModel::reconfigure_time(const spec::RunSpec& container,
       scale(microseconds(400) * static_cast<std::int64_t>(env_changes),
             host_.syscall_factor);
   return env_cost + volume_time(volume_changes);
+}
+
+RespecBreakdown CostModel::respecialize(const spec::RunSpec& donor,
+                                        const spec::RunSpec& target,
+                                        const Image& target_image,
+                                        Bytes missing_layer_bytes,
+                                        Bytes dirty_bytes) const {
+  RespecBreakdown r;
+  r.clean = cleanup_time(dirty_bytes);
+  r.reconfigure = reconfigure_time(donor, target);
+  const spec::CompatDelta delta = spec::compat_delta(donor, target);
+  if (delta.limits_differ) r.cgroups = cgroup_time(target);
+  if (delta.tag_differs) {
+    r.layers = pull_time(missing_layer_bytes) +
+               extract_time(missing_layer_bytes) + rootfs_time(target_image);
+  }
+  return r;
 }
 
 Duration CostModel::resume_time(Bytes swapped_out) const {

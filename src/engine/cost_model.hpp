@@ -43,6 +43,19 @@ struct StartupBreakdown {
   }
 };
 
+/// Phase-by-phase cost of converting a donor runtime into a sibling's
+/// configuration (cross-key sharing, src/share/).
+struct RespecBreakdown {
+  Duration clean = kZeroDuration;        // Algorithm 2 volume wipe + remount
+  Duration reconfigure = kZeroDuration;  // env / exec-option delta re-apply
+  Duration cgroups = kZeroDuration;      // resource-limit rewrite
+  Duration layers = kZeroDuration;       // image-layer delta (tag change)
+
+  [[nodiscard]] Duration total() const {
+    return clean + reconfigure + cgroups + layers;
+  }
+};
+
 class CostModel {
  public:
   explicit CostModel(HostProfile host) : host_(std::move(host)) {}
@@ -107,6 +120,19 @@ class CostModel {
   /// remounting differing volumes before the handler starts.
   [[nodiscard]] Duration reconfigure_time(const spec::RunSpec& container,
                                           const spec::RunSpec& request) const;
+
+  /// Converting a donor of spec `donor` into `target`, a sibling in its
+  /// compatibility class: wipe `dirty_bytes` and remount, re-apply the
+  /// env/exec-option delta, rewrite cgroup limits when they differ and,
+  /// when only the image tag differs, pull and extract the
+  /// `missing_layer_bytes` of `target_image` and remount its rootfs.  The
+  /// one conversion price: the engine charges it and the donor gate
+  /// (share/donor_choice.hpp) weighs it against the cold start.
+  [[nodiscard]] RespecBreakdown respecialize(const spec::RunSpec& donor,
+                                             const spec::RunSpec& target,
+                                             const Image& target_image,
+                                             Bytes missing_layer_bytes,
+                                             Bytes dirty_bytes) const;
 
   /// CRIU-style checkpoint of a warm container's process state to disk
   /// (the Replayable-Execution [34] approach the paper's related work

@@ -350,49 +350,24 @@ void ContainerEngine::clean(ContainerId id, DoneCallback cb) {
   });
 }
 
-RespecReport ContainerEngine::respec_phases(const spec::RunSpec& donor,
-                                            const spec::RunSpec& target,
-                                            Bytes dirty_bytes) const {
-  RespecReport r;
-  r.clean = cost_.cleanup_time(dirty_bytes);
-  r.reconfigure = cost_.reconfigure_time(donor, target);
-  const spec::CompatDelta delta = spec::compat_delta(donor, target);
-  if (delta.limits_differ) r.cgroups = cost_.cgroup_time(target);
-  if (delta.tag_differs) {
-    auto image = registry_.resolve(target.image);
-    if (image.ok()) {
-      const Bytes missing = store_.missing_bytes(image.value());
-      r.layers = cost_.pull_time(missing) + cost_.extract_time(missing) +
-                 cost_.rootfs_time(image.value());
-    }
-  }
-  return r;
-}
-
-RespecReport ContainerEngine::estimate_respecialize(
-    const spec::RunSpec& donor, const spec::RunSpec& target) const {
-  if (!spec::compatible(donor, target)) return RespecReport{};
-  return respec_phases(donor, target, 0);
-}
-
 void ContainerEngine::respecialize(ContainerId id,
                                    const spec::RunSpec& target,
                                    RespecCallback cb) {
   auto it = containers_.find(id);
   if (it == containers_.end()) {
-    cb(make_error<RespecReport>("engine.unknown_container",
+    cb(make_error<RespecBreakdown>("engine.unknown_container",
                                 "no container " + std::to_string(id)));
     return;
   }
   Container& c = it->second;
   if (c.state != ContainerState::kIdle) {
-    cb(make_error<RespecReport>("engine.not_respecializable",
+    cb(make_error<RespecBreakdown>("engine.not_respecializable",
                                 "container " + std::to_string(id) + " is " +
                                     to_string(c.state)));
     return;
   }
   if (!spec::compatible(c.spec, target)) {
-    cb(make_error<RespecReport>(
+    cb(make_error<RespecBreakdown>(
         "engine.incompatible",
         "container " + std::to_string(id) + " (" + c.spec.image.full() +
             ") is not class-compatible with " + target.image.full()));
@@ -400,15 +375,15 @@ void ContainerEngine::respecialize(ContainerId id,
   }
   auto image = registry_.resolve(target.image);
   if (!image.ok()) {
-    cb(Result<RespecReport>(image.error()));
+    cb(Result<RespecBreakdown>(image.error()));
     return;
   }
   const Image img = image.value();
 
   auto dirty = volumes_.get(c.volume);
   const Bytes dirty_bytes = dirty.ok() ? dirty.value().dirty_bytes : 0;
-  RespecReport report = respec_phases(c.spec, target, dirty_bytes);
-  report.container = id;
+  const RespecBreakdown report = cost_.respecialize(
+      c.spec, target, img, store_.missing_bytes(img), dirty_bytes);
   if (clean_duration_ms_ != nullptr) {
     clean_duration_ms_->observe(to_milliseconds(report.clean));
   }
@@ -484,90 +459,6 @@ void ContainerEngine::resume(ContainerId id, DoneCallback cb) {
     set_state(inner->second, ContainerState::kIdle);
     cb(true);
   });
-}
-
-void ContainerEngine::checkpoint(ContainerId id, CheckpointCallback cb) {
-  auto it = containers_.find(id);
-  if (it == containers_.end()) {
-    cb(make_error<CheckpointId>("engine.unknown_container",
-                                "no container " + std::to_string(id)));
-    return;
-  }
-  Container& c = it->second;
-  if (c.state != ContainerState::kIdle) {
-    cb(make_error<CheckpointId>("engine.not_checkpointable",
-                                "container " + std::to_string(id) + " is " +
-                                    to_string(c.state)));
-    return;
-  }
-  // The dump contains the idle process image plus warm application state
-  // (loaded model, JIT caches) — which is why restores start warm.
-  CheckpointImage img;
-  img.spec = c.spec;
-  img.image = c.image;
-  img.warm_app = c.warm_app;
-  img.size = c.idle_memory + mib(2);  // page dump + metadata
-  const CheckpointId ckpt_id = next_checkpoint_id_++;
-  const Duration d = cost_.checkpoint_time(c.idle_memory);
-  sim_.after(d, [this, ckpt_id, img = std::move(img), cb]() mutable {
-    checkpoints_.emplace(ckpt_id, std::move(img));
-    cb(ckpt_id);
-  });
-}
-
-void ContainerEngine::restore(CheckpointId checkpoint, LaunchCallback cb) {
-  const auto it = checkpoints_.find(checkpoint);
-  if (it == checkpoints_.end()) {
-    cb(make_error<LaunchReport>("engine.unknown_checkpoint",
-                                "no checkpoint " +
-                                    std::to_string(checkpoint)));
-    return;
-  }
-  const CheckpointImage& img = it->second;
-  if (memory_.free() < img.image.base_memory) {
-    cb(make_error<LaunchReport>("engine.out_of_memory",
-                                "host cannot hold the restored container"));
-    return;
-  }
-  auto endpoint = network_.provision(img.spec.network);
-  if (!endpoint.ok()) {
-    cb(Result<LaunchReport>(endpoint.error()));
-    return;
-  }
-
-  const ContainerId id = next_id_++;
-  Container c;
-  c.id = id;
-  c.spec = img.spec;
-  c.key = spec::RuntimeKey::from_spec(img.spec);
-  c.image = img.image;
-  c.state = ContainerState::kProvisioning;
-  c.endpoint = endpoint.value().id;
-  c.volume = volumes_.create().id;
-  c.created_at = sim_.now();
-  c.last_used = sim_.now();
-  c.idle_memory = img.image.base_memory;
-  c.warm_app = img.warm_app;  // restored process state is warm
-  reserve_or_swap(c.idle_memory);
-  add_container(std::move(c));
-  ++launches_;
-
-  const Duration d = cost_.restore_time(img.size, img.spec);
-  StartupBreakdown breakdown;  // restore is a single "attach"-like phase
-  breakdown.attach = d;
-  sim_.after(d, [this, id, breakdown, cb]() {
-    auto inner = containers_.find(id);
-    HOTC_ASSERT(inner != containers_.end());
-    set_state(inner->second, ContainerState::kIdle);
-    LaunchReport report;
-    report.container = id;
-    report.breakdown = breakdown;
-    cb(report);
-  });
-}
-
-bool ContainerEngine::drop_checkpoint(CheckpointId checkpoint) {
-  return checkpoints_.erase(checkpoint) > 0;
 }
 
 void ContainerEngine::demote(ContainerId id, DemoteCallback cb) {
@@ -669,15 +560,6 @@ Bytes ContainerEngine::checkpointed_disk_used() const {
   for (const auto& [id, c] : containers_) {
     (void)id;
     if (c.state == ContainerState::kCheckpointed) total += c.checkpoint_image;
-  }
-  return total;
-}
-
-Bytes ContainerEngine::checkpoint_disk_used() const {
-  Bytes total = 0;
-  for (const auto& [id, img] : checkpoints_) {
-    (void)id;
-    total += img.size;
   }
   return total;
 }

@@ -53,20 +53,6 @@ struct LaunchReport {
   StartupBreakdown breakdown;
 };
 
-/// What one respecialize() cost, phase by phase (cross-key sharing: the
-/// donor-conversion pipeline — see src/share/).
-struct RespecReport {
-  ContainerId container = 0;
-  Duration clean = kZeroDuration;        // Algorithm 2 volume wipe + remount
-  Duration reconfigure = kZeroDuration;  // env / exec-option delta re-apply
-  Duration cgroups = kZeroDuration;      // resource-limit rewrite
-  Duration layers = kZeroDuration;       // image-layer delta (tag change)
-
-  [[nodiscard]] Duration total() const {
-    return clean + reconfigure + cgroups + layers;
-  }
-};
-
 /// Failure injection for resilience tests and chaos benches.  Failures
 /// are drawn from a dedicated seeded RNG so fault runs stay reproducible.
 struct FaultModel {
@@ -106,7 +92,7 @@ class ContainerEngine {
   /// Algorithm 2: wipe the container's volume and remount a fresh one.
   void clean(ContainerId id, DoneCallback cb);
 
-  using RespecCallback = std::function<void(Result<RespecReport>)>;
+  using RespecCallback = std::function<void(Result<RespecBreakdown>)>;
 
   /// Cross-key sharing: convert an Idle donor container so it can serve
   /// `target`, a sibling spec in the donor's compatibility class (see
@@ -119,39 +105,12 @@ class ContainerEngine {
   void respecialize(ContainerId id, const spec::RunSpec& target,
                     RespecCallback cb);
 
-  /// Synchronous estimate of converting a donor of spec `donor` into
-  /// `target` (no side effects; the dirty-volume wipe is costed at zero
-  /// bytes).  All-zero when the specs are not class-compatible — callers
-  /// gate on spec::compatible() first.
-  [[nodiscard]] RespecReport estimate_respecialize(
-      const spec::RunSpec& donor, const spec::RunSpec& target) const;
-
   /// Freeze an Idle container (cgroup freezer): most of its idle footprint
   /// is swapped out, trading memory for a resume latency on next use.
   void pause(ContainerId id, DoneCallback cb);
 
   /// Thaw a Paused container back to Idle, faulting its pages back in.
   void resume(ContainerId id, DoneCallback cb);
-
-  /// CRIU-style checkpoint: dump an Idle container's warm process state to
-  /// disk.  The container keeps running; the checkpoint outlives it and
-  /// can later be restored into a brand-new container that starts warm.
-  using CheckpointId = std::uint64_t;
-  using CheckpointCallback = std::function<void(Result<CheckpointId>)>;
-  void checkpoint(ContainerId id, CheckpointCallback cb);
-
-  /// Restore a checkpoint into a new Idle container.  Cheaper than a cold
-  /// launch (no pull, no runtime/app init — the process state is in the
-  /// image) but slower than reusing a live pooled container.
-  void restore(CheckpointId checkpoint, LaunchCallback cb);
-
-  /// Drop a checkpoint image from disk.
-  bool drop_checkpoint(CheckpointId checkpoint);
-
-  [[nodiscard]] std::size_t checkpoint_count() const {
-    return checkpoints_.size();
-  }
-  [[nodiscard]] Bytes checkpoint_disk_used() const;
 
   /// What one demote() cost and produced.
   struct DemoteReport {
@@ -164,9 +123,8 @@ class ContainerEngine {
   /// Tiered warm state (DESIGN.md §16): dump an Idle container to disk *in
   /// place*.  The container keeps its id, endpoint and volume, transitions
   /// Idle -> Checkpointed, and gives back its resident memory (~zero RAM
-  /// while demoted).  Unlike checkpoint()/restore(), which clone state
-  /// into a brand-new container, demote/restore_container is the consuming
-  /// middle tier the snapshot::CheckpointStore manages.
+  /// while demoted).  demote/restore_container is the consuming middle
+  /// tier the snapshot::CheckpointStore manages.
   void demote(ContainerId id, DemoteCallback cb);
 
   /// Fault a demoted container's image back in: Checkpointed -> Idle, the
@@ -248,10 +206,6 @@ class ContainerEngine {
   void erase_container(ContainerMap::iterator it);
   /// HOTC_AUDIT builds: abort if state_counts_ disagrees with a scan.
   void audit_counts() const;
-  /// Shared phase arithmetic behind respecialize()/estimate_respecialize().
-  [[nodiscard]] RespecReport respec_phases(const spec::RunSpec& donor,
-                                           const spec::RunSpec& target,
-                                           Bytes dirty_bytes) const;
   /// Reserve memory, spilling to swap accounting when the pool is full.
   /// Returns true if the reservation spilled (execution must slow down).
   bool reserve_or_swap(Bytes amount);
@@ -284,15 +238,6 @@ class ContainerEngine {
   Rng fault_rng_{99};
   std::uint64_t launch_failures_ = 0;
   std::uint64_t exec_crashes_ = 0;
-
-  struct CheckpointImage {
-    spec::RunSpec spec;
-    Image image;
-    std::string warm_app;
-    Bytes size = 0;  // on-disk dump size
-  };
-  std::map<CheckpointId, CheckpointImage> checkpoints_;
-  CheckpointId next_checkpoint_id_ = 1;
 
   /// Multi-host networks already created on this node (first overlay pays
   /// the create cost, later ones attach).

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "core/log.hpp"
+#include "share/donor_choice.hpp"
 
 namespace hotc {
 
@@ -31,8 +32,6 @@ HotCController::HotCController(engine::ContainerEngine& engine,
   HOTC_ASSERT(options_.predictor_factory != nullptr);
   if (options_.enable_sharing) {
     donors_ = std::make_unique<share::DonorRegistry>();
-    respec_ = std::make_unique<share::Respecializer>(
-        engine_, options_.share_max_cost_ratio);
   }
   if (options_.tiering.enabled) {
     store_ = std::make_unique<snapshot::CheckpointStore>(
@@ -192,9 +191,8 @@ void HotCController::provision_cold(const spec::RunSpec& spec,
   enforce_pressure();  // make room before allocating a new runtime
 
   // Tiered warm state: a demoted runtime parked in the checkpoint store
-  // beats both the legacy clone-restore and a full cold boot — the restore
-  // is consuming, so the conservation ledger sees demotes == restores +
-  // evictions + still-stored.
+  // beats a full cold boot — the restore is consuming, so the conservation
+  // ledger sees demotes == restores + evictions + still-stored.
   if (store_ != nullptr) {
     const auto snap = store_->take(key.id(), sim_.now());
     if (snap.has_value()) {
@@ -242,19 +240,11 @@ void HotCController::launch_cold(const spec::RunSpec& spec,
                                  const spec::RuntimeKey& key,
                                  TimePoint arrival, std::uint64_t trace_id,
                                  Callback cb) {
-  // Checkpoint/restore extension: a retired runtime's dump beats a full
-  // cold boot when one exists for this key.
-  const auto ckpt = checkpoints_.find(key.id());
-  const bool restoring =
-      options_.use_checkpoint_restore && ckpt != checkpoints_.end();
-
-  auto on_provisioned = [this, key, spec, app, arrival, restoring, trace_id,
-                         cb = std::move(cb)](
-                            Result<engine::LaunchReport> r) {
-    const obs::Stage stage =
-        restoring ? obs::Stage::kRestore : obs::Stage::kColdStart;
+  engine_.launch(spec, [this, key, spec, app, arrival, trace_id,
+                        cb = std::move(cb)](Result<engine::LaunchReport> r) {
     if (!r.ok()) {
-      emit_span(trace_id, stage, arrival, sim_.now() - arrival, key.hash(),
+      emit_span(trace_id, obs::Stage::kColdStart, arrival,
+                sim_.now() - arrival, key.hash(),
                 obs::kSpanCold | obs::kSpanError);
       auto it = keys_.find(key.id());
       if (it != keys_.end() && it->second.busy_now > 0) {
@@ -263,23 +253,16 @@ void HotCController::launch_cold(const spec::RunSpec& spec,
       cb(Result<RequestOutcome>(r.error()));
       return;
     }
-    if (restoring) ++stats_.restores;
     stats_.cold_start_seconds += to_seconds(r.value().breakdown.total());
-    emit_span(trace_id, stage, arrival, r.value().breakdown.total(),
-              key.hash(), obs::kSpanCold);
+    emit_span(trace_id, obs::Stage::kColdStart, arrival,
+              r.value().breakdown.total(), key.hash(), obs::kSpanCold);
     pool::PoolEntry fresh;
     fresh.id = r.value().container;
     fresh.key = key;
     fresh.created_at = sim_.now();
     run_on(fresh, spec, app, /*was_prewarmed=*/false,
-           r.value().breakdown.total(), arrival, trace_id, cb,
-           /*was_resumed=*/false, /*was_restored=*/restoring);
-  };
-  if (restoring) {
-    engine_.restore(ckpt->second, std::move(on_provisioned));
-  } else {
-    engine_.launch(spec, std::move(on_provisioned));
-  }
+           r.value().breakdown.total(), arrival, trace_id, cb);
+  });
 }
 
 bool HotCController::try_donor(const spec::RunSpec& spec,
@@ -290,36 +273,45 @@ bool HotCController::try_donor(const spec::RunSpec& spec,
   const TimePoint lookup_start = sim_.now();
   ++stats_.donor_lookups;
   if (obs_.donor_lookups != nullptr) obs_.donor_lookups->inc();
-  const auto cand = donors_->find_donor(spec, key, pool_);
+  // The request's side of the price: its cold start and its image, whose
+  // missing layers a donor of another tag must fetch.  An unknown image
+  // prices as an empty one; its zero cold estimate fails the gate anyway.
+  static const engine::Image kUnknownImage;
+  const auto image = engine_.registry().resolve(spec.image);
+  const engine::Image& target = image.ok() ? image.value() : kUnknownImage;
+  const auto choice = share::choose_donor(
+      *donors_, pool_, engine_.cost_model(), spec, key,
+      engine_.estimate_startup(spec).total(), target,
+      engine_.image_store().missing_bytes(target),
+      options_.share_max_cost_ratio);
   emit_span(trace_id, obs::Stage::kDonorLookup, lookup_start,
             sim_.now() - lookup_start, key.hash(),
-            cand.has_value() ? obs::kSpanHit : 0);
-  if (!cand.has_value()) return false;
-
-  const share::RespecEstimate est = respec_->estimate(cand->spec, spec);
-  if (!est.viable) {
+            choice.has_value() ? obs::kSpanHit : 0);
+  if (!choice.has_value()) return false;
+  if (!choice->viable) {
     ++stats_.respec_rejected;
     if (obs_.respec_rejected != nullptr) obs_.respec_rejected->inc();
     return false;
   }
 
-  auto donor = pool_.acquire_for_donation(cand->key, sim_.now());
+  const spec::RuntimeKey& donor_key = choice->donor.key;
+  auto donor = pool_.acquire_for_donation(donor_key, sim_.now());
   if (!donor.has_value()) return false;  // stock vanished since the probe
-  notify_pool_change(cand->key);
+  notify_pool_change(donor_key);
   if (donor->paused) {
     // A frozen donor would pay a thaw on top of the conversion; put it
     // back untouched and let the cold path run.
     pool_.add_available(*donor, sim_.now());
-    notify_pool_change(cand->key);
+    notify_pool_change(donor_key);
     return false;
   }
 
   const TimePoint respec_start = sim_.now();
   const pool::PoolEntry donor_entry = *donor;
-  respec_->convert(
+  engine_.respecialize(
       donor_entry.id, spec,
       [this, donor_entry, spec, app, key, arrival, respec_start, trace_id,
-       cb = std::move(cb)](Result<engine::RespecReport> r) mutable {
+       cb = std::move(cb)](Result<engine::RespecBreakdown> r) mutable {
         if (!r.ok()) {
           emit_span(trace_id, obs::Stage::kRespecialize, respec_start,
                     sim_.now() - respec_start, key.hash(), obs::kSpanError);
@@ -514,74 +506,56 @@ void HotCController::enforce_pressure() {
 
 void HotCController::retire_entry(const pool::PoolEntry& entry,
                                   bool pressure) {
-  // Tiered warm state: a victim that passes the economic gate parks in
-  // the checkpoint store instead of dying.  Paused entries skip the tier
-  // (the engine demotes Idle only).
-  if (store_ != nullptr && !entry.paused && demote_entry(entry, pressure)) {
-    return;
-  }
-  if (!pool_.remove(entry.key, entry.id)) return;  // raced with acquire
+  // Tiered warm state: a victim the demotion plan admits parks in the
+  // checkpoint store instead of dying.  Paused entries skip the tier (the
+  // engine demotes Idle only).
+  const auto plan = store_ != nullptr && !entry.paused
+                        ? demotion_plan(entry)
+                        : std::nullopt;
+  const bool removed = plan.has_value()
+                           ? pool_.remove_for_checkpoint(entry.key, entry.id)
+                           : pool_.remove(entry.key, entry.id);
+  if (!removed) return;  // raced with acquire
   if (!pressure) ++stats_.retired;
   // Evict spans carry no request attribution (trace id 0): the controller
   // initiates them, not a client.
-  emit_span(0, obs::Stage::kEvict, sim_.now(), kZeroDuration,
-            entry.key.hash());
+  if (!plan.has_value()) {
+    emit_span(0, obs::Stage::kEvict, sim_.now(), kZeroDuration,
+              entry.key.hash());
+  }
   if (obs_.retires != nullptr) {
     (pressure ? obs_.evictions : obs_.retires)->inc();
   }
   notify_pool_change(entry.key);
-  // Checkpoint/restore extension: dump the warm state before losing it
-  // (first retirement per key only — the image stays valid thereafter).
-  // A Paused container must skip the dump: the engine checkpoints Idle.
-  if (options_.use_checkpoint_restore && !entry.paused &&
-      checkpoints_.find(entry.key.id()) == checkpoints_.end()) {
-    ++stats_.checkpoints;
-    engine_.checkpoint(
-        entry.id,
-        [this, entry](Result<engine::ContainerEngine::CheckpointId> r) {
-          if (r.ok()) checkpoints_[entry.key.id()] = r.value();
-          engine_.stop_and_remove(entry.id, [](Result<bool>) {});
-        });
-    return;
+  if (plan.has_value()) {
+    demote(entry, *plan);
+  } else {
+    engine_.stop_and_remove(entry.id, [](Result<bool>) {});
   }
-  engine_.stop_and_remove(entry.id, [](Result<bool>) {});
 }
 
-bool HotCController::demote_entry(const pool::PoolEntry& entry,
-                                  bool pressure) {
-  // Gate first (no side effects): demote only when the modelled restore is
-  // decisively cheaper than the cold start it would replace and the
-  // snapshot could ever fit the disk budget.
+std::optional<snapshot::SnapshotMeta> HotCController::demotion_plan(
+    const pool::PoolEntry& entry) const {
   const auto state_it = keys_.find(entry.key.id());
   const engine::Container* c = engine_.find(entry.id);
-  if (state_it == keys_.end() || c == nullptr) return false;
+  if (state_it == keys_.end() || c == nullptr) return std::nullopt;
   const spec::RunSpec& spec = state_it->second.canonical_spec;
-  const Bytes image_estimate = c->idle_memory + mib(2);
-  const double cold_s =
-      to_seconds(engine_.estimate_startup(spec).total());
-  const double restore_s =
-      to_seconds(engine_.cost_model().restore_time(image_estimate, spec));
-  if (!snapshot::gate_passes(restore_s, cold_s, options_.tiering.alpha) ||
-      image_estimate > store_->capacity_bytes()) {
-    return false;
-  }
+  // The engine's dump model: the idle resident set plus ~2 MiB of metadata.
+  const Bytes image_bytes = c->idle_memory + mib(2);
+  return snapshot::plan_demotion(
+      options_.tiering, entry.key.id(), snapshot::tenant_of(spec), entry.id,
+      image_bytes, engine_.cost_model().restore_time(image_bytes, spec),
+      engine_.estimate_startup(spec).total());
+}
 
-  if (!pool_.remove_for_checkpoint(entry.key, entry.id)) {
-    return true;  // raced with acquire; nothing left to retire
-  }
-  if (!pressure) ++stats_.retired;
-  if (obs_.retires != nullptr) {
-    (pressure ? obs_.evictions : obs_.retires)->inc();
-  }
-  notify_pool_change(entry.key);
-
+void HotCController::demote(const pool::PoolEntry& entry,
+                            snapshot::SnapshotMeta meta) {
   ++stats_.checkpoints;
   const TimePoint demote_start = sim_.now();
-  const std::uint64_t tenant = snapshot::tenant_of(spec);
   engine_.demote(
       entry.id,
-      [this, entry, tenant, restore_s, cold_s,
-       demote_start](Result<engine::ContainerEngine::DemoteReport> r) {
+      [this, entry, meta,
+       demote_start](Result<engine::ContainerEngine::DemoteReport> r) mutable {
         if (!r.ok()) {
           emit_span(0, obs::Stage::kCheckpoint, demote_start,
                     sim_.now() - demote_start, entry.key.hash(),
@@ -595,30 +569,17 @@ bool HotCController::demote_entry(const pool::PoolEntry& entry,
           obs_.snapshot_checkpoint_ms->observe(
               to_milliseconds(r.value().duration));
         }
-        snapshot::SnapshotMeta meta;
-        meta.key = entry.key.id();
-        meta.tenant = tenant;
-        meta.container = entry.id;
-        meta.bytes = r.value().image_size;
         meta.created_at = sim_.now();
-        meta.restore_estimate_s = restore_s;
-        meta.cold_estimate_s = cold_s;
         const auto admitted = store_->admit(meta, sim_.now());
-        discard_snapshots(admitted.evicted);
+        for (const snapshot::SnapshotMeta& evicted : admitted.evicted) {
+          engine_.discard_checkpointed(evicted.container, [](Result<bool>) {});
+        }
         if (!admitted.accepted) {
           // Quota/budget said no after the dump (e.g. the per-tenant
           // quota filled meanwhile): drop the parked container.
           engine_.discard_checkpointed(entry.id, [](Result<bool>) {});
         }
       });
-  return true;
-}
-
-void HotCController::discard_snapshots(
-    const std::vector<snapshot::SnapshotMeta>& metas) {
-  for (const snapshot::SnapshotMeta& meta : metas) {
-    engine_.discard_checkpointed(meta.container, [](Result<bool>) {});
-  }
 }
 
 void HotCController::prewarm(const spec::RuntimeKey& key, KeyState& state) {

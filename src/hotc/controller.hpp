@@ -33,7 +33,6 @@
 #include "predict/hybrid.hpp"
 #include "predict/predictor.hpp"
 #include "share/donor_registry.hpp"
-#include "share/respecializer.hpp"
 #include "snapshot/checkpoint_store.hpp"
 #include "snapshot/tiering.hpp"
 #include "spec/compat.hpp"
@@ -61,15 +60,11 @@ struct ControllerOptions {
   /// most of their memory footprint for a page-fault resume latency on
   /// the next hit.  An extension over the paper (Docker pause).
   Duration pause_idle_after = kZeroDuration;
-  /// CRIU-style checkpoint/restore (the Replayable-Execution [34] idea):
-  /// when the adaptive loop retires a runtime, dump its warm state first;
-  /// later misses for that key restore the dump instead of cold-starting.
-  bool use_checkpoint_restore = false;
-  /// Tiered warm state (DESIGN.md §16): retire/evict victims that pass the
+  /// Tiered warm state (DESIGN.md §16), CRIU-style checkpoint/restore (the
+  /// Replayable-Execution [34] idea): retire/evict victims that pass the
   /// economic gate are demoted *in place* into a capacity-bounded
   /// checkpoint store instead of being destroyed, and the miss path tries
-  /// a consuming restore before paying a full cold start.  Orthogonal to
-  /// the legacy once-per-key `use_checkpoint_restore` clone flow.
+  /// a consuming restore before paying a full cold start.
   snapshot::TieringOptions tiering;
   /// Use the subset key (paper §VII extension): env/volumes/command are
   /// re-applied rather than part of the key.
@@ -144,7 +139,7 @@ struct ControllerStats {
   double donor_respec_seconds = 0.0;
   double cold_start_seconds = 0.0;
   std::uint64_t restores = 0;     // cold misses served from checkpoints
-  std::uint64_t checkpoints = 0;  // dumps taken before retirement
+  std::uint64_t checkpoints = 0;  // demotion dumps taken instead of stops
   std::uint64_t prewarm_launches = 0;
   std::uint64_t retired = 0;      // containers stopped by the controller
   std::uint64_t evicted = 0;      // stopped under capacity/memory pressure
@@ -254,18 +249,18 @@ class HotCController {
   /// Enforce max_live / memory threshold by stopping idle victims.
   void enforce_pressure();
 
-  /// Stop an idle pooled container (bookkeeping + engine teardown).
+  /// Take an idle pooled container out of the pool (bookkeeping), then
+  /// demote it into the checkpoint store when the demotion plan admits it,
+  /// else stop it.
   void retire_entry(const pool::PoolEntry& entry, bool pressure);
 
-  /// Tiering demotion: if the entry passes the economic gate
-  /// (restore_estimate ≤ α × cold_estimate), move it out of the pool and
-  /// into the checkpoint store instead of destroying it.  Returns true if
-  /// the entry was taken over (demoted, or lost to a racing acquire);
-  /// false leaves it for the ordinary retire teardown.
-  bool demote_entry(const pool::PoolEntry& entry, bool pressure);
+  /// Tiering: snapshot::plan_demotion over this controller's estimates for
+  /// the entry, or nullopt when it should be stopped instead.
+  std::optional<snapshot::SnapshotMeta> demotion_plan(
+      const pool::PoolEntry& entry) const;
 
-  /// Drop the engine-side state behind snapshots the store evicted.
-  void discard_snapshots(const std::vector<snapshot::SnapshotMeta>& metas);
+  /// Dump an entry already removed for checkpointing and admit `meta`.
+  void demote(const pool::PoolEntry& entry, snapshot::SnapshotMeta meta);
 
   /// Launch a pre-warmed container for a key (Algorithm 3 scale-up).
   void prewarm(const spec::RuntimeKey& key, KeyState& state);
@@ -277,21 +272,21 @@ class HotCController {
               bool was_restored = false, bool was_respecialized = false);
 
   /// The cold tail of the miss path: enforce pressure, then restore from
-  /// the snapshot tier when possible, else launch (or clone-restore from a
-  /// legacy checkpoint).  Counts one true cold start.
+  /// the snapshot tier when possible, else launch.  Counts one true cold
+  /// start.
   void provision_cold(const spec::RunSpec& spec, const engine::AppModel& app,
                       const spec::RuntimeKey& key, TimePoint arrival,
                       std::uint64_t trace_id, Callback cb);
 
-  /// The launch-or-legacy-restore tail of provision_cold (also the
-  /// fallback when a snapshot-tier restore loses its container).  The
-  /// caller has already counted the cold start.
+  /// The launch tail of provision_cold (also the fallback when a
+  /// snapshot-tier restore loses its container).  The caller has already
+  /// counted the cold start.
   void launch_cold(const spec::RunSpec& spec, const engine::AppModel& app,
                    const spec::RuntimeKey& key, TimePoint arrival,
                    std::uint64_t trace_id, Callback cb);
 
-  /// Cross-key sharing on the miss path: locate an idle sibling donor,
-  /// gate it on conversion cost, lease it and convert it.  Returns true if
+  /// Cross-key sharing on the miss path: choose an idle sibling donor
+  /// (share::choose_donor), lease it and convert it.  Returns true if
   /// the request was taken over (cb moved from); false leaves cb intact
   /// and the caller cold-starts.
   bool try_donor(const spec::RunSpec& spec, const engine::AppModel& app,
@@ -344,14 +339,9 @@ class HotCController {
   /// iteration order, so adaptive ticks visit keys in the same sequence
   /// the RuntimeKey-keyed map produced.
   std::map<spec::KeyId, KeyState, spec::InternTextLess> keys_;
-  /// One checkpoint image per runtime key (newest wins).
-  std::map<spec::KeyId, engine::ContainerEngine::CheckpointId,
-           spec::InternTextLess>
-      checkpoints_;
   std::function<void(const spec::RuntimeKey&)> pool_listener_;
-  /// Cross-key sharing collaborators; both null unless enable_sharing.
+  /// Cross-key donor index; null unless enable_sharing.
   std::unique_ptr<share::DonorRegistry> donors_;
-  std::unique_ptr<share::Respecializer> respec_;
   /// Snapshot tier index; null unless options.tiering.enabled.
   std::unique_ptr<snapshot::CheckpointStore> store_;
   bool adaptive_running_ = false;

@@ -136,14 +136,16 @@ void DecisionJournal::append(const DecisionRecord& rec) {
       head_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[ticket & mask_];
   const std::uint64_t writing = 2 * (ticket >> shift_) + 1;
-  slot.seq.store(writing, std::memory_order_relaxed);
-  pack(rec, slot);
-  // Lap check, same as FlightRecorder::record: a writer that lost a full
-  // ring revolution abandons the slot (seq left odd) and counts a drop.
-  if (head_.load(std::memory_order_relaxed) - ticket >= slots_.size()) {
+  // Slot claim, same as FlightRecorder::record: one CAS from a readable
+  // value of an older cycle, else count a drop and write nothing.
+  std::uint64_t seen = slot.seq.load(std::memory_order_relaxed);
+  if ((seen & 1) != 0 || seen > writing ||
+      !slot.seq.compare_exchange_strong(seen, writing,
+                                        std::memory_order_relaxed)) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
+  pack(rec, slot);
   slot.seq.store(writing + 1, std::memory_order_release);
 }
 

@@ -5,9 +5,10 @@
 // input the Algorithm 3 decision saw — demand, smoothed trend, Markov
 // region, forecast, warm stock, capacity headroom — and every output it
 // produced.  The ring uses the same ticket/seqlock discipline as the
-// FlightRecorder (obs/trace.hpp): one fetch_add assigns (slot, cycle),
-// payload words are release-stored and acquire-validated, a lapped writer
-// abandons its slot and counts a drop instead of blocking.
+// FlightRecorder (obs/trace.hpp): one fetch_add assigns (slot, cycle), one
+// CAS claims the slot, payload words are release-stored and
+// acquire-validated, and a writer that loses the claim counts a drop
+// instead of blocking.
 //
 // Because the journal records *all* inputs, the decision itself is a pure
 // function — decide_tick() below — shared by the live controller and the

@@ -105,7 +105,7 @@ Tracer::Tracer(std::size_t ring_capacity, Registry* registry)
         "hotc_trace_recorded_total", "Spans published to the flight ring");
     dropped_counter_ = &registry_->counter(
         "hotc_trace_dropped_total",
-        "Spans abandoned because the flight ring lapped the writer");
+        "Spans dropped because a writer of another ring cycle held their slot");
   }
 }
 

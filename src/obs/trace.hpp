@@ -11,15 +11,15 @@
 //   * per-stage LogHistograms in the metrics Registry (when one is
 //     attached), so Prometheus scrapes see stage latency distributions.
 //
-// The ring is multi-writer safe without locks — and without any per-slot
-// RMW: one fetch_add on the head ticket uniquely assigns (slot, cycle),
-// so the writer owns the slot outright unless the ring issues a full
-// revolution of newer tickets while it is stalled.  Cheap relaxed loads
-// of head before and after the payload detect that lap; a lapped writer
-// abandons the slot (sequence left odd, unreadable) and counts a drop
-// instead of blocking.  Payload words are release-stored / acquire-read
-// atomics, so concurrent snapshot() readers are race-free (TSan clean)
-// and discard any slot whose sequence changed under them.
+// The ring is multi-writer safe without locks: one fetch_add on the head
+// ticket assigns (slot, cycle), and the writer then claims the slot with
+// one CAS on its sequence word — only from a readable (or never-written)
+// value of an older cycle.  A writer that loses the claim, because a
+// writer of another cycle holds or has already republished the slot,
+// counts a drop and writes nothing, so exactly one writer at a time ever
+// stores into a slot's words.  Payload words are release-stored /
+// acquire-read atomics, so concurrent snapshot() readers are race-free
+// (TSan clean) and discard any slot whose sequence changed under them.
 //
 // Timestamps are hotc::TimePoint — virtual time under the simulator,
 // wall-clock offsets in real drivers; callers supply them, the recorder
@@ -95,31 +95,26 @@ class FlightRecorder {
   /// Publish one span (may drop under pathological lapping; see
   /// dropped()).  `rec.span_seq` is overwritten with the publication
   /// ticket.  Inline: this is the per-span hot path, bounded by one
-  /// fetch_add plus seven plain stores (Fig. 15 gates it at <= 5 % of a
-  /// pool acquire/release pair).
+  /// fetch_add, one CAS and six stores.
   void record(SpanRecord rec) {
     const std::uint64_t ticket =
         head_.fetch_add(1, std::memory_order_relaxed);
     rec.span_seq = static_cast<std::uint32_t>(ticket);
     Slot& slot = slots_[ticket & mask_];
     const std::uint64_t writing = 2 * (ticket >> shift_) + 1;
-    slot.seq.store(writing, std::memory_order_relaxed);
-    pack(rec, slot);
-    // Lap check, not a lock: the ticket owns this slot outright unless
-    // the ring issued a full revolution of newer tickets while this
-    // writer was stalled, in which case its words may be interleaved
-    // with the newer owner's.  One relaxed load of head (a line the
-    // fetch_add above just touched) detects that: abandon the slot with
-    // seq left odd — unreadable — and count the drop.  (The residual
-    // window — this load overtaking a full ring revolution that happens
-    // within the few nanoseconds of pack() — requires a writer stalled
-    // mid-store-sequence and is not observable on cache-coherent hosts;
-    // the cost if it ever hit would be one corrupt diagnostic span,
-    // never a data race: every slot access is atomic.)
-    if (head_.load(std::memory_order_relaxed) - ticket >= slots_.size()) {
+    // Claim: the slot must be readable or empty (even) and from an older
+    // cycle.  An odd value means another writer is mid-store; a value at
+    // or past `writing` means a newer cycle lapped this stalled writer.
+    // Either way the span is dropped before any word is touched, so a
+    // reader can never validate a mix of two records.
+    std::uint64_t seen = slot.seq.load(std::memory_order_relaxed);
+    if ((seen & 1) != 0 || seen > writing ||
+        !slot.seq.compare_exchange_strong(seen, writing,
+                                          std::memory_order_relaxed)) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
+    pack(rec, slot);
     slot.seq.store(writing + 1, std::memory_order_release);
   }
 

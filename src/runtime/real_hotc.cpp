@@ -4,8 +4,8 @@
 #include <optional>
 #include <thread>
 
-#include "engine/image.hpp"
 #include "obs/prof.hpp"
+#include "share/donor_choice.hpp"
 
 namespace hotc::runtime {
 
@@ -45,11 +45,12 @@ const RealHotC::KeyPlan& RealHotC::plan_for(const spec::RunSpec& spec) {
   auto fresh = std::make_unique<KeyPlan>();
   fresh->key = key;
   fresh->spec = spec;
-  const engine::Image image = engine::image_for_name(spec.image);
-  fresh->cold = cost_.startup(spec, image, /*bytes_to_pull=*/0).total();
+  fresh->image = engine::image_for_name(spec.image);
+  fresh->cold =
+      cost_.startup(spec, fresh->image, /*bytes_to_pull=*/0).total();
   // Mirror the engine's checkpoint model: the image is the idle resident
   // set plus ~2 MiB of dump metadata.
-  fresh->image_bytes = image.base_memory + mib(2);
+  fresh->image_bytes = fresh->image.base_memory + mib(2);
   fresh->restore = cost_.restore_time(fresh->image_bytes, spec);
   fresh->tenant = snapshot::tenant_of(spec);
   const KeyPlan* plan = nullptr;
@@ -83,30 +84,22 @@ void RealHotC::trim_warm() {
 bool RealHotC::demote_victim(const pool::PoolEntry& victim) {
   // Every pooled key was submitted, so its plan exists.
   const KeyPlan* plan = plans_.load(victim.key.id());
-  const double cold_s = to_seconds(plan->cold);
-  const double restore_s = to_seconds(plan->restore);
-  if (!snapshot::gate_passes(restore_s, cold_s, options_.tiering.alpha)) {
-    return false;
-  }
-  if (plan->image_bytes > snapshots_.capacity_bytes()) return false;
+  auto meta = snapshot::plan_demotion(options_.tiering, victim.key.id(),
+                                      plan->tenant, victim.id,
+                                      plan->image_bytes, plan->restore,
+                                      plan->cold);
+  if (!meta.has_value()) return false;
   // The ledger flow: remove_for_checkpoint counts the demotion as a
   // checkpointed removal (checkpointed ⊆ removed).  A racing worker may
   // have claimed the victim already — the caller just re-selects.
   if (!warm_.remove_for_checkpoint(victim.key, victim.id)) return false;
   const obs::StageScope stage(obs::Stage::kCheckpoint);
-  snapshot::SnapshotMeta meta;
-  meta.key = victim.key.id();
-  meta.tenant = plan->tenant;
-  meta.container = victim.id;
-  meta.bytes = plan->image_bytes;
-  meta.created_at = wall_now();
-  meta.last_access = meta.created_at;
-  meta.restore_estimate_s = restore_s;
-  meta.cold_estimate_s = cold_s;
+  meta->created_at = wall_now();
+  meta->last_access = meta->created_at;
   // Store-side evictions are purely modelled here (no engine images to
   // discard); a rejected admit still evicted the victim from the warm
   // set, which is what trim_warm needed.
-  snapshots_.admit(meta, wall_now());
+  snapshots_.admit(*meta, wall_now());
   return true;
 }
 
@@ -159,28 +152,19 @@ RealOutcome RealHotC::serve(const Request& request) {
   if (!reused && options_.enable_sharing) {
     const obs::StageScope stage(obs::Stage::kDonorLookup);
     ++donor_lookups_;
-    const auto cand = donors_.find_donor(plan.spec, plan.key, warm_);
-    if (cand.has_value()) {
-      // Wall-clock conversion = volume wipe/remount + env/exec delta
-      // (image layers never differ inside a compatibility class' tag
-      // delta here — the cost model charges them via reconfigure).
-      const Duration respec = cost_.cleanup_time(/*dirty_bytes=*/0) +
-                              cost_.reconfigure_time(cand->spec, plan.spec);
-      const bool viable =
-          plan.cold > kZeroDuration &&
-          static_cast<double>(respec.count()) <=
-              options_.share_max_cost_ratio *
-                  static_cast<double>(plan.cold.count());
-      if (viable) {
-        auto donor = warm_.acquire_for_donation(cand->key, wall_now());
-        if (donor.has_value()) {
-          respecialized = true;
-          respec_cost = respec;
-          warm = donor;
-          warm->key = plan.key;        // re-keyed to the requested config
-          warm->respecialized = true;  // counted once at return
-          warm->app_tag = 0;           // donor's app state is gone
-        }
+    // Priced like the cold plan: every image counts as fully cached.
+    const auto choice = share::choose_donor(
+        donors_, warm_, cost_, plan.spec, plan.key, plan.cold, plan.image,
+        /*missing_layer_bytes=*/0, options_.share_max_cost_ratio);
+    if (choice.has_value() && choice->viable) {
+      auto donor = warm_.acquire_for_donation(choice->donor.key, wall_now());
+      if (donor.has_value()) {
+        respecialized = true;
+        respec_cost = choice->respec;
+        warm = donor;
+        warm->key = plan.key;        // re-keyed to the requested config
+        warm->respecialized = true;  // counted once at return
+        warm->app_tag = 0;           // donor's app state is gone
       }
     }
   }
@@ -234,15 +218,14 @@ RealOutcome RealHotC::serve(const Request& request) {
     pool::PoolEntry entry;
     if (reused || respecialized) {
       entry = *warm;  // keeps created_at and reuse_count
-    } else if (restored) {
-      entry.id = snap->container;  // the checkpointed runtime lives on
-      entry.key = plan.key;
-      entry.created_at = wall_now();
-      entry.restored = true;  // counted once at re-admission
     } else {
-      entry.id = next_runtime_id_.fetch_add(1, std::memory_order_relaxed);
+      // A restored runtime lives on under its checkpointed id.
+      entry.id = restored ? snap->container
+                          : next_runtime_id_.fetch_add(
+                                1, std::memory_order_relaxed);
       entry.key = plan.key;
       entry.created_at = wall_now();
+      entry.restored = restored;  // counted once at re-admission
     }
     entry.app_tag = request.app_tag;  // this app's init state is resident
     warm_.add_available(entry, wall_now());

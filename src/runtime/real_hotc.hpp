@@ -33,6 +33,7 @@
 #include "core/time.hpp"
 #include "engine/app.hpp"
 #include "engine/cost_model.hpp"
+#include "engine/image.hpp"
 #include "pool/sharded_pool.hpp"
 #include "runtime/thread_pool.hpp"
 #include "share/donor_registry.hpp"
@@ -109,6 +110,7 @@ class RealHotC {
   struct KeyPlan {
     spec::RuntimeKey key;
     spec::RunSpec spec;              // the first submission's, kept stable
+    engine::Image image;             // what the cost model prices it on
     Duration cold = kZeroDuration;   // modelled full cold start
     // Tiering economics: trim victims arrive as bare pool entries.
     Bytes image_bytes = 0;           // modelled checkpoint image size
@@ -172,7 +174,7 @@ class RealHotC {
   void trim_warm();
 
   /// Demote one trim victim into the snapshot store.  Returns false when
-  /// the economic gate fails (caller falls back to a plain eviction) or
+  /// the demotion plan says no (caller falls back to a plain eviction) or
   /// the victim was claimed by a racing worker.
   bool demote_victim(const pool::PoolEntry& victim);
 

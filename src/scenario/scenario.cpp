@@ -1,6 +1,9 @@
 #include "scenario/scenario.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <string_view>
 
 #include "predict/hybrid.hpp"
 #include "predict/meta.hpp"
@@ -153,7 +156,24 @@ namespace {
                                          "unknown mix kind: " + kind);
 }
 
+/// Every key the "hotc" block may carry: an unknown one is a typo or a
+/// removed option, and ignoring it would run another experiment.
+constexpr std::array<std::string_view, 15> kHotcOptions = {
+    "max_live", "memory_threshold", "prewarm", "retire", "subset_key",
+    "sharing", "share_max_cost_ratio", "adaptive_interval_seconds",
+    "pause_idle_minutes", "tiering", "tiering_alpha", "snapshot_capacity_mb",
+    "snapshot_per_tenant_mb", "alpha", "predictor"};
+
 [[nodiscard]] Result<bool> apply_hotc_options(const Json& h, ControllerOptions& opt) {
+  if (h.is_object()) {
+    for (const auto& option : h.as_object()) {
+      if (std::find(kHotcOptions.begin(), kHotcOptions.end(),
+                    option.first) == kHotcOptions.end()) {
+        return make_error<bool>("scenario.unknown_option",
+                                "unknown hotc option: " + option.first);
+      }
+    }
+  }
   if (h["max_live"].is_number()) {
     opt.limits.max_live =
         static_cast<std::size_t>(h["max_live"].as_number());

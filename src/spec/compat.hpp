@@ -15,7 +15,7 @@
 //     volume topology (number of container mounts — remounting a different
 //     shape would change the sandbox, not just its contents).
 //
-//   re-specializable delta (may differ; applied by share/respecializer):
+//   re-specializable delta (may differ; applied by a donor conversion):
 //     env vars, volume host paths, command/entrypoint, memory/cpu limits,
 //     and the image *tag* (same-name tags share most layers; the layer
 //     delta is costed, not assumed free).
@@ -26,7 +26,7 @@
 // tests/spec/test_compat.cpp pin this down.
 //
 // This header is pure spec-level code (links only hotc_core): the *cost*
-// of applying a delta lives in engine/cost_model via share/respecializer.
+// of applying a delta is CostModel::respecialize (engine/cost_model.hpp).
 #pragma once
 
 #include <cstddef>
@@ -74,7 +74,7 @@ class CompatClass {
 };
 
 /// Field-by-field difference between two specs of the same class — the
-/// work share/respecializer must apply (and charge) to convert a donor.
+/// work a donor conversion must apply (and charge).
 struct CompatDelta {
   std::size_t env_changes = 0;     // vars to set, unset or overwrite
   std::size_t volume_changes = 0;  // host-path remounts (same topology)

@@ -1,7 +1,7 @@
 // ContainerEngine's live / idle / busy / checkpointed counts are kept per
 // state as containers move, not scanned.  These tests walk every lifecycle
-// edge (launch, exec, clean, pause/resume, demote, restore, discard, stop,
-// checkpoint-clone restore) plus injected launch failures and exec crashes,
+// edge (launch, exec, clean, pause/resume, demote, restore, discard, stop)
+// plus injected launch failures and exec crashes,
 // and after each step compare the counts both with the expected values and
 // with a re-derivation from find() over every container ever created.
 // HOTC_AUDIT builds additionally re-scan inside the engine after every
@@ -161,23 +161,6 @@ TEST_F(EngineCountsTest, DemoteRestoreDiscard) {
   sim_.run();
   expect_counts({1, 1, 0, 0});
   EXPECT_EQ(engine_.find(b), nullptr);
-}
-
-TEST_F(EngineCountsTest, CheckpointCloneRestoreInsertsAContainer) {
-  const ContainerId id = launch_idle();
-  std::optional<ContainerEngine::CheckpointId> cp;
-  engine_.checkpoint(id, [&](Result<ContainerEngine::CheckpointId> r) {
-    if (r.ok()) cp = r.value();
-  });
-  sim_.run();
-  ASSERT_TRUE(cp.has_value());
-  expect_counts({1, 1, 0, 0});
-
-  engine_.restore(*cp, [](Result<LaunchReport>) {});
-  seen_ = engine_.launches();
-  expect_counts({2, 1, 0, 0});  // the clone is Provisioning
-  sim_.run();
-  expect_counts({2, 2, 0, 0});
 }
 
 TEST_F(EngineCountsTest, InjectedLaunchFailuresLeaveNoCount) {

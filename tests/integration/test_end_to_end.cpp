@@ -181,14 +181,14 @@ namespace hotc {
 namespace {
 
 TEST(EndToEnd, AllExtensionsTogether) {
-  // Subset key + pause + checkpoint/restore + meta predictor, all on at
+  // Subset key + pause + tiered checkpoint/restore + meta predictor, all on at
   // once, over mixed traffic: the combination must stay correct, not just
   // each feature alone.
   faas::PlatformOptions opt;
   opt.policy = faas::PolicyKind::kHotC;
   opt.hotc.use_subset_key = true;
   opt.hotc.pause_idle_after = minutes(2);
-  opt.hotc.use_checkpoint_restore = true;
+  opt.hotc.tiering.enabled = true;
   opt.hotc.idle_cap = minutes(4);
   opt.hotc.predictor_factory = predict::make_meta_predictor;
   faas::FaasPlatform platform(opt);

@@ -2,12 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <utility>
 #include <vector>
-
-#include "core/rng.hpp"
-#include "obs/metrics.hpp"
 
 namespace hotc::metrics {
 namespace {
@@ -95,85 +90,6 @@ TEST(LatencyRecorder, TailQuantileP999) {
   EXPECT_NEAR(s.p99_ms, 10.0, 0.5);
   EXPECT_NEAR(s.p999_ms, 100.0, 1.0);
   EXPECT_GE(s.p999_ms, s.p99_ms);
-}
-
-TEST(LatencyRecorder, StreamingQuantilesAgreeWithExactWithinBucketWidth) {
-  LatencyRecorder exact;
-  LatencyRecorder streaming(/*streaming_quantiles=*/true);
-  ASSERT_FALSE(exact.streaming_quantiles());
-  ASSERT_TRUE(streaming.streaming_quantiles());
-  for (int i = 1; i <= 5000; ++i) {
-    // Spread over three decades so the log-scale buckets are exercised.
-    const auto lat = microseconds(100 + (i * i) % 900000);
-    const auto p = point(i, seconds(i), lat, i % 17 == 0);
-    exact.add(p);
-    streaming.add(p);
-  }
-  const auto se = exact.summary();
-  const auto ss = streaming.summary();
-  // Exact moments are identical in both modes.
-  EXPECT_EQ(ss.count, se.count);
-  EXPECT_EQ(ss.cold_count, se.cold_count);
-  EXPECT_DOUBLE_EQ(ss.mean_ms, se.mean_ms);
-  EXPECT_DOUBLE_EQ(ss.min_ms, se.min_ms);
-  EXPECT_DOUBLE_EQ(ss.max_ms, se.max_ms);
-  // Quantiles agree within the histogram's relative-error contract.
-  const double w = obs::LogHistogram::kWidth;
-  for (auto [approx, ref] : {std::pair{ss.p50_ms, se.p50_ms},
-                             std::pair{ss.p90_ms, se.p90_ms},
-                             std::pair{ss.p99_ms, se.p99_ms},
-                             std::pair{ss.p999_ms, se.p999_ms}}) {
-    EXPECT_LE(approx, ref * w);
-    EXPECT_GE(approx, ref / w);
-  }
-}
-
-TEST(LatencyRecorder, StreamingAccuracyOverMillionHeavyTailedSamples) {
-  // ISSUE 5 satellite: the log-histogram's relative-error contract must
-  // hold at scale, on a distribution with a real tail — a lognormal-ish
-  // mixture spanning ~5 decades (bulk around 5 ms, exponential spikes,
-  // rare 100x stragglers), where fixed linear buckets would fall apart.
-  LatencyRecorder exact;
-  LatencyRecorder streaming(/*streaming_quantiles=*/true);
-  Rng rng(0xD1A60515ull);
-  constexpr int kSamples = 1'000'000;
-  for (int i = 1; i <= kSamples; ++i) {
-    double ms = std::exp(rng.normal(/*mean=*/1.6, /*stddev=*/0.8));
-    if (rng.chance(0.01)) ms += rng.exponential(/*rate=*/0.01);
-    if (rng.chance(0.0005)) ms *= 100.0;
-    const auto lat = microseconds(static_cast<std::int64_t>(ms * 1000.0));
-    const auto p = point(i, microseconds(i), lat, false);
-    exact.add(p);
-    streaming.add(p);
-  }
-  const auto se = exact.summary();
-  const auto ss = streaming.summary();
-  ASSERT_EQ(ss.count, static_cast<std::size_t>(kSamples));
-  EXPECT_DOUBLE_EQ(ss.mean_ms, se.mean_ms);
-  EXPECT_DOUBLE_EQ(ss.max_ms, se.max_ms);
-  // The sanity floor: this workload really is heavy-tailed.
-  EXPECT_GT(se.p999_ms, se.p50_ms * 10.0);
-  const double w = obs::LogHistogram::kWidth;
-  for (auto [approx, ref] : {std::pair{ss.p50_ms, se.p50_ms},
-                             std::pair{ss.p90_ms, se.p90_ms},
-                             std::pair{ss.p99_ms, se.p99_ms},
-                             std::pair{ss.p999_ms, se.p999_ms}}) {
-    EXPECT_LE(approx, ref * w);
-    EXPECT_GE(approx, ref / w);
-  }
-}
-
-TEST(LatencyRecorder, StreamingModeKeepsPointsAndWindows) {
-  LatencyRecorder r(/*streaming_quantiles=*/true);
-  r.add(point(1, seconds(0), milliseconds(10), false));
-  r.add(point(2, seconds(10), milliseconds(20), false));
-  EXPECT_EQ(r.latencies_ms(), (std::vector<double>{10.0, 20.0}));
-  const auto s = r.summary_between(seconds(5), seconds(20));
-  EXPECT_EQ(s.count, 1u);
-  EXPECT_DOUBLE_EQ(s.mean_ms, 20.0);
-  r.clear();
-  EXPECT_EQ(r.size(), 0u);
-  EXPECT_EQ(r.summary().count, 0u);
 }
 
 }  // namespace

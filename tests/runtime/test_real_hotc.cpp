@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <stdexcept>
 #include <vector>
 
@@ -212,6 +213,40 @@ TEST(RealHotC, PlanMatchesFreshCostModel) {
       EXPECT_EQ(plan->tenant, snapshot::tenant_of(s));
     }
   }
+}
+
+// Converting a sibling that differs only in its memory limit includes a
+// cgroup rewrite.  The shared donor price charges it, so at a tight cost
+// ratio the conversion loses to the cold start, as in the simulator.
+TEST(RealHotC, LimitOnlySiblingPaysItsCgroupRewrite) {
+  RealOptions opt = fast_options();  // two workers
+  opt.enable_sharing = true;
+  opt.share_max_cost_ratio = 0.034;
+  RealHotC hotc(opt);
+  const auto app = engine::apps::qr_encoder();
+  // Two overlapping requests of one key leave two idle runtimes: surplus
+  // the key may donate.
+  std::latch both(2);
+  const auto meet = [&both](const std::string&) {
+    both.arrive_and_wait();
+    return std::string();
+  };
+  auto first = hotc.submit(python_spec(), app, meet, "");
+  auto second = hotc.submit(python_spec(), app, meet, "");
+  first.get();
+  second.get();
+  ASSERT_EQ(hotc.warm_count(), 2u);
+
+  spec::RunSpec sibling = python_spec();
+  sibling.memory_limit = mib(512);
+  const RealOutcome out =
+      hotc.submit(sibling, app,
+                  [](const std::string&) { return std::string(); }, "")
+          .get();
+  EXPECT_FALSE(out.respecialized);
+  EXPECT_EQ(hotc.donor_hits(), 0u);
+  EXPECT_EQ(hotc.cold_starts(), 3u);
+  EXPECT_EQ(hotc.warm_count(), 3u);
 }
 
 TEST(RealHotC, SpecsDifferingOnlyInCommandShareAPlan) {

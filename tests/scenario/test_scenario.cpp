@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace hotc::scenario {
 namespace {
 
@@ -154,6 +156,16 @@ TEST(Scenario, DeterministicForSameSeed) {
   const auto ra = run_scenario(a.value());
   const auto rb = run_scenario(b.value());
   EXPECT_DOUBLE_EQ(ra.runs[0].summary.mean_ms, rb.runs[0].summary.mean_ms);
+}
+
+TEST(Scenario, UnknownHotcOptionIsRejectedByName) {
+  const auto sc = parse_scenario_text(
+      R"({"hotc": {"tiering": true, "snapshot_capcity_mb": 512},
+          "workload": {"pattern": "serial"}})");
+  ASSERT_FALSE(sc.ok());
+  EXPECT_EQ(sc.error().code, "scenario.unknown_option");
+  EXPECT_NE(sc.error().message.find("snapshot_capcity_mb"),
+            std::string::npos);
 }
 
 }  // namespace
