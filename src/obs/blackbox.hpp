@@ -39,10 +39,9 @@
 #include <cstdint>
 #include <string>
 
-#include "obs/journal.hpp"
 #include "obs/prof.hpp"
+#include "obs/seq_ring.hpp"
 #include "obs/slo.hpp"
-#include "obs/trace.hpp"
 #include "obs/tsdb.hpp"
 
 namespace hotc::obs {
@@ -157,8 +156,9 @@ class BlackBox {
   [[nodiscard]] bool ok() const { return fd_ >= 0; }
 
   // --- startup wiring (single-threaded, before traffic) --------------------
-  void attach_flight_recorder(const FlightRecorder& recorder);
-  void attach_journal(const DecisionJournal& journal);
+  /// A SeqRing's slots (obs/seq_ring.hpp): the flight recorder as
+  /// kRegionFlightRing, the decision journal as kRegionJournalRing.
+  void attach_ring(std::uint32_t kind, const char* name, const RawRing& ring);
   void attach_tsdb(const TimeSeriesStore& tsdb);
   /// Generic escape hatch for additional stable buffers.
   void attach_region(std::uint32_t kind, const char* name, const void* data,

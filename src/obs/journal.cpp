@@ -34,77 +34,24 @@ TickDecision decide_tick(const TickInputs& in) {
   return d;
 }
 
-namespace {
-
-std::size_t round_up_pow2(std::size_t v) {
-  std::size_t c = 1;
-  while (c < v) c <<= 1;
-  return c;
-}
-
-}  // namespace
-
-DecisionJournal::DecisionJournal(std::size_t capacity, bool audit)
-    : slots_(round_up_pow2(std::max<std::size_t>(capacity, 2))),
-      audit_(audit) {
-  mask_ = slots_.size() - 1;
-  shift_ = 0;
-  while ((std::size_t{1} << shift_) < slots_.size()) ++shift_;
-}
-
-void DecisionJournal::pack(const DecisionRecord& rec, Slot& slot) {
-  slot.words[0].store(rec.tick, std::memory_order_release);
-  slot.words[1].store(rec.key_hash, std::memory_order_release);
-  slot.words[2].store(std::bit_cast<std::uint64_t>(rec.demand),
-                      std::memory_order_release);
-  slot.words[3].store(std::bit_cast<std::uint64_t>(rec.smoothed),
-                      std::memory_order_release);
-  slot.words[4].store(std::bit_cast<std::uint64_t>(rec.forecast),
-                      std::memory_order_release);
-  const std::uint64_t inputs =
-      (static_cast<std::uint64_t>(static_cast<std::uint8_t>(
-           rec.markov_region))) |
-      (static_cast<std::uint64_t>(rec.flags) << 8) |
-      (static_cast<std::uint64_t>(rec.have) << 16) |
-      (static_cast<std::uint64_t>(rec.available) << 32) |
-      (static_cast<std::uint64_t>(rec.headroom) << 48);
-  slot.words[5].store(inputs, std::memory_order_release);
-  const std::uint64_t outputs =
-      static_cast<std::uint64_t>(rec.prewarms) |
-      (static_cast<std::uint64_t>(rec.retires) << 16) |
-      (static_cast<std::uint64_t>(rec.evictions) << 32) |
-      (static_cast<std::uint64_t>(rec.donations) << 48);
-  slot.words[6].store(outputs, std::memory_order_release);
-  slot.words[7].store(static_cast<std::uint64_t>(rec.key_id),
-                      std::memory_order_release);
-}
-
-DecisionRecord DecisionJournal::unpack(const Slot& slot) {
+DecisionRecord DecisionRecord::from_words(
+    const std::array<std::uint64_t, kWords>& w) {
   DecisionRecord rec;
-  rec.tick = slot.words[0].load(std::memory_order_acquire);
-  rec.key_hash = slot.words[1].load(std::memory_order_acquire);
-  rec.demand = std::bit_cast<double>(
-      slot.words[2].load(std::memory_order_acquire));
-  rec.smoothed = std::bit_cast<double>(
-      slot.words[3].load(std::memory_order_acquire));
-  rec.forecast = std::bit_cast<double>(
-      slot.words[4].load(std::memory_order_acquire));
-  const std::uint64_t inputs =
-      slot.words[5].load(std::memory_order_acquire);
-  rec.markov_region =
-      static_cast<std::int8_t>(static_cast<std::uint8_t>(inputs & 0xff));
-  rec.flags = static_cast<std::uint8_t>((inputs >> 8) & 0xff);
-  rec.have = static_cast<std::uint16_t>((inputs >> 16) & 0xffff);
-  rec.available = static_cast<std::uint16_t>((inputs >> 32) & 0xffff);
-  rec.headroom = static_cast<std::uint16_t>((inputs >> 48) & 0xffff);
-  const std::uint64_t outputs =
-      slot.words[6].load(std::memory_order_acquire);
-  rec.prewarms = static_cast<std::uint16_t>(outputs & 0xffff);
-  rec.retires = static_cast<std::uint16_t>((outputs >> 16) & 0xffff);
-  rec.evictions = static_cast<std::uint16_t>((outputs >> 32) & 0xffff);
-  rec.donations = static_cast<std::uint16_t>((outputs >> 48) & 0xffff);
-  rec.key_id = static_cast<std::uint32_t>(
-      slot.words[7].load(std::memory_order_acquire));
+  rec.tick = w[0];
+  rec.key_hash = w[1];
+  rec.demand = std::bit_cast<double>(w[2]);
+  rec.smoothed = std::bit_cast<double>(w[3]);
+  rec.forecast = std::bit_cast<double>(w[4]);
+  rec.markov_region = static_cast<std::int8_t>(w[5]);
+  rec.flags = static_cast<std::uint8_t>(w[5] >> 8);
+  rec.have = static_cast<std::uint16_t>(w[5] >> 16);
+  rec.available = static_cast<std::uint16_t>(w[5] >> 32);
+  rec.headroom = static_cast<std::uint16_t>(w[5] >> 48);
+  rec.prewarms = static_cast<std::uint16_t>(w[6]);
+  rec.retires = static_cast<std::uint16_t>(w[6] >> 16);
+  rec.evictions = static_cast<std::uint16_t>(w[6] >> 32);
+  rec.donations = static_cast<std::uint16_t>(w[6] >> 48);
+  rec.key_id = static_cast<std::uint32_t>(w[7]);
   return rec;
 }
 
@@ -132,43 +79,7 @@ void DecisionJournal::append(const DecisionRecord& rec) {
                                            std::memory_order_relaxed)) {
   }
 
-  const std::uint64_t ticket =
-      head_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[ticket & mask_];
-  const std::uint64_t writing = 2 * (ticket >> shift_) + 1;
-  // Slot claim, same as FlightRecorder::record: one CAS from a readable
-  // value of an older cycle, else count a drop and write nothing.
-  std::uint64_t seen = slot.seq.load(std::memory_order_relaxed);
-  if ((seen & 1) != 0 || seen > writing ||
-      !slot.seq.compare_exchange_strong(seen, writing,
-                                        std::memory_order_relaxed)) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  pack(rec, slot);
-  slot.seq.store(writing + 1, std::memory_order_release);
-}
-
-std::vector<DecisionRecord> DecisionJournal::snapshot() const {
-  const std::uint64_t head = head_.load(std::memory_order_acquire);
-  const std::uint64_t count = std::min<std::uint64_t>(head, slots_.size());
-  std::vector<DecisionRecord> out;
-  out.reserve(count);
-  for (std::uint64_t ticket = head - count; ticket < head; ++ticket) {
-    const Slot& slot = slots_[ticket & mask_];
-    const std::uint64_t expect = 2 * (ticket >> shift_) + 2;
-    if (slot.seq.load(std::memory_order_acquire) != expect) continue;
-    DecisionRecord rec = unpack(slot);
-    if (slot.seq.load(std::memory_order_acquire) != expect) continue;
-    out.push_back(rec);
-  }
-  return out;
-}
-
-std::vector<DecisionRecord> DecisionJournal::tail(std::size_t n) const {
-  std::vector<DecisionRecord> all = snapshot();
-  if (all.size() > n) all.erase(all.begin(), all.end() - static_cast<std::ptrdiff_t>(n));
-  return all;
+  record(rec);
 }
 
 namespace {

@@ -1,7 +1,6 @@
 #include "obs/postmortem.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -22,89 +21,16 @@ bool fail(std::string* error, const std::string& why) {
   return false;
 }
 
-std::uint64_t load_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-/// Decode one seqlock ring region into (ticket, words[]) tuples, oldest
-/// first, skipping never-written and torn slots.  `shift` and `stride`
-/// come from the region params the writer carried over verbatim.
-void decode_ring(const RawRegionView& region, std::size_t words,
-                 std::vector<std::vector<std::uint64_t>>* out,
-                 std::uint64_t* torn) {
-  const std::uint64_t capacity = region.header.params[0];
-  const std::uint64_t shift = region.header.params[1];
-  const std::uint64_t stride = region.header.params[3];
-  if (capacity == 0 || stride == 0 ||
-      capacity * stride > region.header.bytes ||
-      stride < (words + 1) * sizeof(std::uint64_t)) {
-    return;  // geometry nonsense: treat as an empty ring
-  }
-  struct Ordered {
-    std::uint64_t ticket;
-    std::vector<std::uint64_t> payload;
-  };
-  std::vector<Ordered> collected;
-  for (std::uint64_t i = 0; i < capacity; ++i) {
-    const std::uint8_t* slot = region.data + i * stride;
-    const std::uint64_t seq = load_u64(slot);
-    if (seq == 0) continue;  // never written
-    if ((seq & 1) != 0) {
-      ++*torn;  // writer was mid-publish at the crash
-      continue;
-    }
-    // seq = 2 * cycle + 2 readable; ticket = (cycle << shift) | index.
-    const std::uint64_t cycle = (seq - 2) / 2;
-    Ordered o;
-    o.ticket = (cycle << shift) | i;
-    o.payload.resize(words);
-    for (std::size_t w = 0; w < words; ++w) {
-      o.payload[w] = load_u64(slot + (w + 1) * sizeof(std::uint64_t));
-    }
-    collected.push_back(std::move(o));
-  }
-  std::sort(collected.begin(), collected.end(),
-            [](const Ordered& a, const Ordered& b) {
-              return a.ticket < b.ticket;
-            });
-  out->reserve(collected.size());
-  for (Ordered& o : collected) out->push_back(std::move(o.payload));
-}
-
-SpanRecord span_from_words(const std::vector<std::uint64_t>& w) {
-  SpanRecord rec;
-  rec.trace_id = w[0];
-  rec.key_hash = w[1];
-  rec.start_ns = static_cast<std::int64_t>(w[2]);
-  rec.dur_ns = static_cast<std::int64_t>(w[3]);
-  rec.span_seq = static_cast<std::uint32_t>(w[4] >> 32);
-  rec.shard = static_cast<std::uint16_t>((w[4] >> 16) & 0xffff);
-  rec.stage = static_cast<Stage>((w[4] >> 8) & 0xff);
-  rec.flags = static_cast<std::uint8_t>(w[4] & 0xff);
-  return rec;
-}
-
-DecisionRecord decision_from_words(const std::vector<std::uint64_t>& w) {
-  DecisionRecord rec;
-  rec.tick = w[0];
-  rec.key_hash = w[1];
-  rec.demand = std::bit_cast<double>(w[2]);
-  rec.smoothed = std::bit_cast<double>(w[3]);
-  rec.forecast = std::bit_cast<double>(w[4]);
-  rec.markov_region =
-      static_cast<std::int8_t>(static_cast<std::uint8_t>(w[5] & 0xff));
-  rec.flags = static_cast<std::uint8_t>((w[5] >> 8) & 0xff);
-  rec.have = static_cast<std::uint16_t>((w[5] >> 16) & 0xffff);
-  rec.available = static_cast<std::uint16_t>((w[5] >> 32) & 0xffff);
-  rec.headroom = static_cast<std::uint16_t>((w[5] >> 48) & 0xffff);
-  rec.prewarms = static_cast<std::uint16_t>(w[6] & 0xffff);
-  rec.retires = static_cast<std::uint16_t>((w[6] >> 16) & 0xffff);
-  rec.evictions = static_cast<std::uint16_t>((w[6] >> 32) & 0xffff);
-  rec.donations = static_cast<std::uint16_t>((w[6] >> 48) & 0xffff);
-  rec.key_id = static_cast<std::uint32_t>(w[7]);
-  return rec;
+/// Decode a SeqRing region through its record's codec.
+template <class Record>
+std::vector<Record> decode_ring(
+    const std::map<std::uint32_t, RawRegionView>& regions,
+    std::uint32_t kind, std::uint64_t* torn) {
+  const auto it = regions.find(kind);
+  if (it == regions.end()) return {};
+  RawRing raw{it->second.data, it->second.header.bytes, {}};
+  std::memcpy(raw.params, it->second.header.params, sizeof(raw.params));
+  return SeqRing<Record>::decode(raw, torn);
 }
 
 /// Varint cursor over a decoded frame payload copy.
@@ -182,7 +108,8 @@ void decode_tsdb(const std::map<std::uint32_t, RawRegionView>& regions,
     ps.kind = series[s].kind;
     const std::uint64_t off = series[s].name_off;
     const std::uint64_t len = series[s].name_len;
-    if (off + len <= names_it->second.header.bytes && len > 0) {
+    if (len > 0 && len <= names_it->second.header.bytes &&
+        off <= names_it->second.header.bytes - len) {
       const char* entry =
           reinterpret_cast<const char*>(names_it->second.data) + off;
       const std::size_t sep = std::min<std::size_t>(series[s].sep, len);
@@ -355,7 +282,7 @@ bool decode_dump(const std::string& path, DumpImage* image,
                       std::to_string(i));
     }
     off += sizeof(RegionHeader);
-    if (off + view.header.bytes > bytes.size()) {
+    if (view.header.bytes > bytes.size() - off) {
       return fail(error, "truncated dump: region '" +
                              std::string(view.header.name,
                                          strnlen(view.header.name,
@@ -382,21 +309,10 @@ bool decode_dump(const std::string& path, DumpImage* image,
   }
 
   // --- rings ---------------------------------------------------------------
-  if (const auto it = regions.find(kRegionFlightRing); it != regions.end()) {
-    std::vector<std::vector<std::uint64_t>> words;
-    decode_ring(it->second, 5, &words, &image->spans_torn);
-    image->spans.reserve(words.size());
-    for (const auto& w : words) image->spans.push_back(span_from_words(w));
-  }
-  if (const auto it = regions.find(kRegionJournalRing);
-      it != regions.end()) {
-    std::vector<std::vector<std::uint64_t>> words;
-    decode_ring(it->second, 8, &words, &image->decisions_torn);
-    image->decisions.reserve(words.size());
-    for (const auto& w : words) {
-      image->decisions.push_back(decision_from_words(w));
-    }
-  }
+  image->spans =
+      decode_ring<SpanRecord>(regions, kRegionFlightRing, &image->spans_torn);
+  image->decisions = decode_ring<DecisionRecord>(regions, kRegionJournalRing,
+                                                 &image->decisions_torn);
 
   // --- mirrors -------------------------------------------------------------
   if (const auto it = regions.find(kRegionProfMirror);

@@ -8,9 +8,11 @@
 //     bounds and the trailer byte count must all line up, so a
 //     truncated or corrupted file is rejected with a precise error
 //     instead of decoding into garbage;
-//   * seqlock validation — ring slots with seq 0 (never written) or an
-//     odd seq (torn by the crash) are skipped and counted; publication
-//     order is rebuilt from the per-slot sequence protocol alone;
+//   * seqlock validation — the live rings' own read (SeqRing::decode,
+//     obs/seq_ring.hpp): never-written slots are skipped, slots torn by
+//     the crash skipped and counted, publication order rebuilt from the
+//     per-slot sequences alone, and a ring whose geometry does not fit
+//     its region decodes as empty;
 //   * TSDB reconstruction — frames are checksum-verified and walked
 //     newest -> oldest, inverting the delta-of-delta encoding from the
 //     series-table anchors exactly like the live query path; the walk

@@ -11,28 +11,21 @@
 //   * per-stage LogHistograms in the metrics Registry (when one is
 //     attached), so Prometheus scrapes see stage latency distributions.
 //
-// The ring is multi-writer safe without locks: one fetch_add on the head
-// ticket assigns (slot, cycle), and the writer then claims the slot with
-// one CAS on its sequence word — only from a readable (or never-written)
-// value of an older cycle.  A writer that loses the claim, because a
-// writer of another cycle holds or has already republished the slot,
-// counts a drop and writes nothing, so exactly one writer at a time ever
-// stores into a slot's words.  Payload words are release-stored /
-// acquire-read atomics, so concurrent snapshot() readers are race-free
-// (TSan clean) and discard any slot whose sequence changed under them.
+// The ring is obs::SeqRing (obs/seq_ring.hpp): multi-writer safe
+// without locks, readable while written, decodable from a crash dump.
 //
 // Timestamps are hotc::TimePoint — virtual time under the simulator,
 // wall-clock offsets in real drivers; callers supply them, the recorder
 // never reads a clock.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "core/time.hpp"
 #include "obs/metrics.hpp"
+#include "obs/seq_ring.hpp"
 
 namespace hotc::obs {
 
@@ -76,123 +69,29 @@ struct SpanRecord {
   std::int64_t start_ns = 0;    // TimePoint offset
   std::int64_t dur_ns = 0;
   /// Global publication ordinal (the ring ticket, truncated): orders
-  /// spans within and across traces.  Stamped by FlightRecorder::record,
+  /// spans within and across traces.  Stamped by to_words() at publish,
   /// callers never set it.
   std::uint32_t span_seq = 0;
   std::uint16_t shard = kNoShard;
   Stage stage = Stage::kForward;
   std::uint8_t flags = 0;
+
+  // SeqRing codec (obs/seq_ring.hpp).
+  static constexpr std::size_t kWords = 5;
+  [[nodiscard]] std::array<std::uint64_t, kWords> to_words(
+      std::uint64_t ticket) const {
+    return {trace_id, key_hash, static_cast<std::uint64_t>(start_ns),
+            static_cast<std::uint64_t>(dur_ns),
+            (ticket << 32) | (std::uint64_t{shard} << 16) |
+                (static_cast<std::uint64_t>(stage) << 8) | flags};
+  }
+  [[nodiscard]] static SpanRecord from_words(
+      const std::array<std::uint64_t, kWords>& w);
 };
 
 /// Bounded MPMC span ring; capacity is rounded up to a power of two.
-class FlightRecorder {
- public:
-  explicit FlightRecorder(std::size_t capacity = 4096);
-
-  FlightRecorder(const FlightRecorder&) = delete;
-  FlightRecorder& operator=(const FlightRecorder&) = delete;
-
-  /// Publish one span (may drop under pathological lapping; see
-  /// dropped()).  `rec.span_seq` is overwritten with the publication
-  /// ticket.  Inline: this is the per-span hot path, bounded by one
-  /// fetch_add, one CAS and six stores.
-  void record(SpanRecord rec) {
-    const std::uint64_t ticket =
-        head_.fetch_add(1, std::memory_order_relaxed);
-    rec.span_seq = static_cast<std::uint32_t>(ticket);
-    Slot& slot = slots_[ticket & mask_];
-    const std::uint64_t writing = 2 * (ticket >> shift_) + 1;
-    // Claim: the slot must be readable or empty (even) and from an older
-    // cycle.  An odd value means another writer is mid-store; a value at
-    // or past `writing` means a newer cycle lapped this stalled writer.
-    // Either way the span is dropped before any word is touched, so a
-    // reader can never validate a mix of two records.
-    std::uint64_t seen = slot.seq.load(std::memory_order_relaxed);
-    if ((seen & 1) != 0 || seen > writing ||
-        !slot.seq.compare_exchange_strong(seen, writing,
-                                          std::memory_order_relaxed)) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    pack(rec, slot);
-    slot.seq.store(writing + 1, std::memory_order_release);
-  }
-
-  /// Copy out every currently-readable span, oldest first.  Concurrent
-  /// writers may overwrite slots mid-read; those slots are skipped, never
-  /// torn.
-  [[nodiscard]] std::vector<SpanRecord> snapshot() const;
-
-  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
-  /// Spans ever published (monotonic; ring position derives from it).
-  [[nodiscard]] std::uint64_t recorded() const {
-    return head_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-
-  /// The raw slot array, for the black-box crash dumper (obs/blackbox.hpp):
-  /// a stable, contiguous memory image a signal handler may copy with
-  /// nothing but write(2).  Each slot is `stride` bytes — a u64 sequence
-  /// word followed by `words` u64 payload words (plus alignment padding);
-  /// the offline decoder (obs/postmortem.hpp) rebuilds publication order
-  /// from the per-slot sequence protocol alone, so no head pointer is
-  /// needed.  Concurrent writers may tear slots mid-dump exactly as they
-  /// may mid-snapshot(); torn slots fail sequence validation and are
-  /// skipped by the decoder, never misread.
-  struct RawRing {
-    const void* data = nullptr;
-    std::size_t bytes = 0;
-    std::uint64_t capacity = 0;
-    std::uint64_t shift = 0;  // log2(capacity)
-    std::uint64_t words = 0;  // payload words per slot
-    std::uint64_t stride = 0; // bytes per slot
-  };
-  [[nodiscard]] RawRing raw_ring() const {
-    return {slots_.data(), slots_.size() * sizeof(Slot), slots_.size(),
-            shift_, 5, sizeof(Slot)};
-  }
-
- private:
-  // seq protocol per slot: 0 = never written; 2c+1 = write in progress
-  // for cycle c; 2c+2 = readable, written at cycle c (cycle = ticket >>
-  // shift).  Payload words are release-stored and acquire-loaded: a
-  // reader that sees any word of an in-progress overwrite is forced to
-  // also see the writer's odd sequence on its validating re-read, so a
-  // torn slot never passes validation.
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> seq{0};
-    std::atomic<std::uint64_t> words[5]{};
-  };
-
-  // Release stores: each word orders the slot's odd ("writing") sequence
-  // store before itself, so a reader that acquire-loads any new-cycle
-  // word is guaranteed to observe the sequence change when it re-reads
-  // seq — a half-written slot can never validate.  On x86 a release
-  // store is a plain store; this costs nothing on the hot path.
-  static void pack(const SpanRecord& rec, Slot& slot) {
-    slot.words[0].store(rec.trace_id, std::memory_order_release);
-    slot.words[1].store(rec.key_hash, std::memory_order_release);
-    slot.words[2].store(static_cast<std::uint64_t>(rec.start_ns),
-                        std::memory_order_release);
-    slot.words[3].store(static_cast<std::uint64_t>(rec.dur_ns),
-                        std::memory_order_release);
-    const std::uint64_t meta =
-        (static_cast<std::uint64_t>(rec.span_seq) << 32) |
-        (static_cast<std::uint64_t>(rec.shard) << 16) |
-        (static_cast<std::uint64_t>(rec.stage) << 8) |
-        static_cast<std::uint64_t>(rec.flags);
-    slot.words[4].store(meta, std::memory_order_release);
-  }
-  static SpanRecord unpack(const Slot& slot);
-
-  std::vector<Slot> slots_;
-  std::uint64_t mask_ = 0;
-  unsigned shift_ = 0;  // log2(capacity): cycle = ticket >> shift_
-  std::atomic<std::uint64_t> head_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-};
+/// `record()` stamps span_seq with the publication ticket.
+using FlightRecorder = SeqRing<SpanRecord>;
 
 /// Facade the instrumented layers talk to: one ring + optional per-stage
 /// histograms + a global enable switch (one relaxed load when disabled).

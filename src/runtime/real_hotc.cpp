@@ -24,7 +24,7 @@ pool::PoolLimits warm_limits(const RealOptions& options) {
 RealHotC::RealHotC(RealOptions options)
     : options_(options),
       cost_(options.host),
-      warm_(warm_limits(options), options.pool_shards),
+      warm_(warm_limits(options), 0),
       snapshots_(options.tiering.store),
       plans_mu_(LockRank::kSnapshotStore, 0x10000, "runtime.plans"),
       pool_(options.worker_threads, [this](Request& r) { run(r); },

@@ -52,8 +52,6 @@ struct RealOptions {
   double cold_start_scale = 0.01;
   /// Maximum warm runtimes kept alive across all keys (0 = never pool).
   std::size_t max_warm = 64;
-  /// Lock stripes for the warm set; 0 = hardware_concurrency().
-  std::size_t pool_shards = 0;
   /// Cross-key sharing: on a miss, convert an idle compatible sibling
   /// (same image / isolation shape, different env) instead of paying the
   /// full cold start.  Off by default — exact-match semantics unchanged.

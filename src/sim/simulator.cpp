@@ -50,15 +50,15 @@ std::size_t Simulator::run_until(TimePoint deadline) {
   }
   // Advance the clock to the deadline even if nothing fires there, so that
   // subsequent `after` calls measure from the requested instant.
-  if (clock_.now() < deadline) clock_.advance_to(deadline);
+  if (now() < deadline) advance_to(deadline);
   return n;
 }
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
   auto [t, fn] = queue_.pop();
-  HOTC_ASSERT(t >= clock_.now());
-  clock_.advance_to(t);
+  HOTC_ASSERT(t >= now());
+  advance_to(t);
   fn();
   return true;
 }

@@ -6,9 +6,9 @@
 // substrate (see DESIGN.md, substitution table).
 #pragma once
 
+#include <atomic>
 #include <functional>
 
-#include "core/clock.hpp"
 #include "core/time.hpp"
 #include "sim/event_queue.hpp"
 
@@ -20,9 +20,10 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  [[nodiscard]] TimePoint now() const { return clock_.now(); }
-  [[nodiscard]] const Clock& clock() const { return clock_; }
-  [[nodiscard]] VirtualClock& virtual_clock() { return clock_; }
+  /// Virtual time: moves only when the event loop advances it.
+  [[nodiscard]] TimePoint now() const {
+    return TimePoint(now_ns_.load(std::memory_order_relaxed));
+  }
 
   /// Schedule fn at absolute time t (must be >= now()).
   EventId at(TimePoint t, EventFn fn);
@@ -50,7 +51,12 @@ class Simulator {
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
  private:
-  VirtualClock clock_;
+  void advance_to(TimePoint t) {
+    now_ns_.store(t.count(), std::memory_order_relaxed);
+  }
+
+  // Relaxed atomic: now() is safe to read from any thread.
+  std::atomic<std::int64_t> now_ns_{0};
   EventQueue queue_;
 };
 

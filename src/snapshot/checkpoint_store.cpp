@@ -1,17 +1,12 @@
 #include "snapshot/checkpoint_store.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace hotc::snapshot {
 namespace {
 
 constexpr std::size_t kDefaultStripes = 8;
-
-constexpr std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
 
 /// Benefit density: cold-start seconds saved per byte of disk.  The
 /// eviction policy removes the snapshot the store would miss least.
@@ -26,7 +21,7 @@ double score(const SnapshotMeta& meta) {
 CheckpointStore::CheckpointStore(Options options) : options_(options) {
   const std::size_t requested =
       options_.stripe_count == 0 ? kDefaultStripes : options_.stripe_count;
-  const std::size_t count = round_up_pow2(requested);
+  const std::size_t count = std::bit_ceil(requested);
   stripe_mask_ = count - 1;
   stripes_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {

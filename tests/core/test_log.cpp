@@ -1,41 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <thread>
+#include <string>
 
-#include "core/clock.hpp"
 #include "core/log.hpp"
 
 namespace hotc {
 namespace {
-
-TEST(VirtualClock, StartsAtZeroAndAdvances) {
-  VirtualClock clock;
-  EXPECT_EQ(clock.now(), kZeroDuration);
-  clock.advance_to(seconds(5));
-  EXPECT_EQ(clock.now(), seconds(5));
-  clock.advance_to(seconds(5) + milliseconds(1));
-  EXPECT_EQ(clock.now(), seconds(5) + milliseconds(1));
-  clock.reset();
-  EXPECT_EQ(clock.now(), kZeroDuration);
-}
-
-TEST(VirtualClock, UsableThroughBaseInterface) {
-  VirtualClock clock;
-  clock.advance_to(minutes(3));
-  const Clock& base = clock;
-  EXPECT_EQ(base.now(), minutes(3));
-}
-
-TEST(WallClock, MonotonicAndAnchoredAtConstruction) {
-  WallClock clock;
-  const TimePoint a = clock.now();
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  const TimePoint b = clock.now();
-  EXPECT_GE(a, kZeroDuration);
-  EXPECT_GT(b, a);
-  EXPECT_LT(b, seconds(10));  // anchored near construction, not epoch
-}
 
 TEST(Logger, LevelFiltering) {
   Logger& logger = Logger::instance();

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -36,6 +37,24 @@ void spew(const std::string& path, const std::vector<char>& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// Byte offset of region `kind`'s header inside a dump (0 = absent).
+std::size_t find_region(const std::vector<char>& bytes, std::uint32_t kind) {
+  std::size_t off = sizeof(DumpHeader);
+  RegionHeader rh;
+  while (off + sizeof(rh) <= bytes.size()) {
+    std::memcpy(&rh, bytes.data() + off, sizeof(rh));
+    if (rh.kind == kind) return off;
+    off += sizeof(rh) + rh.bytes;
+  }
+  return 0;
+}
+
+RegionHeader region_at(const std::vector<char>& bytes, std::size_t off) {
+  RegionHeader rh;
+  std::memcpy(&rh, bytes.data() + off, sizeof(rh));
+  return rh;
+}
+
 /// Full observability stack with deterministic traffic, wired to a
 /// BlackBox at a per-test temp path.
 struct CrashHarness {
@@ -56,8 +75,8 @@ struct CrashHarness {
         tsdb(registry, TsdbOptions{}, &slo),
         path(temp_dump_path("main")),
         box(path) {
-    box.attach_flight_recorder(tracer);
-    box.attach_journal(journal);
+    box.attach_ring(kRegionFlightRing, "flight_ring", tracer.raw_ring());
+    box.attach_ring(kRegionJournalRing, "journal_ring", journal.raw_ring());
     box.attach_tsdb(tsdb);
   }
 
@@ -192,6 +211,88 @@ TEST(BlackBox, RejectsBadMagic) {
   std::string error;
   EXPECT_FALSE(decode_dump(bad, &image, &error));
   EXPECT_NE(error.find("magic"), std::string::npos);
+  std::remove(bad.c_str());
+}
+
+TEST(BlackBox, RingGeometryIsPinned) {
+  // Dumps from earlier builds stay decodable only while the slot layout
+  // holds: params {capacity, log2 capacity, payload words, slot stride}.
+  CrashHarness h;
+  h.traffic(3);
+  ASSERT_TRUE(h.box.dump_now(0, "test", "geometry"));
+  const std::vector<char> bytes = slurp(h.path);
+
+  const std::size_t flight_at = find_region(bytes, kRegionFlightRing);
+  ASSERT_NE(flight_at, 0u);
+  const RegionHeader flight = region_at(bytes, flight_at);
+  EXPECT_EQ(flight.params[0], 256u);
+  EXPECT_EQ(flight.params[1], 8u);
+  EXPECT_EQ(flight.params[2], 5u);
+  EXPECT_EQ(flight.params[3], 64u);
+  EXPECT_EQ(flight.bytes, 256u * 64u);
+
+  const std::size_t journal_at = find_region(bytes, kRegionJournalRing);
+  ASSERT_NE(journal_at, 0u);
+  const RegionHeader journal = region_at(bytes, journal_at);
+  EXPECT_EQ(journal.params[0], 64u);
+  EXPECT_EQ(journal.params[1], 6u);
+  EXPECT_EQ(journal.params[2], 8u);
+  EXPECT_EQ(journal.params[3], 128u);
+  EXPECT_EQ(journal.bytes, 64u * 128u);
+}
+
+TEST(BlackBox, HostileRingGeometryDecodesAsEmpty) {
+  // The ring geometry comes from the file; none of these may be trusted
+  // to index the region.
+  const std::uint64_t kHostile[][4] = {
+      {1ull << 33, 33, 5, 1ull << 31},  // capacity * stride wraps to 0
+      {256, 64, 5, 64},                 // shift past the word
+      {256, 7, 5, 64},                  // capacity != 1 << shift
+      {256, 8, 5, 40},                  // stride shorter than a slot
+      {256, 8, 8, 64},                  // another record's word count
+      {512, 9, 5, 64},                  // more slots than the region holds
+  };
+  CrashHarness h;
+  h.traffic(12);
+  ASSERT_TRUE(h.box.dump_now(0, "test", "to corrupt"));
+  const std::vector<char> good = slurp(h.path);
+  const std::size_t at = find_region(good, kRegionFlightRing);
+  ASSERT_NE(at, 0u);
+  const std::string bad = temp_dump_path("geometry");
+  for (const auto& params : kHostile) {
+    std::vector<char> bytes = good;
+    RegionHeader rh = region_at(bytes, at);
+    std::memcpy(rh.params, params, sizeof(rh.params));
+    std::memcpy(bytes.data() + at, &rh, sizeof(rh));
+    spew(bad, bytes);
+
+    DumpImage image;
+    std::string error;
+    ASSERT_TRUE(decode_dump(bad, &image, &error)) << error;
+    EXPECT_TRUE(image.spans.empty()) << "capacity " << params[0];
+    EXPECT_EQ(image.decisions.size(), 12u);  // its own region is intact
+  }
+  std::remove(bad.c_str());
+}
+
+TEST(BlackBox, RejectsWrappingRegionLength) {
+  CrashHarness h;
+  h.traffic(2);
+  ASSERT_TRUE(h.box.dump_now(0, "test", "to corrupt"));
+  std::vector<char> bytes = slurp(h.path);
+  const std::size_t at = find_region(bytes, kRegionFlightRing);
+  ASSERT_NE(at, 0u);
+  // offset + length wraps back to this region's own header.
+  RegionHeader rh = region_at(bytes, at);
+  rh.bytes = ~std::uint64_t{0} - sizeof(RegionHeader) + 1;
+  std::memcpy(bytes.data() + at, &rh, sizeof(rh));
+  const std::string bad = temp_dump_path("length");
+  spew(bad, bytes);
+
+  DumpImage image;
+  std::string error;
+  EXPECT_FALSE(decode_dump(bad, &image, &error));
+  EXPECT_NE(error.find("past end of file"), std::string::npos) << error;
   std::remove(bad.c_str());
 }
 

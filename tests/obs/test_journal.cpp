@@ -89,7 +89,7 @@ TEST(DecideTick, DisabledKnobsAreInert) {
   EXPECT_EQ(decide_tick(shrink).retires, 0u);
 }
 
-// --- ring protocol -----------------------------------------------------------
+// --- codec and tick audit (ring properties: test_seq_ring.cpp) ---------------
 
 TEST(DecisionJournal, PackUnpackRoundTripsEveryField) {
   DecisionJournal j(8, /*audit=*/false);
@@ -130,33 +130,6 @@ TEST(DecisionJournal, PackUnpackRoundTripsEveryField) {
   EXPECT_EQ(got.evictions, r.evictions);
   EXPECT_EQ(got.donations, r.donations);
   EXPECT_EQ(got.flags, r.flags);
-}
-
-TEST(DecisionJournal, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(DecisionJournal(5, false).capacity(), 8u);
-  EXPECT_EQ(DecisionJournal(8, false).capacity(), 8u);
-  EXPECT_EQ(DecisionJournal(0, false).capacity(), 2u);
-}
-
-TEST(DecisionJournal, WrapKeepsNewestRecords) {
-  DecisionJournal j(8, /*audit=*/false);
-  for (std::uint64_t t = 1; t <= 20; ++t) j.append(record(t));
-  EXPECT_EQ(j.recorded(), 20u);
-  const auto snap = j.snapshot();
-  ASSERT_EQ(snap.size(), 8u);
-  for (std::size_t i = 0; i < snap.size(); ++i) {
-    EXPECT_EQ(snap[i].tick, 13 + i);  // oldest-first, newest 8 of 20
-  }
-}
-
-TEST(DecisionJournal, TailReturnsNewestN) {
-  DecisionJournal j(16, /*audit=*/false);
-  for (std::uint64_t t = 1; t <= 10; ++t) j.append(record(t));
-  const auto t3 = j.tail(3);
-  ASSERT_EQ(t3.size(), 3u);
-  EXPECT_EQ(t3[0].tick, 8u);
-  EXPECT_EQ(t3[2].tick, 10u);
-  EXPECT_EQ(j.tail(100).size(), 10u);
 }
 
 TEST(DecisionJournal, OutOfBandTickRejectedWithoutAudit) {

@@ -67,6 +67,9 @@ struct Extractor {
   // (qualified class::name) -> requires expressions from declarations.
   std::map<std::string, std::vector<std::string>>& decl_requires;
   std::map<std::string, bool>& decl_no_ts;
+  // Type parameters of the template header just read, for the class (if
+  // any) it introduces.
+  std::vector<std::string> template_params = {};
 
   [[nodiscard]] std::string qualified(const std::string& leaf) const {
     std::string out;
@@ -202,6 +205,12 @@ void Extractor::run() {
     if (t == "template") {
       std::size_t j = i + 1;
       if (j < toks.size() && toks[j].text == "<") j = skip_angles(toks, j);
+      template_params.clear();
+      for (std::size_t k = i + 2; k + 1 < j; ++k) {
+        if ((toks[k].text == "class" || toks[k].text == "typename") &&
+            toks[k + 1].kind == TokKind::kIdent)
+          template_params.push_back(toks[k + 1].text);
+      }
       i = j;
       continue;
     }
@@ -232,10 +241,16 @@ void Extractor::run() {
       while (k < toks.size() && toks[k].text != "{" && toks[k].text != ";")
         ++k;
       if (k >= toks.size() || toks[k].text == ";") {
+        template_params.clear();
         i = k + 1;
         continue;
       }
       scopes.push_back({Scope::kClass, name});
+      if (collect_decls) {
+        for (const auto& p : template_params)
+          model.template_params.insert({qualified(""), p});
+      }
+      template_params.clear();
       i = k + 1;
       continue;
     }
@@ -257,6 +272,7 @@ void Extractor::run() {
       ++i;
       continue;
     }
+    template_params.clear();
     i = handle_statement(i);
   }
 }
@@ -862,6 +878,9 @@ std::vector<std::size_t> Model::resolve_call(const Function& caller,
     for (std::size_t idx : cands)
       if (last_component(functions[idx].cls) == rtype) out.push_back(idx);
     if (!out.empty()) return out;
+    // Typed by the caller's class-template parameter: any instantiation,
+    // so any same-named function, may be the callee.
+    if (template_params.count({caller.cls, rtype})) return cands;
     return {};  // typed receiver of a class we know nothing about
   }
   if (call.receiver.empty() || call.receiver == "this") {

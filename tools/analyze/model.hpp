@@ -110,6 +110,8 @@ struct Model {
   std::vector<GuardedField> guarded;
   std::vector<Function> functions;
   FieldTypeMap field_types;
+  // (qualified class template, type parameter name).
+  std::set<std::pair<std::string, std::string>> template_params;
   // bare function name -> indices into `functions`.
   std::unordered_map<std::string, std::vector<std::size_t>> by_name;
 

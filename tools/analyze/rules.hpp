@@ -28,9 +28,12 @@ struct Finding {
 struct RuleOptions {
   /// Hot-path traversal scope: directory fragments a file's rel path must
   /// contain to be walked (barrier otherwise).  Ignored when
-  /// `all_in_scope` (explicit file lists, i.e. fixtures).
-  std::vector<std::string> scope_dirs = {"pool/", "runtime/", "core/",
-                                         "spec/", "obs/prof", "snapshot/"};
+  /// `all_in_scope` (explicit file lists, i.e. fixtures).  The obs
+  /// headers hold the SeqRing publish path and the record codecs it calls.
+  std::vector<std::string> scope_dirs = {
+      "pool/",    "runtime/",  "core/",         "spec/",
+      "obs/prof", "snapshot/", "obs/seq_ring",  "obs/trace.hpp",
+      "obs/journal.hpp"};
   bool all_in_scope = false;
 };
 

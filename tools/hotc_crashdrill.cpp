@@ -61,8 +61,10 @@ int main(int argc, char** argv) {
               << "\n";
     return 2;
   }
-  blackbox.attach_flight_recorder(tracer.recorder());
-  blackbox.attach_journal(journal);
+  blackbox.attach_ring(obs::kRegionFlightRing, "flight_ring",
+                       tracer.recorder().raw_ring());
+  blackbox.attach_ring(obs::kRegionJournalRing, "journal_ring",
+                       journal.raw_ring());
   blackbox.attach_tsdb(tsdb);
   blackbox.install_signal_handlers();
   blackbox.install_abort_hook();
