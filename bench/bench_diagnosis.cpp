@@ -28,7 +28,6 @@
 // the scenario runs are virtual-time and already cheap.
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <iostream>
 #include <limits>
@@ -37,10 +36,10 @@
 
 #include "common.hpp"
 #include "core/json.hpp"
-#include "core/rng.hpp"
 #include "obs/journal.hpp"
 #include "obs/slo.hpp"
 #include "pool/sharded_pool.hpp"
+#include "pool_pairs.hpp"
 #include "predict/hybrid.hpp"
 #include "spec/runtime_key.hpp"
 
@@ -156,51 +155,21 @@ bool records_identical(const std::vector<obs::DecisionRecord>& a,
 
 // --- (d) exemplar overhead on the pool hot path -----------------------------
 
-constexpr std::size_t kTraceKeys = 64;
-
-std::vector<spec::RuntimeKey> trace_keys() {
-  std::vector<spec::RuntimeKey> keys;
-  keys.reserve(kTraceKeys);
-  for (std::size_t i = 0; i < kTraceKeys; ++i) {
-    spec::RunSpec s;
-    s.image = spec::ImageRef{"python", "3.8"};
-    s.network = spec::NetworkMode::kBridge;
-    s.env["IDX"] = std::to_string(i);
-    keys.push_back(spec::RuntimeKey::from_spec(s));
-  }
-  return keys;
-}
-
 /// Fig. 15(c)'s acquire/span/release pair, except the span carries a
 /// non-zero duration: a zero-duration span never reaches the stage
 /// histogram, and the exemplar store lives inside the histogram observe —
 /// timing it with zero durations would measure nothing.
 double time_pairs_ns(pool::ShardedRuntimePool& pool, obs::Tracer& tracer,
                      const std::vector<spec::RuntimeKey>& keys, int pairs) {
-  Rng rng(7);
-  std::int64_t tick = 1'000'000;
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < pairs; ++i) {
-    const auto& key = keys[rng.index(keys.size())];
-    const TimePoint now = seconds(tick++);
-    auto got = pool.acquire(key, now);
-    tracer.span(static_cast<std::uint64_t>(i) + 1, obs::Stage::kPoolLookup,
-                now, milliseconds(1 + (i & 15)), key.hash(),
-                static_cast<std::uint16_t>(pool.shard_index(key)),
-                got.has_value() ? obs::kSpanHit : std::uint8_t{0});
-    if (got.has_value()) {
-      pool.add_available(*got, now);
-    } else {
-      pool::PoolEntry fresh;
-      fresh.id = 1'000'000ull + static_cast<engine::ContainerId>(i);
-      fresh.key = key;
-      fresh.created_at = now;
-      pool.add_available(fresh, now);
-    }
-  }
-  const auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(end - start).count() /
-         static_cast<double>(pairs);
+  return bench::time_pairs_ns(
+      pool, keys, pairs,
+      [&](int i, const spec::RuntimeKey& key, TimePoint now, bool hit) {
+        tracer.span(static_cast<std::uint64_t>(i) + 1,
+                    obs::Stage::kPoolLookup, now, milliseconds(1 + (i & 15)),
+                    key.hash(),
+                    static_cast<std::uint16_t>(pool.shard_index(key)),
+                    hit ? obs::kSpanHit : std::uint8_t{0});
+      });
 }
 
 struct ExemplarOverhead {
@@ -219,17 +188,8 @@ ExemplarOverhead measure_exemplar_overhead(int pairs, int reps) {
   pool.attach_metrics(registry);
   tracer.set_enabled(true);
 
-  const auto keys = trace_keys();
-  engine::ContainerId next_id = 1;
-  for (const auto& key : keys) {
-    for (int j = 0; j < 2; ++j) {
-      pool::PoolEntry e;
-      e.id = next_id++;
-      e.key = key;
-      e.created_at = seconds(static_cast<std::int64_t>(e.id));
-      pool.add_available(e, e.created_at);
-    }
-  }
+  const auto keys = bench::pair_keys();
+  bench::prepopulate(pool, keys);
 
   // Interleaved best-of-N minima, as in Fig. 15(c): on a shared vCPU the
   // noise is one-sided steal time, so the minimum is the honest estimate

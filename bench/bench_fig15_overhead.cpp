@@ -17,7 +17,6 @@
 // Machine-readable results land in BENCH_overhead.json at the repo root
 // (HOTC_BENCH_DIR overrides); HOTC_SMOKE=1 shrinks iteration counts.
 #include <algorithm>
-#include <chrono>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -25,7 +24,6 @@
 
 #include "common.hpp"
 #include "core/json.hpp"
-#include "core/rng.hpp"
 #include "engine/engine.hpp"
 #include "engine/monitor.hpp"
 #include "hotc/telemetry.hpp"
@@ -33,6 +31,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pool/sharded_pool.hpp"
+#include "pool_pairs.hpp"
 #include "spec/runtime_key.hpp"
 
 using namespace hotc;
@@ -41,51 +40,20 @@ namespace {
 
 // --- (c) tracing overhead ---------------------------------------------------
 
-constexpr std::size_t kTraceKeys = 64;
-
-std::vector<spec::RuntimeKey> trace_keys() {
-  std::vector<spec::RuntimeKey> keys;
-  keys.reserve(kTraceKeys);
-  for (std::size_t i = 0; i < kTraceKeys; ++i) {
-    spec::RunSpec s;
-    s.image = spec::ImageRef{"python", "3.8"};
-    s.network = spec::NetworkMode::kBridge;
-    s.env["IDX"] = std::to_string(i);
-    keys.push_back(spec::RuntimeKey::from_spec(s));
-  }
-  return keys;
-}
-
-/// One acquire + add_available pair per iteration, plus exactly the span
-/// the controller emits for a pool lookup.  Returns ns per pair.  The
-/// tracer's enable switch decides whether the span call is one relaxed
-/// load (disabled) or a full ring publish + histogram observe (enabled).
+/// The pool pair plus exactly the span the controller emits for a pool
+/// lookup.  The tracer's enable switch decides whether the span call is
+/// one relaxed load (disabled) or a full ring publish + histogram observe
+/// (enabled).
 double time_pairs_ns(pool::ShardedRuntimePool& pool, obs::Tracer& tracer,
                      const std::vector<spec::RuntimeKey>& keys, int pairs) {
-  Rng rng(7);
-  std::int64_t tick = 1'000'000;
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < pairs; ++i) {
-    const auto& key = keys[rng.index(keys.size())];
-    const TimePoint now = seconds(tick++);
-    auto got = pool.acquire(key, now);
-    tracer.span(static_cast<std::uint64_t>(i) + 1, obs::Stage::kPoolLookup,
-                now, kZeroDuration, key.hash(),
-                static_cast<std::uint16_t>(pool.shard_index(key)),
-                got.has_value() ? obs::kSpanHit : std::uint8_t{0});
-    if (got.has_value()) {
-      pool.add_available(*got, now);
-    } else {
-      pool::PoolEntry fresh;
-      fresh.id = 1'000'000ull + static_cast<engine::ContainerId>(i);
-      fresh.key = key;
-      fresh.created_at = now;
-      pool.add_available(fresh, now);
-    }
-  }
-  const auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(end - start).count() /
-         static_cast<double>(pairs);
+  return bench::time_pairs_ns(
+      pool, keys, pairs,
+      [&](int i, const spec::RuntimeKey& key, TimePoint now, bool hit) {
+        tracer.span(static_cast<std::uint64_t>(i) + 1,
+                    obs::Stage::kPoolLookup, now, kZeroDuration, key.hash(),
+                    static_cast<std::uint16_t>(pool.shard_index(key)),
+                    hit ? obs::kSpanHit : std::uint8_t{0});
+      });
 }
 
 struct TracingOverhead {
@@ -107,17 +75,8 @@ TracingOverhead measure_tracing_overhead(int pairs, int reps) {
   pool::ShardedRuntimePool pool(pool::PoolLimits{}, 16);
   pool.attach_metrics(registry);
 
-  const auto keys = trace_keys();
-  engine::ContainerId next_id = 1;
-  for (const auto& key : keys) {
-    for (int j = 0; j < 2; ++j) {
-      pool::PoolEntry e;
-      e.id = next_id++;
-      e.key = key;
-      e.created_at = seconds(static_cast<std::int64_t>(e.id));
-      pool.add_available(e, e.created_at);
-    }
-  }
+  const auto keys = bench::pair_keys();
+  bench::prepopulate(pool, keys);
 
   // Interleaved best-of-N: the minimum is the least-noisy estimate of the
   // true per-pair cost (on a shared vCPU, noise is one-sided steal time),

@@ -10,18 +10,9 @@
 //   2. hit rate — the same deterministic op sequence produces the same
 //      hit/miss counts on both implementations.
 //
-// Throughput is reported two ways:
-//   * measured — wall-clock ops/sec with real threads on this host.  Only
-//     meaningful when the host has cores to run them; on a 1-core
-//     container every config collapses to the single-CPU rate.
-//   * serialization ceiling — the Amdahl bound implied by the measured
-//     critical sections.  A global mutex serialises every op, so its
-//     aggregate ceiling is 1/t_op no matter the thread count (visible in
-//     the measured numbers: the mutex curve is flat).  The sharded pool
-//     serialises only per shard, plus the rare all-shard eviction slice:
-//       ceiling(T) = min(T/t_op, 1 / (e*t_op + (1-e)*f_max*t_op))
-//     with e the all-shard op fraction and f_max the busiest shard's
-//     measured traffic share.  Both inputs are measured, not assumed.
+// Throughput is measured: wall-clock ops/sec with real threads on this
+// host, so it is only meaningful up to the host's core count (on a 1-core
+// container every config collapses to the single-CPU rate).
 //
 // Output: the usual table, one machine-readable line per configuration
 // ("BENCH {...json...}"), and the same records collected into
@@ -42,20 +33,18 @@
 #include "core/rng.hpp"
 #include "core/table.hpp"
 #include "pool/sharded_pool.hpp"
+#include "pool_pairs.hpp"
 #include "spec/runtime_key.hpp"
 
 namespace {
 
 using namespace hotc;
 
-constexpr std::size_t kKeys = 64;
-constexpr std::size_t kWarmPerKey = 2;
 // Shrunk by HOTC_SMOKE=1 before any measurement runs.
 int g_ops_per_thread = 200000;
 // Shard count a deployment-sized host would pick (hardware_concurrency on
 // a 16-core node); fixed here so results are comparable across hosts.
 constexpr std::size_t kShards = 16;
-constexpr double kEvictEvery = 256.0;  // 1-in-256 ops is an eviction
 
 /// The seed design: every operation behind one global mutex.
 class MutexPool {
@@ -94,64 +83,6 @@ class MutexPool {
   pool::RuntimePool pool_;
 };
 
-std::vector<spec::RuntimeKey> make_keys() {
-  std::vector<spec::RuntimeKey> keys;
-  keys.reserve(kKeys);
-  for (std::size_t i = 0; i < kKeys; ++i) {
-    spec::RunSpec s;
-    s.image = spec::ImageRef{"python", "3.8"};
-    s.network = spec::NetworkMode::kBridge;
-    s.env["IDX"] = std::to_string(i);
-    keys.push_back(spec::RuntimeKey::from_spec(s));
-  }
-  return keys;
-}
-
-template <typename Pool>
-void prepopulate(Pool& pool, const std::vector<spec::RuntimeKey>& keys,
-                 engine::ContainerId* next_id) {
-  for (const auto& key : keys) {
-    for (std::size_t j = 0; j < kWarmPerKey; ++j) {
-      pool::PoolEntry e;
-      e.id = (*next_id)++;
-      e.key = key;
-      e.created_at = seconds(static_cast<std::int64_t>(e.id));
-      pool.add_available(e, e.created_at);
-    }
-  }
-}
-
-/// Pure acquire/release pairs, no eviction slice: the hot path the
-/// per-pair numbers and the striping-tax gate track.  The all-shard
-/// eviction op is deliberately excluded here — its cost is a property of
-/// cross-shard coordination, priced separately by the ceiling model's
-/// `e` term, not a per-op tax on the striped hot path.
-template <typename Pool>
-double pair_seconds_once(Pool& pool, const std::vector<spec::RuntimeKey>& keys,
-                         int rep) {
-  Rng rng(1);
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < g_ops_per_thread; ++i) {
-    const auto& key = keys[rng.index(kKeys)];
-    const TimePoint now = seconds(10'000'000 + rep * g_ops_per_thread + i);
-    auto got = pool.acquire(key, now);
-    if (got.has_value()) {
-      pool.add_available(*got, now);
-    } else {
-      pool::PoolEntry fresh;
-      fresh.id = 2'000'000'000ull +
-                 static_cast<engine::ContainerId>(rep) * 1'000'000ull +
-                 static_cast<std::uint64_t>(i);
-      fresh.key = key;
-      fresh.created_at = now;
-      pool.add_available(fresh, now);
-    }
-  }
-  const auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(end - start).count() /
-         g_ops_per_thread;
-}
-
 /// One worker's share of the mixed workload.  Deterministic per (seed,
 /// thread): the single-threaded runs of both implementations see the
 /// exact same op sequence.
@@ -161,7 +92,7 @@ void run_worker(Pool& pool, const std::vector<spec::RuntimeKey>& keys,
   Rng rng(seed);
   std::int64_t tick = 1'000'000 + static_cast<std::int64_t>(seed) * ops;
   for (int i = 0; i < ops; ++i) {
-    const auto& key = keys[rng.index(kKeys)];
+    const auto& key = keys[rng.index(bench::kPairKeys)];
     const TimePoint now = seconds(tick++);
     if (i % 256 == 255) {
       // Eviction slice: pressure-style oldest-first retire.
@@ -225,8 +156,7 @@ RunResult run_mixed(Pool& pool, const std::vector<spec::RuntimeKey>& keys,
 
 void emit_bench_json(JsonArray& results, const std::string& impl,
                      std::size_t threads, const RunResult& r,
-                     double measured_speedup, double ceiling_mops,
-                     double ceiling_speedup) {
+                     double measured_speedup) {
   JsonObject obj;
   obj["bench"] = Json(std::string("pool_concurrency"));
   obj["impl"] = Json(impl);
@@ -236,34 +166,9 @@ void emit_bench_json(JsonArray& results, const std::string& impl,
   obj["mops_per_sec"] = Json(r.mops);
   obj["hit_rate"] = Json(r.hit_rate);
   obj["measured_speedup"] = Json(measured_speedup);
-  obj["ceiling_mops"] = Json(ceiling_mops);
-  obj["speedup_vs_mutex"] = Json(ceiling_speedup);
   Json record(std::move(obj));
   std::cout << "BENCH " << record.dump(0) << "\n";
   results.push_back(std::move(record));
-}
-
-/// Traffic share of the busiest shard under uniform key draws: the keys
-/// are drawn uniformly, so a shard's expected load is simply the fraction
-/// of keys that stripe to it.
-double busiest_shard_share(const pool::ShardedRuntimePool& pool,
-                           const std::vector<spec::RuntimeKey>& keys) {
-  std::vector<std::size_t> per_shard(pool.shard_count(), 0);
-  for (const auto& key : keys) ++per_shard[pool.shard_index(key)];
-  std::size_t busiest = 0;
-  for (const std::size_t n : per_shard) busiest = std::max(busiest, n);
-  return static_cast<double>(busiest) / static_cast<double>(keys.size());
-}
-
-/// Aggregate throughput bound implied by lock serialisation (Amdahl):
-/// per-shard critical sections overlap across shards; the 1-in-kEvictEvery
-/// eviction slice locks every shard and stays fully serial.
-double sharded_ceiling_mops(double t_op_sec, double f_max,
-                            std::size_t threads) {
-  const double e = 1.0 / kEvictEvery;
-  const double serial_per_op = e * t_op_sec + (1.0 - e) * f_max * t_op_sec;
-  const double issue_bound = static_cast<double>(threads) / t_op_sec;
-  return std::min(issue_bound, 1.0 / serial_per_op) / 1e6;
 }
 
 // --- correctness gates ------------------------------------------------------
@@ -281,7 +186,7 @@ bool eviction_order_matches(const std::vector<spec::RuntimeKey>& keys) {
   for (std::size_t i = 0; i < ages.size(); ++i) {
     pool::PoolEntry e;
     e.id = static_cast<engine::ContainerId>(i + 1);
-    e.key = keys[i % kKeys];
+    e.key = keys[i % bench::kPairKeys];
     e.created_at = seconds(ages[i]);
     baseline.add_available(e, seconds(200));
     sharded.add_available(e, seconds(200));
@@ -300,10 +205,8 @@ bool single_thread_hit_rates_match(const std::vector<spec::RuntimeKey>& keys,
                                    double* hit_rate_out) {
   MutexPool baseline;
   pool::ShardedRuntimePool sharded({}, 8);
-  engine::ContainerId id_a = 1;
-  engine::ContainerId id_b = 1;
-  prepopulate(baseline, keys, &id_a);
-  prepopulate(sharded, keys, &id_b);
+  bench::prepopulate(baseline, keys);
+  bench::prepopulate(sharded, keys);
   run_worker(baseline, keys, 1, 50000);
   run_worker(sharded, keys, 1, 50000);
   const auto sa = baseline.stats_snapshot();
@@ -320,9 +223,9 @@ int main() {
       "Mixed acquire/return/evict throughput: single global mutex (seed "
       "RealHotC design)\nvs lock-striped ShardedRuntimePool.  " +
       std::to_string(g_ops_per_thread) + " ops/thread, " +
-      std::to_string(kKeys) + " runtime keys.\n\n";
+      std::to_string(bench::kPairKeys) + " runtime keys.\n\n";
 
-  const auto keys = make_keys();
+  const auto keys = bench::pair_keys();
 
   const bool order_ok = eviction_order_matches(keys);
   double st_hit_rate = 0.0;
@@ -333,15 +236,12 @@ int main() {
             << (hits_ok ? "yes" : "NO") << " (hit rate "
             << Table::num(st_hit_rate * 100.0, 2) << "%)\n\n";
 
-  // Per-op critical-section cost of the acquire/release hot path,
-  // measured single-threaded (uncontended, so wall time == lock hold
-  // time), plus the busiest shard's traffic share — the two inputs of
-  // the serialization ceiling.
+  // Per-op cost of the acquire/release hot path, measured
+  // single-threaded (uncontended, so wall time == lock hold time).
   double t_mutex = 0.0;
   double t_sharded = 0.0;
   double tax_ratio = 0.0;
   double parity_ratio = 0.0;
-  double f_max = 0.0;
   {
     MutexPool baseline;
     // Striping tax is measured like-for-like: the same wrapper (seqlock
@@ -352,12 +252,9 @@ int main() {
     // sharded pool's read lock-free — reported unGated as mutex_parity.
     pool::ShardedRuntimePool unsharded(pool::PoolLimits{}, 1);
     pool::ShardedRuntimePool sharded(pool::PoolLimits{}, kShards);
-    engine::ContainerId id_a = 1;
-    engine::ContainerId id_b = 1;
-    engine::ContainerId id_c = 1;
-    prepopulate(baseline, keys, &id_a);
-    prepopulate(unsharded, keys, &id_b);
-    prepopulate(sharded, keys, &id_c);
+    bench::prepopulate(baseline, keys);
+    bench::prepopulate(unsharded, keys);
+    bench::prepopulate(sharded, keys);
     // Interleave the implementations round by round so slow drift in
     // host load hits both sides of each ratio equally, then gate on the
     // median per-round ratio (a lucky or unlucky scheduler slice cannot
@@ -367,10 +264,13 @@ int main() {
     std::vector<double> parity_rounds;
     tax_rounds.reserve(kRounds);
     parity_rounds.reserve(kRounds);
+    const auto pair_ns = [&keys](auto& pool) {
+      return bench::time_pairs_ns(pool, keys, g_ops_per_thread);
+    };
     for (int round = 0; round < kRounds; ++round) {
-      const double tm = pair_seconds_once(baseline, keys, round);
-      const double t1 = pair_seconds_once(unsharded, keys, round);
-      const double ts = pair_seconds_once(sharded, keys, round);
+      const double tm = pair_ns(baseline);
+      const double t1 = pair_ns(unsharded);
+      const double ts = pair_ns(sharded);
       if (round == 0 || tm < t_mutex) t_mutex = tm;
       if (round == 0 || ts < t_sharded) t_sharded = ts;
       tax_rounds.push_back(t1 / ts);
@@ -380,68 +280,48 @@ int main() {
     std::sort(parity_rounds.begin(), parity_rounds.end());
     tax_ratio = tax_rounds[kRounds / 2];
     parity_ratio = parity_rounds[kRounds / 2];
-    f_max = busiest_shard_share(sharded, keys);
   }
-  const double mutex_ceiling = 1.0 / t_mutex / 1e6;  // flat in T: one lock
   // One op is one acquire/release pair (acquire + add_available return, or
   // miss + admit), so ns/op is the ns-per-pair number the perf gates track.
-  std::cout << "acquire/release pair: mutex " << Table::num(t_mutex * 1e9, 0)
-            << " ns, sharded " << Table::num(t_sharded * 1e9, 0)
-            << " ns; busiest of " << kShards << " shards carries "
-            << Table::num(f_max * 100.0, 1) << "% of traffic\n";
+  std::cout << "acquire/release pair: mutex " << Table::num(t_mutex, 0)
+            << " ns, sharded " << Table::num(t_sharded, 0) << " ns\n";
   const unsigned cores = std::thread::hardware_concurrency();
   std::cout << "host cores: " << cores
-            << (cores < 8 ? "  (measured column is time-sliced; the "
-                            "ceiling column is the scalability result)"
-                          : "")
-            << "\n\n";
+            << "  (rows above " << cores << " threads are time-sliced)\n\n";
 
   Table table({"threads", "mutex Mops/s", "sharded Mops/s", "measured x",
-               "ceiling Mops/s", "ceiling x", "hit%"});
+               "hit%"});
   JsonArray results;
-  double ceiling_speedup_at_8 = 0.0;
   double measured_speedup_at_8 = 0.0;
   // Striping tax on the hot path at 1 thread: splitting the pool into
   // kShards must stay within 5% of the identical 1-shard pool when there
   // is no contention to win back.  Measured on pure acquire/release
   // pairs (median of interleaved rounds): the 1-in-256 all-shard
-  // eviction op is not a striping tax — its cross-shard cost is priced
-  // by the ceiling model's `e` term and shows up in the measured
-  // mixed-workload table either way.
+  // eviction op is not a striping tax, and its cross-shard cost shows up
+  // in the measured mixed-workload table.
   const double single_thread_overhead = tax_ratio;
   for (const std::size_t threads : {1u, 2u, 4u, 8u, 16u}) {
     MutexPool baseline;
     pool::ShardedRuntimePool sharded(pool::PoolLimits{}, kShards);
-    engine::ContainerId id_a = 1;
-    engine::ContainerId id_b = 1;
-    prepopulate(baseline, keys, &id_a);
-    prepopulate(sharded, keys, &id_b);
+    bench::prepopulate(baseline, keys);
+    bench::prepopulate(sharded, keys);
 
     const RunResult rm = run_mixed(baseline, keys, threads);
     const RunResult rs = run_mixed(sharded, keys, threads);
     const double measured = rs.mops / rm.mops;
-    const double ceiling = sharded_ceiling_mops(t_sharded, f_max, threads);
-    const double ceiling_speedup = ceiling / mutex_ceiling;
-    if (threads == 8) {
-      measured_speedup_at_8 = measured;
-      ceiling_speedup_at_8 = ceiling_speedup;
-    }
+    if (threads == 8) measured_speedup_at_8 = measured;
 
     table.add_row({std::to_string(threads), Table::num(rm.mops, 2),
                    Table::num(rs.mops, 2), Table::num(measured, 2) + "x",
-                   Table::num(ceiling, 2),
-                   Table::num(ceiling_speedup, 2) + "x",
                    Table::num(rs.hit_rate * 100.0, 2)});
-    emit_bench_json(results, "mutex", threads, rm, 1.0, mutex_ceiling, 1.0);
-    emit_bench_json(results, "sharded", threads, rs, measured, ceiling,
-                    ceiling_speedup);
+    emit_bench_json(results, "mutex", threads, rm, 1.0);
+    emit_bench_json(results, "sharded", threads, rs, measured);
   }
   std::cout << "\n" << table.to_string() << "\n";
-  std::cout << "aggregate acquire/return throughput at 8 threads: "
-            << Table::num(ceiling_speedup_at_8, 2)
-            << "x the single-mutex baseline (target >= 4x); measured on "
-            << cores << " core(s): " << Table::num(measured_speedup_at_8, 2)
-            << "x\n";
+  std::cout << "aggregate acquire/return throughput at 8 threads, measured "
+            << "on " << cores << " core(s): "
+            << Table::num(measured_speedup_at_8, 2)
+            << "x the single-mutex baseline\n";
   const bool overhead_ok = single_thread_overhead >= 0.95;
   std::cout << "single-thread striping tax: " << kShards
             << "-shard pool runs at " << Table::num(single_thread_overhead, 3)
@@ -464,12 +344,11 @@ int main() {
   gates["hit_counts_match"] = Json(hits_ok);
   doc["gates"] = Json(std::move(gates));
   JsonObject summary;
-  summary["ceiling_speedup_at_8"] = Json(ceiling_speedup_at_8);
   summary["measured_speedup_at_8"] = Json(measured_speedup_at_8);
   summary["single_thread_overhead"] = Json(single_thread_overhead);
   summary["mutex_parity"] = Json(parity_ratio);
-  summary["ns_per_pair_mutex"] = Json(t_mutex * 1e9);
-  summary["ns_per_pair_sharded"] = Json(t_sharded * 1e9);
+  summary["ns_per_pair_mutex"] = Json(t_mutex);
+  summary["ns_per_pair_sharded"] = Json(t_sharded);
   doc["summary"] = Json(std::move(summary));
   doc["results"] = Json(std::move(results));
   const std::string path = hotc::bench::output_dir() + "/BENCH_pool.json";

@@ -33,59 +33,15 @@
 #include "common.hpp"
 #include "core/json.hpp"
 #include "core/ranked_mutex.hpp"
-#include "core/rng.hpp"
 #include "obs/prof.hpp"
 #include "pool/sharded_pool.hpp"
-#include "spec/runtime_key.hpp"
+#include "pool_pairs.hpp"
 
 using namespace hotc;
 
 namespace {
 
 // --- (a) profiler overhead on the pool hot path -----------------------------
-
-constexpr std::size_t kKeys = 64;
-
-std::vector<spec::RuntimeKey> pool_keys() {
-  std::vector<spec::RuntimeKey> keys;
-  keys.reserve(kKeys);
-  for (std::size_t i = 0; i < kKeys; ++i) {
-    spec::RunSpec s;
-    s.image = spec::ImageRef{"python", "3.8"};
-    s.network = spec::NetworkMode::kBridge;
-    s.env["IDX"] = std::to_string(i);
-    keys.push_back(spec::RuntimeKey::from_spec(s));
-  }
-  return keys;
-}
-
-/// Fig. 15(c)'s bare acquire/release pair: every acquisition is
-/// single-threaded and therefore uncontended, so with the profiler
-/// running the ranked mutex's try_lock succeeds and the contended slow
-/// path (the only place the hook pointer is loaded) never runs.
-double time_pairs_ns(pool::ShardedRuntimePool& pool,
-                     const std::vector<spec::RuntimeKey>& keys, int pairs) {
-  Rng rng(7);
-  std::int64_t tick = 1'000'000;
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < pairs; ++i) {
-    const auto& key = keys[rng.index(keys.size())];
-    const TimePoint now = seconds(tick++);
-    auto got = pool.acquire(key, now);
-    if (got.has_value()) {
-      pool.add_available(*got, now);
-    } else {
-      pool::PoolEntry fresh;
-      fresh.id = 1'000'000ull + static_cast<engine::ContainerId>(i);
-      fresh.key = key;
-      fresh.created_at = now;
-      pool.add_available(fresh, now);
-    }
-  }
-  const auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(end - start).count() /
-         static_cast<double>(pairs);
-}
 
 struct ProfOverhead {
   double off_ns = 0.0;
@@ -104,27 +60,25 @@ struct ProfOverhead {
 ProfOverhead measure_prof_overhead(obs::Profiler& profiler, int pairs,
                                    int reps) {
   pool::ShardedRuntimePool pool(pool::PoolLimits{}, 16);
-  const auto keys = pool_keys();
-  engine::ContainerId next_id = 1;
-  for (const auto& key : keys) {
-    for (int j = 0; j < 2; ++j) {
-      pool::PoolEntry e;
-      e.id = next_id++;
-      e.key = key;
-      e.created_at = seconds(static_cast<std::int64_t>(e.id));
-      pool.add_available(e, e.created_at);
-    }
-  }
+  const auto keys = bench::pair_keys();
+  bench::prepopulate(pool, keys);
 
-  time_pairs_ns(pool, keys, pairs);  // untimed warm-up (first-touch faults)
+  // Fig. 15(c)'s bare acquire/release pair: every acquisition is
+  // single-threaded and therefore uncontended, so with the profiler
+  // running the ranked mutex's try_lock succeeds and the contended slow
+  // path (the only place the hook pointer is loaded) never runs.
+  const auto time_pairs_ns = [&pool, &keys, pairs] {
+    return bench::time_pairs_ns(pool, keys, pairs);
+  };
+  time_pairs_ns();  // untimed warm-up (first-touch faults)
   ProfOverhead out;
   out.off_ns = std::numeric_limits<double>::infinity();
   out.on_ns = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
     profiler.stop();
-    out.off_ns = std::min(out.off_ns, time_pairs_ns(pool, keys, pairs));
+    out.off_ns = std::min(out.off_ns, time_pairs_ns());
     profiler.start();
-    out.on_ns = std::min(out.on_ns, time_pairs_ns(pool, keys, pairs));
+    out.on_ns = std::min(out.on_ns, time_pairs_ns());
   }
   profiler.stop();
   return out;

@@ -1,129 +1,78 @@
 #include "pool/audit.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "core/crash_hook.hpp"
-#include "core/log.hpp"
+#include "pool/pool.hpp"
 
 namespace hotc::audit {
 
 // hot-path-alloc: allow-begin — conservation-failure messages are built
-// on the pre-abort path only; a balanced ledger allocates nothing.
-Result<bool> PoolLedger::verify() const {
-  if (admitted != leased + removed + pooled) {
-    return make_error<bool>(
-        "pool.conservation",
-        "admitted " + std::to_string(admitted) + " != leased " +
-            std::to_string(leased) + " + removed " + std::to_string(removed) +
-            " + pooled " + std::to_string(pooled));
-  }
-  if (paused > pooled) {
-    return make_error<bool>(
-        "pool.conservation",
-        "paused " + std::to_string(paused) + " exceeds pooled " +
-            std::to_string(pooled));
-  }
-  if (donated > leased) {
-    return make_error<bool>(
-        "pool.conservation",
-        "donated " + std::to_string(donated) + " exceeds leased " +
-            std::to_string(leased) +
-            " (a donated container was double-counted)");
-  }
-  if (respecialized > admitted) {
-    return make_error<bool>(
-        "pool.conservation",
-        "respecialized " + std::to_string(respecialized) +
-            " exceeds admitted " + std::to_string(admitted));
-  }
-  if (checkpointed > removed) {
-    return make_error<bool>(
-        "pool.conservation",
-        "checkpointed " + std::to_string(checkpointed) +
-            " exceeds removed " + std::to_string(removed) +
-            " (a demotion was not counted as a removal)");
-  }
-  if (restored > admitted) {
-    return make_error<bool>(
-        "pool.conservation",
-        "restored " + std::to_string(restored) + " exceeds admitted " +
-            std::to_string(admitted) +
-            " (a restore was not counted as an admission)");
-  }
-  return true;
-}
-// hot-path-alloc: allow-end
-
-PoolLedger ledger(const pool::RuntimePool& pool) {
-  PoolLedger out;
-  out.admitted = pool.admitted_count();
-  out.leased = pool.leased_count();
-  out.removed = pool.removed_count();
-  out.pooled = pool.total_available();
-  out.paused = pool.paused_count();
-  out.donated = pool.donated_count();
-  out.respecialized = pool.respecialized_count();
-  out.checkpointed = pool.checkpointed_count();
-  out.restored = pool.restored_count();
-  return out;
-}
-
-PoolLedger ledger(const pool::ShardedRuntimePool& pool) {
-  // Counter reads lock shard-at-a-time, so this ledger is a statistical
-  // snapshot under concurrent mutation; check_pool_conservation() takes
-  // the consistent all-shard cut instead.
-  PoolLedger out;
-  out.admitted = pool.admitted_count();
-  out.leased = pool.leased_count();
-  out.removed = pool.removed_count();
-  out.pooled = pool.total_available();
-  out.paused = pool.paused_count();
-  out.donated = pool.donated_count();
-  out.respecialized = pool.respecialized_count();
-  out.checkpointed = pool.checkpointed_count();
-  out.restored = pool.restored_count();
-  return out;
-}
-
-[[nodiscard]] Result<bool> check_pool_conservation(const pool::RuntimePool& pool) {
-  Result<bool> structural = pool.check_conservation();
-  if (!structural.ok()) return structural;
-  return ledger(pool).verify();
-}
-
-[[nodiscard]] Result<bool> check_pool_conservation(const pool::ShardedRuntimePool& pool) {
-  return pool.check_conservation();
-}
-
+// on the audit and pre-abort paths only; a balanced ledger allocates
+// nothing.
 namespace {
 
-[[noreturn]] void conservation_abort(const char* what, const Error& error) {
-  std::fprintf(stderr, "HOTC pool conservation violated (%s): %s\n", what,
-               error.to_string().c_str());
-  // Give the black box (obs/blackbox.hpp) one chance to flush the flight
-  // recorder / journal / TSDB rings before the process dies.
-  crash::notify_pre_abort("pool.audit", what);
-  std::abort();
+[[nodiscard]] Result<bool> exceeds(const char* part, std::uint64_t sub,
+                                   const char* whole, std::uint64_t total,
+                                   const char* why) {
+  return make_error<bool>("pool.conservation",
+                          std::string(part) + " " + std::to_string(sub) +
+                              " exceeds " + whole + " " +
+                              std::to_string(total) + " (" + why + ")");
 }
 
 }  // namespace
 
-void enforce(const PoolLedger& ledger_snapshot, const char* what) {
-  const Result<bool> ok = ledger_snapshot.verify();
-  if (!ok.ok()) conservation_abort(what, ok.error());
+[[nodiscard]] Result<bool> verify(const pool::PoolFlows& f, Scope scope) {
+  if (f.admitted != f.leased + f.removed + f.pooled) {
+    return make_error<bool>(
+        "pool.conservation",
+        "admitted " + std::to_string(f.admitted) + " != leased " +
+            std::to_string(f.leased) + " + removed " +
+            std::to_string(f.removed) + " + pooled " +
+            std::to_string(f.pooled));
+  }
+  if (f.paused > f.pooled) {
+    return exceeds("paused", f.paused, "pooled", f.pooled,
+                   "a frozen runtime is not pooled");
+  }
+  if (f.donated > f.leased) {
+    return exceeds("donated", f.donated, "leased", f.leased,
+                   "a donated container was double-counted");
+  }
+  if (f.respecialized > f.admitted) {
+    return exceeds("respecialized", f.respecialized, "admitted", f.admitted,
+                   "a conversion was not counted as an admission");
+  }
+  if (f.checkpointed > f.removed) {
+    return exceeds("checkpointed", f.checkpointed, "removed", f.removed,
+                   "a demotion was not counted as a removal");
+  }
+  if (f.restored > f.admitted) {
+    return exceeds("restored", f.restored, "admitted", f.admitted,
+                   "a restore was not counted as an admission");
+  }
+  if (scope == Scope::kShardSum && f.respecialized > f.donated) {
+    return exceeds("respecialized", f.respecialized, "donated", f.donated,
+                   "a respecialized residency never left a donor pool");
+  }
+  return true;
 }
 
-void enforce_pool_conservation(const pool::RuntimePool& pool,
-                               const char* what) {
-  const Result<bool> ok = check_pool_conservation(pool);
-  if (!ok.ok()) conservation_abort(what, ok.error());
+void enforce(const Result<bool>& verdict, const char* what) {
+  if (verdict.ok()) return;
+  const std::string error = verdict.error().to_string();
+  std::fprintf(stderr, "HOTC pool conservation violated (%s): %s\n", what,
+               error.c_str());
+  // Give the black box (obs/blackbox.hpp) one chance to flush the flight
+  // recorder / journal / TSDB rings, with the violation as its reason,
+  // before the process dies.
+  const std::string detail = std::string(what) + ": " + error;
+  crash::notify_pre_abort("pool.audit", detail.c_str());
+  std::abort();
 }
-
-void enforce_pool_conservation(const pool::ShardedRuntimePool& pool,
-                               const char* what) {
-  const Result<bool> ok = check_pool_conservation(pool);
-  if (!ok.ok()) conservation_abort(what, ok.error());
-}
+// hot-path-alloc: allow-end
 
 }  // namespace hotc::audit

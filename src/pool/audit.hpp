@@ -2,84 +2,54 @@
 // the static half is core/ranked_mutex.hpp and the constexpr FSM proofs in
 // engine/container.hpp).
 //
-// Every container the pool has ever seen is accounted for by the flow
-// identity
+// Every container the pool has ever seen is accounted for by one ledger
+// record, pool::PoolFlows, and verify() below is the only place its
+// identities are written:
 //
-//     pooled == admitted − leased − removed        (per shard and global)
+//     pooled == admitted − leased − removed
+//     paused <= pooled           donated <= leased
+//     respecialized <= admitted  checkpointed <= removed
+//     restored <= admitted
 //
-// with paused ⊆ pooled (a paused container stays pooled; the paper's
-// "pooled + leased + paused == created − removed" counts the same
-// conservation with paused split out — here paused is verified as a
-// sub-count of pooled instead, which is strictly stronger).
+// plus, over a sharded pool's sum only, respecialized <= donated: a donor
+// leaves its own key's shard and the converted runtime re-enters on the
+// sibling key's shard, so no single shard can bound its conversions by
+// its own donations.  (The paper's "pooled + leased + paused == created −
+// removed" counts the same conservation with paused split out; here
+// paused is verified as a sub-count of pooled instead, which is strictly
+// stronger.)
 //
-// check_pool_conservation() is cheap enough for tests to call at every
-// quiescent point; -DHOTC_AUDIT=ON additionally re-verifies the owning
-// shard after every mutating pool operation, turning any accounting drift
-// into an immediate abort at the operation that caused it.
+// PoolView::check_conservation() runs verify() plus each pool's structural
+// invariants and is cheap enough for tests to call at every quiescent
+// point.  -DHOTC_AUDIT=ON builds also run it inside every RuntimePool
+// mutator — so on both the simulator's pool and every shard of RealHotC's
+// — and abort through enforce() at the operation that broke the ledger.
 #pragma once
 
 #include <cstdint>
 
 #include "core/result.hpp"
-#include "pool/pool.hpp"
-#include "pool/sharded_pool.hpp"
+
+namespace hotc::pool {
+struct PoolFlows;
+}  // namespace hotc::pool
 
 namespace hotc::audit {
 
-/// A snapshot of one pool's (or one shard's, or the global) flow counters.
-struct PoolLedger {
-  std::uint64_t admitted = 0;  // residencies that entered the pool
-  std::uint64_t leased = 0;    // handed to a caller via acquire()
-  std::uint64_t removed = 0;   // evicted / stopped / cleared
-  std::uint64_t pooled = 0;    // resident right now
-  std::uint64_t paused = 0;    // resident and cgroup-frozen
-  // Cross-key sharing sub-flows: a donation is a lease with different
-  // attribution (donated ⊆ leased) and every conversion re-enters through
-  // add_available (respecialized ⊆ admitted, and globally ⊆ donated).
-  std::uint64_t donated = 0;        // leased as cross-key donors
-  std::uint64_t respecialized = 0;  // re-admitted after conversion
-  // Tiering sub-flows: a demotion to the checkpoint store is a removal
-  // whose container parks on disk (checkpointed ⊆ removed) and a revived
-  // snapshot re-enters through add_available (restored ⊆ admitted).
-  std::uint64_t checkpointed = 0;  // removed into the snapshot tier
-  std::uint64_t restored = 0;      // re-admitted from the snapshot tier
-
-  /// The conservation identity over this ledger alone.
-  [[nodiscard]] Result<bool> verify() const;
-
-  PoolLedger& operator+=(const PoolLedger& other) {
-    admitted += other.admitted;
-    leased += other.leased;
-    removed += other.removed;
-    pooled += other.pooled;
-    paused += other.paused;
-    donated += other.donated;
-    respecialized += other.respecialized;
-    checkpointed += other.checkpointed;
-    restored += other.restored;
-    return *this;
-  }
+/// Which ledger verify() is looking at.
+enum class Scope : std::uint8_t {
+  kPool,      // one RuntimePool: a shard, or the simulator's whole pool
+  kShardSum,  // the sum over every shard of a ShardedRuntimePool
 };
 
-/// Snapshot a pool's counters into a ledger.
-[[nodiscard]] PoolLedger ledger(const pool::RuntimePool& pool);
-[[nodiscard]] PoolLedger ledger(const pool::ShardedRuntimePool& pool);
+/// The conservation identities over one ledger record.
+[[nodiscard]] Result<bool> verify(const pool::PoolFlows& flows,
+                                  Scope scope = Scope::kPool);
 
-/// Full conservation pass: ledger identity plus the pool's structural
-/// invariants (index coherence, paused sub-count, eviction-heap coverage).
-/// The sharded overload checks per shard, then the global sum.
-[[nodiscard]] Result<bool> check_pool_conservation(
-    const pool::RuntimePool& pool);
-[[nodiscard]] Result<bool> check_pool_conservation(
-    const pool::ShardedRuntimePool& pool);
-
-/// Abort with a diagnostic if the ledger (or pool) violates conservation.
-/// This is what HOTC_AUDIT builds run after every mutation; tests use it
-/// to prove a seeded violation is fatal.
-void enforce(const PoolLedger& ledger, const char* what);
-void enforce_pool_conservation(const pool::RuntimePool& pool,
-                               const char* what = "pool");
-void enforce_pool_conservation(const pool::ShardedRuntimePool& pool,
-                               const char* what = "sharded-pool");
+/// Abort with a diagnostic unless `verdict` is ok, giving the crash hook
+/// (core/crash_hook.hpp) one chance to dump the black box first.  This is
+/// what HOTC_AUDIT builds run after every pool mutation; tests and the
+/// crash drill use it to prove a seeded violation is fatal.
+void enforce(const Result<bool>& verdict, const char* what);
 
 }  // namespace hotc::audit

@@ -3,8 +3,24 @@
 #include <algorithm>
 
 #include "core/assert.hpp"
+#include "pool/audit.hpp"
 
 namespace hotc::pool {
+
+namespace {
+
+/// HOTC_AUDIT builds: re-verify the whole pool after a mutation and abort
+/// at the operation that broke it.  No-op (and inlined away) otherwise.
+// hotc-analyze: cold-path (audit builds only; allocates on failure)
+void audit_mutation(const RuntimePool& pool) {
+#ifdef HOTC_AUDIT
+  audit::enforce(pool.check_conservation(), "pool");
+#else
+  (void)pool;
+#endif
+}
+
+}  // namespace
 
 RuntimePool::RuntimePool(PoolLimits limits) : limits_(limits) {
   HOTC_ASSERT(limits_.max_live > 0);
@@ -72,13 +88,13 @@ std::optional<PoolEntry> RuntimePool::acquire(const spec::RuntimeKey& key,
                                               TimePoint now) {
   (void)now;
   auto entry = take_front(key);
-  if (!entry.has_value()) {
+  if (entry.has_value()) {
+    bump(leased_);  // a hit: stats() derives hits from the lease flows
+    ++entry->reuse_count;
+  } else {
     bump(stats_misses_);
-    return std::nullopt;
   }
-  bump(stats_hits_);
-  bump(leased_);
-  ++entry->reuse_count;
+  audit_mutation(*this);
   return entry;
 }
 
@@ -86,11 +102,13 @@ std::optional<PoolEntry> RuntimePool::acquire_for_donation(
     const spec::RuntimeKey& key, TimePoint now) {
   (void)now;
   auto entry = take_front(key);
-  if (!entry.has_value()) return std::nullopt;
-  // A donation is a lease (the conservation identity still closes) with
-  // its own attribution; hits/misses and reuse_count stay untouched.
-  bump(leased_);
-  bump(donated_);
+  if (entry.has_value()) {
+    // A donation is a lease (the conservation identity still closes) with
+    // its own attribution; hits/misses and reuse_count stay untouched.
+    bump(leased_);
+    bump(donated_);
+  }
+  audit_mutation(*this);
   return entry;
 }
 
@@ -157,13 +175,13 @@ void RuntimePool::add_available(const PoolEntry& entry, TimePoint now) {
   if (coldest_cache_.valid && rec.entry.returned_at < coldest_cache_.at) {
     coldest_cache_ = VictimCache{true, rec.entry.returned_at, gen, entry.id};
   }
-  bump(stats_returns_);
   bump(admitted_);
   maybe_compact();
+  audit_mutation(*this);
 }
 
-bool RuntimePool::remove(const spec::RuntimeKey& key,
-                         engine::ContainerId id) {
+bool RuntimePool::erase(const spec::RuntimeKey& key,
+                        engine::ContainerId id) {
   const std::uint32_t slot = index_.find(id);
   if (slot == IdSlotMap::kNotFound || !(slab_[slot].entry.key == key)) {
     return false;
@@ -178,11 +196,19 @@ bool RuntimePool::remove(const spec::RuntimeKey& key,
   return true;
 }
 
+bool RuntimePool::remove(const spec::RuntimeKey& key,
+                         engine::ContainerId id) {
+  const bool out = erase(key, id);
+  audit_mutation(*this);
+  return out;
+}
+
 bool RuntimePool::remove_for_checkpoint(const spec::RuntimeKey& key,
                                         engine::ContainerId id) {
-  if (!remove(key, id)) return false;
-  bump(checkpointed_);  // sub-flow of the removal remove() just counted
-  return true;
+  const bool out = erase(key, id);
+  if (out) bump(checkpointed_);  // sub-flow of the removal just counted
+  audit_mutation(*this);
+  return out;
 }
 
 bool RuntimePool::mark_paused(const spec::RuntimeKey& key,
@@ -194,6 +220,7 @@ bool RuntimePool::mark_paused(const spec::RuntimeKey& key,
   if (slab_[slot].entry.paused) return false;
   slab_[slot].entry.paused = true;
   bump(paused_);
+  audit_mutation(*this);
   return true;
 }
 
@@ -315,60 +342,30 @@ void RuntimePool::clear() {
   oldest_cache_ = VictimCache{};
   coldest_cache_ = VictimCache{};
   drop(paused_, paused_.load(std::memory_order_relaxed));
+  audit_mutation(*this);
+}
+
+PoolFlows RuntimePool::flows() const {
+  PoolFlows out;
+  out.admitted = admitted_.load(std::memory_order_acquire);
+  out.leased = leased_.load(std::memory_order_acquire);
+  out.removed = removed_.load(std::memory_order_acquire);
+  out.donated = donated_.load(std::memory_order_acquire);
+  out.respecialized = respecialized_.load(std::memory_order_acquire);
+  out.checkpointed = checkpointed_.load(std::memory_order_acquire);
+  out.restored = restored_.load(std::memory_order_acquire);
+  out.pooled = total_available();
+  out.paused = paused_count();
+  return out;
 }
 
 // hotc-analyze: cold-path (diagnostic invariant sweep; audit builds + tests)
 Result<bool> RuntimePool::check_conservation() const {
   // hot-path-alloc: allow-begin — audit/diagnostic path, runs off the hot
   // path (HOTC_AUDIT builds and tests); the error strings are the point.
-  // Donations are a sub-flow of leases; a donated residency counted
-  // outside leased_ would double-count the container.
-  const std::uint64_t donated = donated_count();
-  const std::uint64_t leased = leased_count();
-  const std::uint64_t respecialized = respecialized_count();
-  const std::uint64_t admitted = admitted_count();
+  Result<bool> ledger = audit::verify(flows());
+  if (!ledger.ok()) return ledger;
   const std::size_t live = total_available();
-  if (donated > leased) {
-    return make_error<bool>(
-        "pool.conservation",
-        "donated " + std::to_string(donated) + " exceeds leased " +
-            std::to_string(leased) +
-            " (a donated container was double-counted)");
-  }
-  // Every respecialized residency entered through add_available.  (The
-  // matching donation may have been leased from a different shard, so
-  // respecialized <= donated holds only globally — see audit.hpp.)
-  if (respecialized > admitted) {
-    return make_error<bool>(
-        "pool.conservation",
-        "respecialized " + std::to_string(respecialized) +
-            " exceeds admitted " + std::to_string(admitted));
-  }
-  // Tiering sub-flows: a demotion is a removal (the container parks on
-  // disk instead of dying) and a restore is an admission.
-  if (checkpointed_count() > removed_count()) {
-    return make_error<bool>(
-        "pool.conservation",
-        "checkpointed " + std::to_string(checkpointed_count()) +
-            " exceeds removed " + std::to_string(removed_count()) +
-            " (a demotion was not counted as a removal)");
-  }
-  if (restored_count() > admitted) {
-    return make_error<bool>(
-        "pool.conservation",
-        "restored " + std::to_string(restored_count()) +
-            " exceeds admitted " + std::to_string(admitted) +
-            " (a restore was not counted as an admission)");
-  }
-  // Counter identity: pooled == admitted − leased − removed.
-  if (admitted != leased + removed_count() + live) {
-    return make_error<bool>(
-        "pool.conservation",
-        "admitted " + std::to_string(admitted) + " != leased " +
-            std::to_string(leased) + " + removed " +
-            std::to_string(removed_count()) + " + pooled " +
-            std::to_string(live));
-  }
   // Structural: the per-key FIFO lists, the slab live flags and the
   // container-id index are three views of the same set, and paused_
   // counts exactly the paused entries.

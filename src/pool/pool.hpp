@@ -34,6 +34,11 @@
 // is release-ordered so the sharding wrapper's seqlock can expose them to
 // lock-free readers.  On x86 a release store is a plain mov: the
 // single-threaded cost is identical to plain fields.
+//
+// Under -DHOTC_AUDIT every mutator re-runs check_conservation() before it
+// returns and aborts through audit::enforce() at the operation that broke
+// the ledger — whether the pool is HotCController's or one shard of a
+// ShardedRuntimePool.
 #pragma once
 
 #include <algorithm>
@@ -96,21 +101,40 @@ struct PoolLimits {
   double memory_threshold = 0.8;    // paper: "memory usage threshold as 80%"
 };
 
-/// One cut of the conservation ledger (see check_conservation): the flow
-/// counters plus the current occupancy they must balance against.  The
-/// sharded pool reads this per shard under its seqlock, so every returned
-/// cut satisfies admitted == leased + removed + pooled and donated <=
-/// leased even while writers run.
+/// The pool's conservation ledger: the lifetime flow counters plus the
+/// current occupancy they must balance against.  It is the only ledger
+/// record; audit::verify() (pool/audit.hpp) holds its identities.  Every
+/// residency enters via add_available (admitted) and leaves via acquire
+/// (leased) or remove/clear (removed).  Sharing adds two sub-flows:
+/// donated ⊆ leased (a donation is a lease with different attribution)
+/// and respecialized ⊆ admitted (a converted donor re-enters with the
+/// flag set).  Tiering adds two more: checkpointed ⊆ removed (a demotion
+/// is a removal whose container parks in the snapshot store) and
+/// restored ⊆ admitted (a revived snapshot re-enters with `restored`).
 struct PoolFlows {
   std::uint64_t admitted = 0;
   std::uint64_t leased = 0;
   std::uint64_t removed = 0;
   std::uint64_t donated = 0;
   std::uint64_t respecialized = 0;
-  std::uint64_t checkpointed = 0;  // removals that demoted to the snapshot tier
-  std::uint64_t restored = 0;      // admissions revived from the snapshot tier
+  std::uint64_t checkpointed = 0;
+  std::uint64_t restored = 0;
   std::uint64_t pooled = 0;
   std::uint64_t paused = 0;
+
+  PoolFlows& operator+=(const PoolFlows& other) {
+    admitted += other.admitted;
+    leased += other.leased;
+    removed += other.removed;
+    donated += other.donated;
+    respecialized += other.respecialized;
+    checkpointed += other.checkpointed;
+    restored += other.restored;
+    pooled += other.pooled;
+    paused += other.paused;
+    return *this;
+  }
+  bool operator==(const PoolFlows&) const = default;
 };
 
 class RuntimePool : public PoolView {
@@ -186,64 +210,24 @@ class RuntimePool : public PoolView {
   }
   [[nodiscard]] const PoolLimits& limits() const override { return limits_; }
 
+  /// Hits and returns are ledger flows, not counters of their own: every
+  /// lease that is not a donation is a hit, and every admission a return.
   [[nodiscard]] PoolStats stats() const {
     PoolStats out;
-    out.hits = stats_hits_.load(std::memory_order_acquire);
+    out.hits = leased_.load(std::memory_order_acquire) -
+               donated_.load(std::memory_order_acquire);
     out.misses = stats_misses_.load(std::memory_order_acquire);
     out.evictions = stats_evictions_.load(std::memory_order_acquire);
-    out.returns = stats_returns_.load(std::memory_order_acquire);
+    out.returns = admitted_.load(std::memory_order_acquire);
     return out;
   }
 
   // --- conservation accounting (see src/pool/audit.hpp) -----------------
-  // Lifetime flow counters: every container residency enters via
-  // add_available (admitted), and leaves via acquire (leased to a caller)
-  // or remove/clear (removed).  The conservation identity
-  //     pooled == admitted − leased − removed
-  // holds at every quiescent point; check_conservation() verifies it plus
-  // the structural invariants binding the slab, the per-key lists and
-  // paused_.  Cross-key sharing adds two sub-flows: donated ⊆ leased (a
-  // donation is a lease with different attribution) and respecialized ⊆
-  // admitted (a converted donor re-enters through add_available with the
-  // flag set).  Tiering adds two more: checkpointed ⊆ removed (a demotion
-  // is a removal whose container parks in the snapshot store instead of
-  // dying) and restored ⊆ admitted (a revived snapshot re-enters through
-  // add_available with `restored` set).
-  [[nodiscard]] std::uint64_t admitted_count() const {
-    return admitted_.load(std::memory_order_acquire);
-  }
-  [[nodiscard]] std::uint64_t leased_count() const {
-    return leased_.load(std::memory_order_acquire);
-  }
-  [[nodiscard]] std::uint64_t removed_count() const {
-    return removed_.load(std::memory_order_acquire);
-  }
-  [[nodiscard]] std::uint64_t donated_count() const {
-    return donated_.load(std::memory_order_acquire);
-  }
-  [[nodiscard]] std::uint64_t respecialized_count() const {
-    return respecialized_.load(std::memory_order_acquire);
-  }
-  [[nodiscard]] std::uint64_t checkpointed_count() const {
-    return checkpointed_.load(std::memory_order_acquire);
-  }
-  [[nodiscard]] std::uint64_t restored_count() const {
-    return restored_.load(std::memory_order_acquire);
-  }
-  [[nodiscard]] PoolFlows flows() const {
-    PoolFlows out;
-    out.admitted = admitted_count();
-    out.leased = leased_count();
-    out.removed = removed_count();
-    out.donated = donated_count();
-    out.respecialized = respecialized_count();
-    out.checkpointed = checkpointed_count();
-    out.restored = restored_count();
-    out.pooled = total_available();
-    out.paused = paused_count();
-    return out;
-  }
-  [[nodiscard]] Result<bool> check_conservation() const;
+  [[nodiscard]] PoolFlows flows() const override;
+  /// audit::verify() over flows(), then the structural invariants binding
+  /// the slab, the per-key lists, the id index, paused_ and the eviction
+  /// heaps.  HOTC_AUDIT builds run it after every mutation.
+  [[nodiscard]] Result<bool> check_conservation() const override;
 
   void clear();
 
@@ -342,6 +326,9 @@ class RuntimePool : public PoolView {
   /// Detach the head of `key`'s FIFO list and retire its slot, returning
   /// the entry (common tail of acquire/acquire_for_donation).
   std::optional<PoolEntry> take_front(const spec::RuntimeKey& key);
+  /// Take one residency out by id and count it removed (common body of
+  /// remove/remove_for_checkpoint).
+  bool erase(const spec::RuntimeKey& key, engine::ContainerId id);
 
   /// Drop stale heap tops, then return the live minimum (nullopt if none).
   /// Served from `cache` in O(1) when its residency is still pooled.
@@ -388,10 +375,8 @@ class RuntimePool : public PoolView {
   std::atomic<std::uint64_t> respecialized_{0};
   std::atomic<std::uint64_t> checkpointed_{0};  // ⊆ removed_
   std::atomic<std::uint64_t> restored_{0};      // ⊆ admitted_
-  std::atomic<std::uint64_t> stats_hits_{0};
   std::atomic<std::uint64_t> stats_misses_{0};
   std::atomic<std::uint64_t> stats_evictions_{0};
-  std::atomic<std::uint64_t> stats_returns_{0};
 };
 
 }  // namespace hotc::pool

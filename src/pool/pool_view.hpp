@@ -1,25 +1,29 @@
 // Read-only pool interface: the seam between pool implementations and
 // their observers (controller introspection, telemetry export, the cluster
-// warm directory, benches).
+// warm directory, benches, the conservation audit).
 //
-// Both the single-threaded RuntimePool and the lock-striped
-// ShardedRuntimePool implement this, so the simulated path and the
-// real-execution path share one bookkeeping implementation and one
-// reporting surface.
+// Both the single-threaded RuntimePool (HotCController's pool) and the
+// lock-striped ShardedRuntimePool (RealHotC's warm set) implement this,
+// so the simulated path and the real-execution path share one bookkeeping
+// implementation and one reporting surface.  The conservation ledger is
+// read the same way on both: flows() returns the one ledger record
+// (PoolFlows) and check_conservation() verifies it through the one
+// audit::verify() plus each pool's structural invariants.
 //
 // Snapshot semantics: every method returns a *snapshot*.  On RuntimePool
 // the snapshot is exact (single-threaded).  On ShardedRuntimePool,
 // per-key queries lock the one shard that owns the key and are exact for
 // that key; aggregates (total_available, paused_count, stats_snapshot,
-// keys) sum per-shard counters one shard at a time, so under concurrent
-// mutation they are weakly consistent — each shard's contribution is
-// internally consistent, but shards are sampled at slightly different
-// instants.  Quiescent reads are exact.
+// flows, keys) sum per-shard counters one shard at a time, so under
+// concurrent mutation they are weakly consistent — each shard's
+// contribution is internally consistent, but shards are sampled at
+// slightly different instants.  Quiescent reads are exact.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "core/result.hpp"
 #include "spec/runtime_key.hpp"
 
 namespace hotc::pool {
@@ -27,6 +31,7 @@ namespace hotc::pool {
 struct PoolEntry;
 struct PoolStats;
 struct PoolLimits;
+struct PoolFlows;
 
 class PoolView {
  public:
@@ -44,6 +49,16 @@ class PoolView {
 
   /// Hit/miss/eviction counters (snapshot, by value).
   [[nodiscard]] virtual PoolStats stats_snapshot() const = 0;
+
+  /// The conservation ledger (snapshot, by value).  On a sharded pool each
+  /// shard's contribution is a seqlock-consistent cut, so the per-pool
+  /// identities hold on every read, even while writers run.
+  [[nodiscard]] virtual PoolFlows flows() const = 0;
+
+  /// Full conservation pass: audit::verify() over the ledger plus the
+  /// structural invariants binding the pool's indexes.  A sharded pool
+  /// checks every shard, then the identities that close only over the sum.
+  [[nodiscard]] virtual Result<bool> check_conservation() const = 0;
 
   /// All keys that currently have at least one available container.
   [[nodiscard]] virtual std::vector<spec::RuntimeKey> keys() const = 0;

@@ -1,13 +1,12 @@
 #include "pool/sharded_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <iterator>
 #include <string>
 #include <thread>
 
 #include "core/assert.hpp"
-#include "core/log.hpp"
+#include "pool/audit.hpp"
 
 namespace hotc::pool {
 
@@ -34,19 +33,6 @@ ShardedRuntimePool::ShardedRuntimePool(PoolLimits limits,
         // hot-path-alloc: allow (construction, once per pool)
         std::make_unique<Shard>(limits, static_cast<std::uint32_t>(i)));
   }
-}
-
-void ShardedRuntimePool::audit_shard(const Shard& shard) {
-#ifdef HOTC_AUDIT
-  const Result<bool> ok = shard.pool.check_conservation();
-  if (!ok.ok()) {
-    HOTC_ERROR("pool.audit")  // hot-path-alloc: allow(abort path)
-        << "HOTC pool conservation violated: " << ok.error().to_string();
-    std::abort();
-  }
-#else
-  (void)shard;
-#endif
 }
 
 // hot-path-alloc: allow-begin (metric registration, once per pool)
@@ -105,7 +91,6 @@ std::optional<PoolEntry> ShardedRuntimePool::acquire(
       (out.has_value() ? shard.metrics.hits : shard.metrics.misses)
           .load(std::memory_order_acquire);
   if (counter != nullptr) counter->inc();
-  audit_shard(shard);
   return out;
 }
 
@@ -117,24 +102,16 @@ std::optional<PoolEntry> ShardedRuntimePool::acquire_for_donation(
   // (No miss is recorded: donation probes never touch hit/miss stats.)
   if (shard.pool.num_available(key) == 0) return std::nullopt;
   const RankedGuard lock(shard.mu);
-  std::optional<PoolEntry> out;
-  {
-    const SeqLock::WriteGuard guard(shard.seq);
-    out = shard.pool.acquire_for_donation(key, now);
-  }
-  audit_shard(shard);
-  return out;
+  const SeqLock::WriteGuard guard(shard.seq);
+  return shard.pool.acquire_for_donation(key, now);
 }
 
 void ShardedRuntimePool::add_available(const PoolEntry& entry,
                                        TimePoint now) {
   Shard& shard = shard_for(entry.key);
   const RankedGuard lock(shard.mu);
-  {
-    const SeqLock::WriteGuard guard(shard.seq);
-    shard.pool.add_available(entry, now);
-  }
-  audit_shard(shard);
+  const SeqLock::WriteGuard guard(shard.seq);
+  shard.pool.add_available(entry, now);
 }
 
 bool ShardedRuntimePool::remove(const spec::RuntimeKey& key,
@@ -151,7 +128,6 @@ bool ShardedRuntimePool::remove(const spec::RuntimeKey& key,
         shard.metrics.evictions.load(std::memory_order_acquire);
     if (evictions != nullptr) evictions->inc();
   }
-  audit_shard(shard);
   return out;
 }
 
@@ -159,26 +135,16 @@ bool ShardedRuntimePool::remove_for_checkpoint(const spec::RuntimeKey& key,
                                                engine::ContainerId id) {
   Shard& shard = shard_for(key);
   const RankedGuard lock(shard.mu);
-  bool out = false;
-  {
-    const SeqLock::WriteGuard guard(shard.seq);
-    out = shard.pool.remove_for_checkpoint(key, id);
-  }
-  audit_shard(shard);
-  return out;
+  const SeqLock::WriteGuard guard(shard.seq);
+  return shard.pool.remove_for_checkpoint(key, id);
 }
 
 bool ShardedRuntimePool::mark_paused(const spec::RuntimeKey& key,
                                      engine::ContainerId id) {
   Shard& shard = shard_for(key);
   const RankedGuard lock(shard.mu);
-  bool out = false;
-  {
-    const SeqLock::WriteGuard guard(shard.seq);
-    out = shard.pool.mark_paused(key, id);
-  }
-  audit_shard(shard);
-  return out;
+  const SeqLock::WriteGuard guard(shard.seq);
+  return shard.pool.mark_paused(key, id);
 }
 
 std::vector<RankedLock> ShardedRuntimePool::lock_all() const {
@@ -283,20 +249,10 @@ PoolStats ShardedRuntimePool::stats_snapshot() const {
   return out;
 }
 
-PoolFlows ShardedRuntimePool::flows_snapshot() const {
+PoolFlows ShardedRuntimePool::flows() const {
   PoolFlows out;
   for (const auto& shard : shards_) {
-    const PoolFlows f =
-        shard->seq.read([&shard] { return shard->pool.flows(); });
-    out.admitted += f.admitted;
-    out.leased += f.leased;
-    out.removed += f.removed;
-    out.donated += f.donated;
-    out.respecialized += f.respecialized;
-    out.checkpointed += f.checkpointed;
-    out.restored += f.restored;
-    out.pooled += f.pooled;
-    out.paused += f.paused;
+    out += shard->seq.read([&shard] { return shard->pool.flows(); });
   }
   return out;
 }
@@ -326,11 +282,8 @@ bool ShardedRuntimePool::at_capacity() const {
 void ShardedRuntimePool::clear() {
   const auto locks = lock_all();
   for (const auto& shard : shards_) {
-    {
-      const SeqLock::WriteGuard guard(shard->seq);
-      shard->pool.clear();
-    }
-    audit_shard(*shard);
+    const SeqLock::WriteGuard guard(shard->seq);
+    shard->pool.clear();
   }
 }
 
@@ -338,119 +291,27 @@ void ShardedRuntimePool::clear() {
 // hotc-analyze: cold-path (diagnostic invariant sweep; audit builds + tests)
 Result<bool> ShardedRuntimePool::check_conservation() const {
   const auto locks = lock_all();
-  std::uint64_t admitted = 0;
-  std::uint64_t leased = 0;
-  std::uint64_t removed = 0;
-  std::uint64_t donated = 0;
-  std::uint64_t respecialized = 0;
-  std::uint64_t checkpointed = 0;
-  std::uint64_t restored = 0;
-  std::size_t pooled = 0;
+  PoolFlows sum;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const RuntimePool& p = shards_[i]->pool;
-    Result<bool> ok = p.check_conservation();
+    const Result<bool> ok = p.check_conservation();
     if (!ok.ok()) {
       return make_error<bool>(
           "pool.conservation",
           "shard " + std::to_string(i) + ": " + ok.error().message);
     }
-    admitted += p.admitted_count();
-    leased += p.leased_count();
-    removed += p.removed_count();
-    donated += p.donated_count();
-    respecialized += p.respecialized_count();
-    checkpointed += p.checkpointed_count();
-    restored += p.restored_count();
-    pooled += p.total_available();
+    sum += p.flows();
   }
-  // Per-shard identities imply the global one; re-derive it anyway so a
-  // future cross-shard migration path cannot silently break the sum.
-  if (admitted != leased + removed + pooled) {
-    return make_error<bool>(
-        "pool.conservation",
-        "global: admitted " + std::to_string(admitted) + " != leased " +
-            std::to_string(leased) + " + removed " + std::to_string(removed) +
-            " + pooled " + std::to_string(pooled));
-  }
-  // Cross-shard sub-flow identities.  A donor leaves one shard (donated)
-  // and, if conversion succeeds, re-enters under its new key — usually on
-  // a different shard (respecialized) — so these only close over the sum.
-  if (donated > leased) {
-    return make_error<bool>(
-        "pool.conservation",
-        "global: donated " + std::to_string(donated) + " exceeds leased " +
-            std::to_string(leased) +
-            " (a donated container was double-counted)");
-  }
-  if (respecialized > donated) {
-    return make_error<bool>(
-        "pool.conservation",
-        "global: respecialized " + std::to_string(respecialized) +
-            " exceeds donated " + std::to_string(donated) +
-            " (a respecialized residency never left a donor pool)");
-  }
-  // Tiering sub-flows close globally like sharing does: a demotion leaves
-  // one shard (checkpointed) and the revived snapshot re-enters under the
-  // same key — the same shard today, but the global bound is the contract.
-  if (checkpointed > removed) {
-    return make_error<bool>(
-        "pool.conservation",
-        "global: checkpointed " + std::to_string(checkpointed) +
-            " exceeds removed " + std::to_string(removed) +
-            " (a demotion was not counted as a removal)");
-  }
-  if (restored > admitted) {
-    return make_error<bool>(
-        "pool.conservation",
-        "global: restored " + std::to_string(restored) +
-            " exceeds admitted " + std::to_string(admitted) +
-            " (a restore was not counted as an admission)");
+  // Per-shard identities imply the global ones except respecialized <=
+  // donated; verify the sum anyway so a future cross-shard migration path
+  // cannot silently break it.
+  Result<bool> ok = audit::verify(sum, audit::Scope::kShardSum);
+  if (!ok.ok()) {
+    return make_error<bool>("pool.conservation",
+                            "global: " + ok.error().message);
   }
   return true;
 }
 // hot-path-alloc: allow-end
-
-std::uint64_t ShardedRuntimePool::admitted_count() const {
-  // Lock-free: monotonic release-published counters, summed per shard.
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->pool.admitted_count();
-  return total;
-}
-
-std::uint64_t ShardedRuntimePool::leased_count() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->pool.leased_count();
-  return total;
-}
-
-std::uint64_t ShardedRuntimePool::removed_count() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->pool.removed_count();
-  return total;
-}
-
-std::uint64_t ShardedRuntimePool::donated_count() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->pool.donated_count();
-  return total;
-}
-
-std::uint64_t ShardedRuntimePool::respecialized_count() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->pool.respecialized_count();
-  return total;
-}
-
-std::uint64_t ShardedRuntimePool::checkpointed_count() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->pool.checkpointed_count();
-  return total;
-}
-
-std::uint64_t ShardedRuntimePool::restored_count() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->pool.restored_count();
-  return total;
-}
 
 }  // namespace hotc::pool

@@ -14,12 +14,12 @@
 // Read side is lock-free.  RuntimePool's counters are single-writer
 // release-store atomics and each shard carries a SeqLock that its writers
 // bump around every mutation, so:
-//   - single-counter reads (num_available, total_available, paused_count,
-//     the flow counters) are plain atomic loads summed shard by shard;
-//   - multi-field reads (stats_snapshot, flows_snapshot) retry under the
-//     shard's seqlock, so each shard's contribution is a consistent cut —
-//     flows_snapshot() satisfies the conservation identity even while
-//     writers run;
+//   - single-counter reads (num_available, total_available, paused_count)
+//     are plain atomic loads summed shard by shard;
+//   - multi-field reads (stats_snapshot, flows) retry under the shard's
+//     seqlock, so each shard's contribution is a consistent cut — flows()
+//     satisfies the per-pool conservation identities even while writers
+//     run;
 //   - acquire() and acquire_for_donation() probe the per-key avail count
 //     lock-free first and only take the shard mutex when a container
 //     might be present — an empty-pool miss (and every donor-registry
@@ -70,8 +70,8 @@ class ShardedRuntimePool : public PoolView {
   /// different key.  Records a donation instead of a hit/miss (see
   /// RuntimePool::acquire_for_donation); the converted container re-enters
   /// through add_available under its *new* key — usually a different
-  /// shard, which is why respecialized <= donated is a global invariant
-  /// only (check_conservation() verifies the sum).
+  /// shard, which is why respecialized <= donated is checked over the sum
+  /// of the shards only (audit::Scope::kShardSum).
   std::optional<PoolEntry> acquire_for_donation(const spec::RuntimeKey& key,
                                                 TimePoint now);
   void add_available(const PoolEntry& entry, TimePoint now);
@@ -94,6 +94,17 @@ class ShardedRuntimePool : public PoolView {
   [[nodiscard]] std::size_t total_available() const override;
   [[nodiscard]] std::size_t paused_count() const override;
   [[nodiscard]] PoolStats stats_snapshot() const override;
+  /// Lock-free: each shard's ledger is read under its seqlock and the cuts
+  /// are summed.  Per-shard cuts compose (every shard balances on its
+  /// own), so the per-pool identities hold on every read;
+  /// respecialized <= donated only at quiescence (the donor's debit and
+  /// the recipient's credit land on different shards).
+  [[nodiscard]] PoolFlows flows() const override;
+  /// Every shard's own check, then audit::verify() over the summed ledger
+  /// in kShardSum scope.  Locks all shards (index order) for a consistent
+  /// cut.
+  [[nodiscard]] Result<bool> check_conservation() const override
+      HOTC_NO_THREAD_SAFETY_ANALYSIS;  // holds the lock_all() batch
   [[nodiscard]] std::vector<spec::RuntimeKey> keys() const override;
   [[nodiscard]] std::vector<PoolEntry> entries(
       const spec::RuntimeKey& key) const override;
@@ -101,30 +112,6 @@ class ShardedRuntimePool : public PoolView {
   [[nodiscard]] const PoolLimits& limits() const override { return limits_; }
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-
-  // --- conservation accounting (see src/pool/audit.hpp) -----------------
-  /// Per-shard structural + counter invariants, then the global identity
-  /// over the summed flows.  Locks all shards (index order) for a
-  /// consistent cut.  In -DHOTC_AUDIT=ON builds every mutating operation
-  /// re-verifies its shard before returning.
-  [[nodiscard]] Result<bool> check_conservation() const
-      HOTC_NO_THREAD_SAFETY_ANALYSIS;  // holds the lock_all() batch
-  [[nodiscard]] std::uint64_t admitted_count() const;
-  [[nodiscard]] std::uint64_t leased_count() const;
-  [[nodiscard]] std::uint64_t removed_count() const;
-  [[nodiscard]] std::uint64_t donated_count() const;
-  [[nodiscard]] std::uint64_t respecialized_count() const;
-  [[nodiscard]] std::uint64_t checkpointed_count() const;
-  [[nodiscard]] std::uint64_t restored_count() const;
-
-  /// Lock-free consistent cut of the flow ledger: each shard's
-  /// contribution is read atomically under its seqlock, and per-shard
-  /// cuts compose (every shard satisfies the identity independently), so
-  /// the returned flows always balance: admitted == leased + removed +
-  /// pooled and donated <= leased — even while writers are mid-burst.
-  /// respecialized <= donated only holds at quiescence (the donor's debit
-  /// and the recipient's credit land on different shards).
-  [[nodiscard]] PoolFlows flows_snapshot() const;
 
   /// Which shard a key stripes to (exposed for tests and benches).
   [[nodiscard]] std::size_t shard_index(const spec::RuntimeKey& key) const {
@@ -187,10 +174,6 @@ class ShardedRuntimePool : public PoolView {
   [[nodiscard]] Shard& shard_for(const spec::RuntimeKey& key) const {
     return *shards_[shard_index(key)];
   }
-
-  /// HOTC_AUDIT builds: abort if the shard's invariants no longer hold.
-  /// Caller must hold the shard lock.  No-op (and inlined away) otherwise.
-  static void audit_shard(const Shard& shard) HOTC_REQUIRES(shard.mu);
 
   /// Lock every shard in index order (deadlock-free total order).  The
   /// returned unique_lock batch is invisible to clang's analysis; callers

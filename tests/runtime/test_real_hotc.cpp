@@ -6,9 +6,11 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/rng.hpp"
 #include "engine/cost_model.hpp"
 #include "engine/image.hpp"
-#include "pool/sharded_pool.hpp"
+#include "hotc/controller.hpp"
+#include "pool/pool.hpp"
 #include "snapshot/tiering.hpp"
 #include "workload/mix.hpp"
 
@@ -176,11 +178,9 @@ TEST(RealHotC, ThrowingHandlerFailsItsFutureOnly) {
   EXPECT_EQ(hotc.cold_starts(), 2u);
   EXPECT_EQ(hotc.submit(python_spec(), app, ok, "").get().payload, "ok");
 
-  const auto& warm =
-      dynamic_cast<const pool::ShardedRuntimePool&>(hotc.warm_pool());
-  EXPECT_TRUE(warm.check_conservation().ok());
-  const pool::PoolFlows flows = warm.flows_snapshot();
-  EXPECT_EQ(flows.leased, 2u);  // the failed lease never came back
+  EXPECT_TRUE(hotc.warm_pool().check_conservation().ok());
+  // The failed lease never came back.
+  EXPECT_EQ(hotc.warm_pool().flows().leased, 2u);
 }
 
 // The per-key plan holds exactly what a fresh per-request computation
@@ -268,6 +268,48 @@ TEST(RealHotC, SpecsDifferingOnlyInCommandShareAPlan) {
   EXPECT_TRUE(out.reused);
   EXPECT_EQ(hotc.plan(key), plan);
   EXPECT_EQ(plan->spec.command, a.command);  // the first spec, kept stable
+}
+
+// Both drivers keep the same pool ledger on a sequential exact-match
+// trace: RealHotC at one worker, and HotCController with its adaptive
+// loop off, each request finished before the next arrives.  Both ledgers
+// are read through the one PoolView seam.
+TEST(RealHotC, SequentialExactMatchLedgerMatchesController) {
+  const workload::ConfigMix mix = workload::ConfigMix::qr_web_service(8);
+  Rng rng(17);
+  std::vector<std::size_t> trace(96);
+  for (std::size_t& i : trace) i = mix.sample(rng);
+  const auto handler = [](const std::string&) { return std::string(); };
+
+  RealOptions opt;
+  opt.worker_threads = 1;
+  opt.cold_start_scale = 0.0;
+  opt.max_warm = mix.size();  // never trims: one runtime per key at most
+  RealHotC real(opt);
+  for (const std::size_t i : trace) {
+    real.submit(mix.at(i).spec, mix.at(i).app, handler, "").get();
+  }
+
+  sim::Simulator sim;
+  engine::ContainerEngine engine(sim, engine::HostProfile::server());
+  HotCController ctl(engine, ControllerOptions{});
+  for (const std::size_t i : trace) {
+    ctl.handle(mix.at(i).spec, mix.at(i).app, [](Result<RequestOutcome>) {});
+    sim.run();
+  }
+
+  EXPECT_GT(real.reuses(), 0u);
+  EXPECT_EQ(real.cold_starts(), ctl.stats().cold_starts);
+  EXPECT_EQ(real.reuses(), ctl.stats().reuses);
+  const pool::PoolView& real_pool = real.warm_pool();
+  const pool::PoolView& sim_pool = ctl.pool_view();
+  EXPECT_TRUE(real_pool.check_conservation().ok());
+  EXPECT_TRUE(sim_pool.check_conservation().ok());
+  const pool::PoolFlows real_flows = real_pool.flows();
+  const pool::PoolFlows sim_flows = sim_pool.flows();
+  EXPECT_EQ(real_flows.admitted, trace.size());
+  EXPECT_EQ(real_flows.leased, real.reuses());
+  EXPECT_EQ(real_flows, sim_flows);
 }
 
 }  // namespace

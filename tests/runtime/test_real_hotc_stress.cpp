@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "pool/sharded_pool.hpp"
 #include "runtime/real_hotc.hpp"
 #include "workload/mix.hpp"
 
@@ -29,9 +28,7 @@ void expect_balanced(const RealHotC& hotc, std::uint64_t completed) {
   EXPECT_EQ(hotc.reuses() + hotc.donor_hits() + hotc.restores() +
                 hotc.cold_starts(),
             completed);
-  const auto& warm =
-      dynamic_cast<const pool::ShardedRuntimePool&>(hotc.warm_pool());
-  EXPECT_TRUE(warm.check_conservation().ok());
+  EXPECT_TRUE(hotc.warm_pool().check_conservation().ok());
   const auto& store = hotc.snapshot_store();
   EXPECT_EQ(store.demotes(),
             store.restores() + store.evictions() + store.entries());

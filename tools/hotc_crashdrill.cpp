@@ -29,6 +29,7 @@
 #include "obs/trace.hpp"
 #include "obs/tsdb.hpp"
 #include "pool/audit.hpp"
+#include "pool/pool.hpp"
 
 using namespace hotc;
 
@@ -107,9 +108,10 @@ int main(int argc, char** argv) {
   // One admitted residency that is neither pooled, leased, nor removed:
   // the conservation identity cannot hold, the auditor aborts, and the
   // pre-abort hook dumps the black box on the way down.
-  audit::PoolLedger bad;
+  pool::PoolFlows bad;
   bad.admitted = 1;
-  audit::enforce(bad, "crash-drill: seeded conservation violation");
+  audit::enforce(audit::verify(bad),
+                 "crash-drill: seeded conservation violation");
 
   // Unreachable: enforce() above must abort.
   std::cerr << "hotc_crashdrill: auditor did not abort\n";
