@@ -113,19 +113,22 @@ DiagRun run_diagnosis(const workload::ArrivalList& arrivals,
   out.slo_series = slo.status().size();
 
   if (step_index > 0) {
-    // forecast[i-1] was made at the tick that observed demand[i-1] and
-    // predicts demand[i]; score it against what interval i actually saw.
+    // The key's journal records, one per tick, carry the demand each tick
+    // observed and the forecast it made (the journal is sized to drop
+    // nothing).  forecast[i-1] was made at the tick that observed
+    // demand[i-1] and predicts demand[i]; score it against what interval i
+    // actually saw.
     const auto key = spec::RuntimeKey::from_spec(mix.at(0).spec);
-    const TimeSeries* demand = ctl->demand_history(key);
-    const TimeSeries* forecast = ctl->forecast_history(key);
-    if (demand != nullptr && forecast != nullptr) {
-      const std::size_t n =
-          std::min({demand->size(), forecast->size() + 1,
-                    step_index + step_span});
-      for (std::size_t i = step_index; i < n; ++i) {
-        out.post_step_error_sum +=
-            std::abs((*forecast)[i - 1].value - (*demand)[i].value);
+    std::vector<const obs::DecisionRecord*> ticks;
+    for (const auto& rec : out.journal) {
+      if ((rec.flags & obs::kJournalSummary) == 0 && rec.key_id == key.id()) {
+        ticks.push_back(&rec);
       }
+    }
+    const std::size_t n = std::min(ticks.size(), step_index + step_span);
+    for (std::size_t i = step_index; i < n; ++i) {
+      out.post_step_error_sum +=
+          std::abs(ticks[i - 1]->forecast - ticks[i]->demand);
     }
   }
   return out;

@@ -57,13 +57,11 @@ int main() {
                        1)
                 << "%\n";
       const auto key = spec::RuntimeKey::from_spec(entry.spec);
-      if (const auto* demand = controller->demand_history(key)) {
-        std::cout << "adaptive controller saw " << demand->size()
-                  << " demand intervals; last forecast "
-                  << Table::num(
-                         controller->current_forecast(key).value_or(0.0), 2)
-                  << " containers\n\n";
-      }
+      std::cout << "adaptive controller saw " << controller->adaptive_ticks()
+                << " demand intervals; last forecast "
+                << Table::num(controller->current_forecast(key).value_or(0.0),
+                              2)
+                << " containers\n\n";
     }
   }
   std::cout << table.to_string();

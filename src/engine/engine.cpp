@@ -195,7 +195,8 @@ void ContainerEngine::launch(const spec::RunSpec& spec, LaunchCallback cb) {
   const bool inject_failure =
       faults_.launch_failure_rate > 0.0 &&
       fault_rng_.chance(faults_.launch_failure_rate);
-  sim_.after(breakdown.total(), [this, id, breakdown, inject_failure, cb]() {
+  sim_.after(breakdown.total(), [this, id, breakdown, inject_failure,
+                                 cb = std::move(cb)]() {
     auto it = containers_.find(id);
     HOTC_ASSERT(it != containers_.end());
     // Pull committed the layers to the local store even on failure.
@@ -278,19 +279,18 @@ void ContainerEngine::exec_as(ContainerId id, const AppModel& app,
   report.compute = scale(cost_.compute_time(app.exec_seconds), slow);
 
   const TimePoint queued_at = sim_.now();
-  const std::string app_name = app.name;
   const Bytes writes = app.volume_writes;
   const bool inject_crash = faults_.exec_crash_rate > 0.0 &&
                             fault_rng_.chance(faults_.exec_crash_rate);
-  cpu_.acquire([this, id, report, queued_at, app_name, writes, inject_crash,
-                cb]() mutable {
+  cpu_.acquire([this, id, report, queued_at, app_name = app.name, writes,
+                inject_crash, cb = std::move(cb)]() mutable {
     report.queueing = sim_.now() - queued_at;
     Duration busy = report.reconfigure + report.app_init + report.download +
                     report.compute;
     // An injected crash kills the process partway through execution.
     if (inject_crash) busy = scale(busy, 0.5);
-    sim_.after(busy, [this, id, report, app_name, writes, inject_crash,
-                      cb]() {
+    sim_.after(busy, [this, id, report, app_name = std::move(app_name),
+                      writes, inject_crash, cb = std::move(cb)]() {
       auto inner = containers_.find(id);
       HOTC_ASSERT(inner != containers_.end());
       Container& done = inner->second;
@@ -340,7 +340,7 @@ void ContainerEngine::clean(ContainerId id, DoneCallback cb) {
   if (clean_duration_ms_ != nullptr) {
     clean_duration_ms_->observe(to_milliseconds(d));
   }
-  sim_.after(d, [this, id, cb]() {
+  sim_.after(d, [this, id, cb = std::move(cb)]() {
     auto inner = containers_.find(id);
     HOTC_ASSERT(inner != containers_.end());
     warn_if_failed(volumes_.wipe_and_remount(inner->second.volume),
@@ -393,7 +393,8 @@ void ContainerEngine::respecialize(ContainerId id,
   set_state(c, ContainerState::kBusy);
   set_state(c, ContainerState::kCleaning);
 
-  sim_.after(report.total(), [this, id, target, img, report, cb]() {
+  sim_.after(report.total(), [this, id, target, img, report,
+                              cb = std::move(cb)]() {
     auto inner = containers_.find(id);
     HOTC_ASSERT(inner != containers_.end());
     Container& done = inner->second;
@@ -433,7 +434,7 @@ void ContainerEngine::pause(ContainerId id, DoneCallback cb) {
   // stays resident.
   c.paused_released = c.idle_memory * 4 / 5;
   release_memory(c.paused_released);
-  sim_.after(cost_.pause_time(), [cb]() { cb(true); });
+  sim_.after(cost_.pause_time(), [cb = std::move(cb)]() { cb(true); });
 }
 
 void ContainerEngine::resume(ContainerId id, DoneCallback cb) {
@@ -453,7 +454,7 @@ void ContainerEngine::resume(ContainerId id, DoneCallback cb) {
   const Duration d = cost_.resume_time(c.paused_released);
   reserve_or_swap(c.paused_released);
   c.paused_released = 0;
-  sim_.after(d, [this, id, cb]() {
+  sim_.after(d, [this, id, cb = std::move(cb)]() {
     auto inner = containers_.find(id);
     HOTC_ASSERT(inner != containers_.end());
     set_state(inner->second, ContainerState::kIdle);
@@ -485,7 +486,8 @@ void ContainerEngine::demote(ContainerId id, DemoteCallback cb) {
   report.container = id;
   report.image_size = c.checkpoint_image;
   report.duration = cost_.checkpoint_time(c.idle_memory);
-  sim_.after(report.duration, [report, cb]() { cb(report); });
+  sim_.after(report.duration,
+             [report, cb = std::move(cb)]() { cb(report); });
 }
 
 void ContainerEngine::restore_container(ContainerId id, LaunchCallback cb) {
@@ -507,7 +509,7 @@ void ContainerEngine::restore_container(ContainerId id, LaunchCallback cb) {
   c.checkpoint_released = 0;
   StartupBreakdown breakdown;  // restore is a single "attach"-like phase
   breakdown.attach = d;
-  sim_.after(d, [this, id, breakdown, cb]() {
+  sim_.after(d, [this, id, breakdown, cb = std::move(cb)]() {
     auto inner = containers_.find(id);
     HOTC_ASSERT(inner != containers_.end());
     Container& done = inner->second;
@@ -537,7 +539,7 @@ void ContainerEngine::discard_checkpointed(ContainerId id, DoneCallback cb) {
   }
   set_state(c, ContainerState::kStopping);
   // No process to SIGTERM — only the dump file and metadata go away.
-  sim_.after(cost_.remove_time(), [this, id, cb]() {
+  sim_.after(cost_.remove_time(), [this, id, cb = std::move(cb)]() {
     auto inner = containers_.find(id);
     HOTC_ASSERT(inner != containers_.end());
     Container& done = inner->second;
@@ -581,7 +583,7 @@ void ContainerEngine::stop_and_remove(ContainerId id, DoneCallback cb) {
   }
   set_state(c, ContainerState::kStopping);
   const Duration d = cost_.stop_time() + cost_.remove_time();
-  sim_.after(d, [this, id, cb]() {
+  sim_.after(d, [this, id, cb = std::move(cb)]() {
     auto inner = containers_.find(id);
     HOTC_ASSERT(inner != containers_.end());
     Container& done = inner->second;

@@ -1,5 +1,7 @@
 #include "faas/gateway.hpp"
 
+#include <utility>
+
 namespace hotc::faas {
 
 Gateway::Gateway(sim::Simulator& sim, Backend& backend,
@@ -12,99 +14,131 @@ Gateway::Gateway(sim::Simulator& sim, Backend& backend,
 void Gateway::submit(std::uint64_t request_id, std::size_t config_index,
                      const spec::RunSpec& spec, const engine::AppModel& app,
                      Callback cb) {
-  CompletedRequest rec;
-  rec.id = request_id;
-  rec.config_index = config_index;
-  rec.submitted = sim_.now();
+  std::uint32_t slot = 0;
+  if (free_records_.empty()) {
+    slot = static_cast<std::uint32_t>(records_.size());
+    records_.emplace_back();
+  } else {
+    slot = free_records_.back();
+    free_records_.pop_back();
+  }
+  Record& r = records_[slot];
+  r.rec = CompletedRequest{};
+  r.rec.id = request_id;
+  r.rec.config_index = config_index;
+  r.rec.submitted = sim_.now();
+  r.spec = spec;
+  r.app = app;
+  r.cb = std::move(cb);
+  r.answered = false;
 
   // Optional client deadline: whichever of {completion, timer} fires first
-  // resolves the callback; the loser sees `*done` and stands down.
+  // answers the client; the other stands down.
   if (options_.request_timeout > kZeroDuration) {
-    auto done = std::make_shared<bool>(false);
-    auto inner = std::move(cb);
-    cb = [this, done, inner](Result<CompletedRequest> r) {
-      if (*done) return;  // the timeout already answered the client
-      *done = true;
-      inner(std::move(r));
-    };
-    sim_.after(options_.request_timeout, [this, done, inner, request_id]() {
-      if (*done) return;
-      *done = true;
-      if (options_.tracer != nullptr) {
-        options_.tracer->span(request_id, obs::Stage::kReturn, sim_.now(),
-                              kZeroDuration, 0, obs::kNoShard,
-                              obs::kSpanError);
-      }
-      {
-        const RankedGuard lock(mu_);
-        ++timeouts_;
-      }
-      inner(make_error<CompletedRequest>(
-          "faas.timeout",
-          "request " + std::to_string(request_id) + " exceeded deadline"));
-    });
+    sim_.after(options_.request_timeout,
+               [this, slot, generation = r.generation]() {
+                 timeout(slot, generation);
+               });
   }
-
   // The request reaches the gateway, then waits for a proxy worker slot —
   // this queueing is the congestion visible during bursts.
-  sim_.after(options_.client_to_gateway, [this, rec, spec, app,
-                                          cb = std::move(cb)]() mutable {
-    rec.t1 = sim_.now();
-    slots_.acquire([this, rec, spec, app, cb = std::move(cb)]() mutable {
-      const Duration to_watchdog =
-          options_.gateway_proxy + options_.gateway_to_watchdog;
-      sim_.after(to_watchdog, [this, rec, spec, app,
-                               cb = std::move(cb)]() mutable {
-        rec.t2 = sim_.now();
-        // Moments (1) -> (2): the client-to-watchdog forwarding hops.
-        if (options_.tracer != nullptr) {
-          options_.tracer->span(rec.id, obs::Stage::kForward, rec.submitted,
-                                rec.t2 - rec.submitted);
-        }
-        backend_.dispatch_traced(rec.id, spec, app, [
-          this, rec, cb = std::move(cb)
-        ](Result<DispatchReport> r) mutable {
-          if (!r.ok()) {
-            if (options_.tracer != nullptr) {
-              options_.tracer->span(rec.id, obs::Stage::kReturn, sim_.now(),
-                                    kZeroDuration, 0, obs::kNoShard,
-                                    obs::kSpanError);
-            }
-            slots_.release();
-            cb(Result<CompletedRequest>(r.error()));
-            return;
-          }
-          const DispatchReport& report = r.value();
-          // The backend completed provisioning + execution by "now";
-          // recover the interior timestamps from its phase durations.
-          rec.t4 = sim_.now();
-          rec.t3 = rec.t4 - report.exec;
-          rec.cold = report.cold;
-          rec.provision = report.provision;
+  sim_.after(options_.client_to_gateway, [this, slot]() { at_gateway(slot); });
+}
 
-          const Duration back = options_.watchdog_shell +
-                                options_.watchdog_to_gateway +
-                                options_.gateway_to_client;
-          sim_.after(back, [this, rec, cb = std::move(cb)]() mutable {
-            rec.t5 = rec.t4 + options_.watchdog_shell;
-            rec.t6 = sim_.now();
-            // Moments (4) -> (6): the watchdog-to-client return hops.
-            if (options_.tracer != nullptr) {
-              options_.tracer->span(rec.id, obs::Stage::kReturn, rec.t4,
-                                    rec.t6 - rec.t4, 0, obs::kNoShard,
-                                    rec.cold ? obs::kSpanCold : 0);
-            }
-            {
-              const RankedGuard lock(mu_);
-              ++handled_;
-            }
-            slots_.release();
-            cb(rec);
-          });
-        });
-      });
-    });
+void Gateway::timeout(std::uint32_t slot, std::uint32_t generation) {
+  Record& r = records_[slot];
+  if (r.generation != generation || r.answered) return;
+  r.answered = true;
+  const std::uint64_t request_id = r.rec.id;
+  if (options_.tracer != nullptr) {
+    options_.tracer->span(request_id, obs::Stage::kReturn, sim_.now(),
+                          kZeroDuration, 0, obs::kNoShard, obs::kSpanError);
+  }
+  {
+    const RankedGuard lock(mu_);
+    ++timeouts_;
+  }
+  // The backend work runs on and frees the record when it completes.
+  const Callback cb = std::exchange(r.cb, nullptr);
+  cb(make_error<CompletedRequest>(
+      "faas.timeout",
+      "request " + std::to_string(request_id) + " exceeded deadline"));
+}
+
+void Gateway::at_gateway(std::uint32_t slot) {
+  records_[slot].rec.t1 = sim_.now();
+  slots_.acquire([this, slot]() {
+    sim_.after(options_.gateway_proxy + options_.gateway_to_watchdog,
+               [this, slot]() { at_watchdog(slot); });
   });
+}
+
+void Gateway::at_watchdog(std::uint32_t slot) {
+  Record& r = records_[slot];
+  r.rec.t2 = sim_.now();
+  // Moments (1) -> (2): the client-to-watchdog forwarding hops.
+  if (options_.tracer != nullptr) {
+    options_.tracer->span(r.rec.id, obs::Stage::kForward, r.rec.submitted,
+                          r.rec.t2 - r.rec.submitted);
+  }
+  backend_.dispatch_traced(r.rec.id, r.spec, r.app,
+                           [this, slot](Result<DispatchReport> d) {
+                             dispatched(slot, std::move(d));
+                           });
+}
+
+void Gateway::dispatched(std::uint32_t slot, Result<DispatchReport> d) {
+  Record& r = records_[slot];
+  if (!d.ok()) {
+    if (options_.tracer != nullptr) {
+      options_.tracer->span(r.rec.id, obs::Stage::kReturn, sim_.now(),
+                            kZeroDuration, 0, obs::kNoShard,
+                            obs::kSpanError);
+    }
+    slots_.release();
+    finish(slot, Result<CompletedRequest>(d.error()));
+    return;
+  }
+  // The backend completed provisioning + execution by "now"; recover the
+  // interior timestamps from its phase durations.
+  const DispatchReport& report = d.value();
+  r.rec.t4 = sim_.now();
+  r.rec.t3 = r.rec.t4 - report.exec;
+  r.rec.cold = report.cold;
+  r.rec.provision = report.provision;
+  const Duration back = options_.watchdog_shell +
+                        options_.watchdog_to_gateway +
+                        options_.gateway_to_client;
+  sim_.after(back, [this, slot]() { at_client(slot); });
+}
+
+void Gateway::at_client(std::uint32_t slot) {
+  Record& r = records_[slot];
+  r.rec.t5 = r.rec.t4 + options_.watchdog_shell;
+  r.rec.t6 = sim_.now();
+  // Moments (4) -> (6): the watchdog-to-client return hops.
+  if (options_.tracer != nullptr) {
+    options_.tracer->span(r.rec.id, obs::Stage::kReturn, r.rec.t4,
+                          r.rec.t6 - r.rec.t4, 0, obs::kNoShard,
+                          r.rec.cold ? obs::kSpanCold : 0);
+  }
+  {
+    const RankedGuard lock(mu_);
+    ++handled_;
+  }
+  slots_.release();
+  finish(slot, r.rec);
+}
+
+void Gateway::finish(std::uint32_t slot, Result<CompletedRequest> result) {
+  Record& r = records_[slot];
+  const Callback cb = std::exchange(r.cb, nullptr);
+  const bool answered = r.answered;
+  ++r.generation;
+  free_records_.push_back(slot);
+  // The client may submit again from its callback; the record is already
+  // free for it.
+  if (!answered) cb(std::move(result));
 }
 
 }  // namespace hotc::faas

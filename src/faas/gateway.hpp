@@ -13,8 +13,10 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <mutex>
+#include <vector>
 
 #include "core/annotations.hpp"
 #include "core/ranked_mutex.hpp"
@@ -96,10 +98,35 @@ class Gateway {
   [[nodiscard]] std::size_t in_flight() const { return slots_.in_use(); }
 
  private:
+  /// One in-flight request: submit() copies its spec and app here once,
+  /// and every hop event captures only {this, slot}, which std::function
+  /// stores inline.  Records are recycled through a free list; a deque
+  /// keeps a record in place while later submits add more.
+  struct Record {
+    CompletedRequest rec;
+    spec::RunSpec spec;
+    engine::AppModel app;
+    Callback cb;
+    /// Bumped when the record is freed, so a deadline timer that outlives
+    /// its request (the slot since reused) stands down.
+    std::uint32_t generation = 0;
+    bool answered = false;  // the deadline already replied to the client
+  };
+
+  void timeout(std::uint32_t slot, std::uint32_t generation);
+  void at_gateway(std::uint32_t slot);
+  void at_watchdog(std::uint32_t slot);
+  void dispatched(std::uint32_t slot, Result<DispatchReport> r);
+  void at_client(std::uint32_t slot);
+  /// Free the record, then answer the client unless the deadline did.
+  void finish(std::uint32_t slot, Result<CompletedRequest> result);
+
   sim::Simulator& sim_;
   Backend& backend_;
   GatewayOptions options_;
   sim::CountingResource slots_;
+  std::deque<Record> records_;
+  std::vector<std::uint32_t> free_records_;
   /// Guards the counters only — never held across backend or simulator
   /// calls.  The simulator is single-threaded today; the ranked mutex pins
   /// the gateway's place in the lock order (above pool shards and the

@@ -1,5 +1,7 @@
 #include "faas/platform.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "core/assert.hpp"
@@ -67,12 +69,11 @@ metrics::LatencyRecorder FaasPlatform::run(
   // End-to-end latency distribution, with the request id as exemplar:
   // the SLO engine takes its p99/p999 from this family, and hotc_top can
   // resolve an over-budget bucket to the exact trace in OBS_spans.jsonl.
-  obs::LogHistogram* duration_hist =
-      options_.registry != nullptr
-          ? &options_.registry->histogram(
-                "hotc_request_duration_ms",
-                "End-to-end request latency (ms), gateway submit to reply")
-          : nullptr;
+  if (options_.registry != nullptr) {
+    duration_hist_ = &options_.registry->histogram(
+        "hotc_request_duration_ms",
+        "End-to-end request latency (ms), gateway submit to reply");
+  }
 
   if (options_.preload_images) {
     std::set<std::string> seen;
@@ -98,36 +99,42 @@ metrics::LatencyRecorder FaasPlatform::run(
   }
   if (monitor_) monitor_->start();
 
-  std::uint64_t next_id = 1;
-  for (const auto& arrival : arrivals) {
-    HOTC_ASSERT_MSG(arrival.config_index < mix.size(),
+  // Arrivals stream into the event queue one pending at a time, in the
+  // order an eager schedule of the whole list would fire them: by time,
+  // then list index.  A list out of time order streams through its
+  // indices stable-sorted by time.  Request ids are list index + 1.
+  bool sorted = true;
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    HOTC_ASSERT_MSG(arrivals[i].config_index < mix.size(),
                     "arrival names a config outside the mix");
-    const std::uint64_t id = next_id++;
-    sim_.at(arrival.at, [this, id, arrival, duration_hist, &mix,
-                         &recorder]() {
-      const auto& entry = mix.at(arrival.config_index);
-      gateway_->submit(
-          id, arrival.config_index, entry.spec, entry.app,
-          [this, duration_hist, &recorder](Result<CompletedRequest> done) {
-            if (!done.ok()) {
-              ++failures_;
-              return;
-            }
-            completed_.push_back(done.value());
-            metrics::LatencyPoint p;
-            p.request_id = done.value().id;
-            p.arrival = done.value().submitted;
-            p.latency = done.value().total();
-            p.cold = done.value().cold;
-            p.config_index = done.value().config_index;
-            if (duration_hist != nullptr) {
-              duration_hist->observe(to_milliseconds(p.latency),
-                                     p.request_id);
-            }
-            recorder.add(p);
-          });
-    });
+    if (i > 0 && arrivals[i].at < arrivals[i - 1].at) sorted = false;
   }
+  std::vector<std::size_t> order;
+  if (!sorted) {
+    order.resize(arrivals.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&arrivals](std::size_t a, std::size_t b) {
+                       return arrivals[a].at < arrivals[b].at;
+                     });
+  }
+  const auto index = [&order](std::size_t k) {
+    return order.empty() ? k : order[k];
+  };
+  completed_.reserve(arrivals.size());
+  recorder.reserve(arrivals.size());
+  sim_.stream(
+      arrivals.size(),
+      [&arrivals, index](std::size_t k) { return arrivals[index(k)].at; },
+      [this, &arrivals, &mix, &recorder, index](std::size_t k) {
+        const std::size_t i = index(k);
+        const auto& entry = mix.at(arrivals[i].config_index);
+        gateway_->submit(i + 1, arrivals[i].config_index, entry.spec,
+                         entry.app,
+                         [this, &recorder](Result<CompletedRequest> done) {
+                           record(std::move(done), recorder);
+                         });
+      });
 
   // Run every queued event; the monitor/adaptive loops stop themselves at
   // the horizon.
@@ -137,6 +144,26 @@ metrics::LatencyRecorder FaasPlatform::run(
   }
   sim_.run();
   return recorder;
+}
+
+void FaasPlatform::record(Result<CompletedRequest> done,
+                          metrics::LatencyRecorder& recorder) {
+  if (!done.ok()) {
+    ++failures_;
+    return;
+  }
+  const CompletedRequest& c = done.value();
+  completed_.push_back(c);
+  metrics::LatencyPoint p;
+  p.request_id = c.id;
+  p.arrival = c.submitted;
+  p.latency = c.total();
+  p.cold = c.cold;
+  p.config_index = c.config_index;
+  if (duration_hist_ != nullptr) {
+    duration_hist_->observe(to_milliseconds(p.latency), p.request_id);
+  }
+  recorder.add(p);
 }
 
 }  // namespace hotc::faas

@@ -81,12 +81,17 @@ class FaasPlatform {
   }
 
  private:
+  /// One request's answer: into completed_ and the recorder, or a failure.
+  void record(Result<CompletedRequest> done,
+              metrics::LatencyRecorder& recorder);
+
   PlatformOptions options_;
   sim::Simulator sim_;
   engine::ContainerEngine engine_;
   std::unique_ptr<Backend> backend_;
   std::unique_ptr<Gateway> gateway_;
   std::unique_ptr<engine::ResourceMonitor> monitor_;
+  obs::LogHistogram* duration_hist_ = nullptr;
   std::vector<CompletedRequest> completed_;
   std::uint64_t failures_ = 0;
   bool ran_ = false;

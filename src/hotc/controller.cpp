@@ -660,9 +660,7 @@ void HotCController::adaptive_tick() {
       }
     }
     state.predictor->observe(demand);
-    state.demand.add(now, demand);
     const double forecast = std::max(0.0, state.predictor->predict());
-    state.forecast.add(now, forecast);
     state.last_forecast = forecast;
     state.interval_peak = state.busy_now;
     state.interval_requests = 0;
@@ -816,18 +814,6 @@ void HotCController::start_adaptive_loop(TimePoint until) {
       options_.adaptive_interval,
       [this]() { return adaptive_running_ && sim_.now() <= adaptive_until_; },
       [this]() { adaptive_tick(); });
-}
-
-const TimeSeries* HotCController::demand_history(
-    const spec::RuntimeKey& key) const {
-  const auto it = keys_.find(key.id());
-  return it == keys_.end() ? nullptr : &it->second.demand;
-}
-
-const TimeSeries* HotCController::forecast_history(
-    const spec::RuntimeKey& key) const {
-  const auto it = keys_.find(key.id());
-  return it == keys_.end() ? nullptr : &it->second.forecast;
 }
 
 std::optional<double> HotCController::current_forecast(

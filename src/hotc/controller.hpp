@@ -20,7 +20,6 @@
 
 #include "core/annotations.hpp"
 #include "core/result.hpp"
-#include "core/series.hpp"
 #include "engine/engine.hpp"
 #include "obs/blackbox.hpp"
 #include "obs/drift.hpp"
@@ -196,12 +195,6 @@ class HotCController {
     return store_.get();
   }
 
-  /// Demand/pool-size history for one key (drives Fig. 10-style plots).
-  [[nodiscard]] const TimeSeries* demand_history(
-      const spec::RuntimeKey& key) const;
-  [[nodiscard]] const TimeSeries* forecast_history(
-      const spec::RuntimeKey& key) const;
-
   /// Current prediction for a key (ceil'd target pool size).
   [[nodiscard]] std::optional<double> current_forecast(
       const spec::RuntimeKey& key) const;
@@ -219,8 +212,6 @@ class HotCController {
     /// Donor-registry class of canonical_spec (set only with sharing on).
     spec::CompatClass compat;
     predict::PredictorPtr predictor;
-    TimeSeries demand;     // observed per-interval peak concurrency
-    TimeSeries forecast;   // what the predictor said for each interval
     std::size_t busy_now = 0;       // currently executing containers
     std::size_t interval_peak = 0;  // max busy within the current interval
     std::uint64_t interval_requests = 0;

@@ -43,6 +43,8 @@ class LatencyRecorder {
   LatencyRecorder() = default;
 
   void add(const LatencyPoint& point);
+  /// Pre-size for n points (a run knows its request count up front).
+  void reserve(std::size_t n) { points_.reserve(n); }
   [[nodiscard]] const std::vector<LatencyPoint>& points() const {
     return points_;
   }

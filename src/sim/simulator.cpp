@@ -36,6 +36,38 @@ void Simulator::every(Duration period, const std::function<bool()>& keep_going,
   after(period, [tick]() { (*tick)(); });
 }
 
+void Simulator::stream(std::size_t n, std::function<TimePoint(std::size_t)> at,
+                       std::function<void(std::size_t)> fire) {
+  if (n == 0) return;
+  Stream& s = streams_.emplace_back();
+  s.at = std::move(at);
+  s.fire = std::move(fire);
+  s.n = n;
+  s.first_seq = queue_.reserve(n);
+  schedule_next(s);
+}
+
+void Simulator::schedule_next(Stream& s) {
+  // Item k+1 is scheduled while item k fires, at now() == at(k), so this
+  // one check is both "not in the past" and "non-decreasing".
+  const TimePoint t = s.at(s.next);
+  HOTC_ASSERT_MSG(t >= now(), "stream times must be non-decreasing");
+  queue_.push_reserved(t, s.first_seq + s.next,
+                       [this, &s]() { fire_next(s); });
+}
+
+void Simulator::fire_next(Stream& s) {
+  const std::size_t k = s.next++;
+  const bool last = s.next == s.n;
+  if (!last) schedule_next(s);
+  s.fire(k);
+  if (last) {
+    // Exhausted: drop the callables and whatever they captured.
+    s.at = nullptr;
+    s.fire = nullptr;
+  }
+}
+
 std::size_t Simulator::run() {
   std::size_t n = 0;
   while (step()) ++n;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <numeric>
+#include <vector>
+
 namespace hotc::faas {
 namespace {
 
@@ -105,6 +110,65 @@ TEST(Platform, ParallelConfigsIsolated) {
   const auto round2 = recorder.summary_between(seconds(30), seconds(120));
   EXPECT_EQ(round1.cold_count, 3u);
   EXPECT_EQ(round2.cold_count, 0u);
+}
+
+TEST(Platform, SameInstantArrivalsCompleteInIdOrder) {
+  // One proxy worker serialises the requests in the order their arrival
+  // events fire; arrivals at one instant must fire in list order.
+  PlatformOptions opt;
+  opt.policy = PolicyKind::kHotC;
+  opt.gateway.max_concurrent = 1;
+  FaasPlatform platform(opt);
+  workload::ArrivalList arrivals;
+  for (std::size_t i = 0; i < 8; ++i) {
+    arrivals.push_back({seconds(1), i % 3});
+  }
+  platform.run(arrivals, qr_mix());
+  ASSERT_EQ(platform.completed().size(), arrivals.size());
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    EXPECT_EQ(platform.completed()[i].id, i + 1);
+  }
+}
+
+TEST(Platform, UnsortedArrivalsReplayAsTheirStableSort) {
+  // Out of time order, with ties.  The latest arrival stays last: run()
+  // takes the list's back as its horizon.
+  const workload::ArrivalList unsorted{
+      {seconds(20), 0}, {seconds(5), 1},  {seconds(20), 2}, {seconds(5), 0},
+      {seconds(12), 1}, {seconds(5), 2},  {seconds(20), 1}, {seconds(12), 0},
+      {seconds(5), 1},  {seconds(40), 2}};
+  std::vector<std::size_t> order(unsorted.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&unsorted](std::size_t a, std::size_t b) {
+                     return unsorted[a].at < unsorted[b].at;
+                   });
+  workload::ArrivalList sorted;
+  std::vector<std::size_t> position(unsorted.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    sorted.push_back(unsorted[order[k]]);
+    position[order[k]] = k;
+  }
+
+  // One proxy worker makes each request's queueing depend on its place
+  // among the ties.
+  PlatformOptions opt;
+  opt.policy = PolicyKind::kHotC;
+  opt.gateway.max_concurrent = 1;
+  const auto latencies = [&opt](const workload::ArrivalList& arrivals) {
+    FaasPlatform platform(opt);
+    const auto recorder = platform.run(arrivals, qr_mix());
+    std::map<std::uint64_t, Duration> by_id;
+    for (const auto& p : recorder.points()) by_id[p.request_id] = p.latency;
+    return by_id;
+  };
+  const auto got = latencies(unsorted);
+  const auto want = latencies(sorted);
+  ASSERT_EQ(got.size(), unsorted.size());
+  ASSERT_EQ(want.size(), unsorted.size());
+  for (std::size_t i = 0; i < unsorted.size(); ++i) {
+    EXPECT_EQ(got.at(i + 1), want.at(position[i] + 1)) << "list index " << i;
+  }
 }
 
 TEST(Platform, PolicyNames) {

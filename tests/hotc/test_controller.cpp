@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -24,6 +25,19 @@ spec::RunSpec node_spec() {
   s.image = spec::ImageRef{"node", "14"};
   s.network = spec::NetworkMode::kBridge;
   return s;
+}
+
+/// The journal's per-key records for one key, in tick order: the demand
+/// each adaptive tick observed and the forecast it made.
+std::vector<obs::DecisionRecord> key_records(
+    const obs::DecisionJournal& journal, const spec::RuntimeKey& key) {
+  std::vector<obs::DecisionRecord> out;
+  for (const auto& rec : journal.snapshot()) {
+    if ((rec.flags & obs::kJournalSummary) == 0 && rec.key_id == key.id()) {
+      out.push_back(rec);
+    }
+  }
+  return out;
 }
 
 class ControllerTest : public ::testing::Test {
@@ -154,16 +168,18 @@ TEST_F(ControllerTest, CapacityLimitEvictsOldest) {
 }
 
 TEST_F(ControllerTest, AdaptiveTickObservesDemand) {
-  auto ctl = make();
+  obs::DecisionJournal journal;
+  ControllerOptions opt;
+  opt.journal = &journal;
+  auto ctl = make(std::move(opt));
   const auto app = engine::apps::qr_encoder();
   const auto key = spec::RuntimeKey::from_spec(python_spec());
   ctl.handle(python_spec(), app, [](Result<RequestOutcome>) {});
   sim_.run();
   ctl.adaptive_tick();
-  const TimeSeries* demand = ctl.demand_history(key);
-  ASSERT_NE(demand, nullptr);
-  ASSERT_EQ(demand->size(), 1u);
-  EXPECT_DOUBLE_EQ((*demand)[0].value, 1.0);  // peak concurrency was 1
+  const auto demand = key_records(journal, key);
+  ASSERT_EQ(demand.size(), 1u);
+  EXPECT_DOUBLE_EQ(demand[0].demand, 1.0);  // peak concurrency was 1
   EXPECT_TRUE(ctl.current_forecast(key).has_value());
 }
 
@@ -239,17 +255,17 @@ TEST_F(ControllerTest, IdleCapRetiresStaleContainers) {
 }
 
 TEST_F(ControllerTest, AdaptiveLoopRunsOnSchedule) {
+  obs::DecisionJournal journal;
   ControllerOptions opt;
   opt.adaptive_interval = seconds(10);
+  opt.journal = &journal;
   auto ctl = make(std::move(opt));
   const auto app = engine::apps::qr_encoder();
   const auto key = spec::RuntimeKey::from_spec(python_spec());
   ctl.handle(python_spec(), app, [](Result<RequestOutcome>) {});
   ctl.start_adaptive_loop(seconds(60));
   sim_.run();
-  const TimeSeries* demand = ctl.demand_history(key);
-  ASSERT_NE(demand, nullptr);
-  EXPECT_GE(demand->size(), 5u);
+  EXPECT_GE(key_records(journal, key).size(), 5u);
 }
 
 TEST_F(ControllerTest, LaunchFailureSurfacesAsError) {
@@ -267,16 +283,23 @@ TEST_F(ControllerTest, LaunchFailureSurfacesAsError) {
 }
 
 TEST_F(ControllerTest, ForecastHistoryParallelsDemand) {
-  auto ctl = make();
+  obs::DecisionJournal journal;
+  ControllerOptions opt;
+  opt.journal = &journal;
+  auto ctl = make(std::move(opt));
   const auto key = spec::RuntimeKey::from_spec(python_spec());
   ctl.handle(python_spec(), engine::apps::qr_encoder(),
              [](Result<RequestOutcome>) {});
   sim_.run();
   ctl.adaptive_tick();
   ctl.adaptive_tick();
-  ASSERT_NE(ctl.forecast_history(key), nullptr);
-  EXPECT_EQ(ctl.forecast_history(key)->size(),
-            ctl.demand_history(key)->size());
+  // Each tick's record pairs the demand it observed with the forecast it
+  // made: one pair per tick, the last forecast the predictor's current one.
+  const auto records = key_records(journal, key);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records.size(), ctl.adaptive_ticks());
+  EXPECT_DOUBLE_EQ(records.back().forecast,
+                   std::max(0.0, ctl.current_forecast(key).value()));
 }
 
 TEST_F(ControllerTest, PredictionErrorMetricsPopulateAfterScoredTick) {

@@ -108,7 +108,9 @@ TEST(SloEngine, AlertNeedsBothWindowsOverFireFactor) {
   h.step(5, 10);
   const auto mid = h.engine.status()[0];
   // A fast-only violation never fires.
-  if (mid.slow_burn < 2.0) EXPECT_EQ(h.engine.alerts_fired(), 0u);
+  if (mid.slow_burn < 2.0) {
+    EXPECT_EQ(h.engine.alerts_fired(), 0u);
+  }
   SloStatus last = h.step(5, 10);
   EXPECT_TRUE(last.firing);
   EXPECT_EQ(h.engine.alerts_fired(), 1u);

@@ -4,13 +4,18 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
+#include <iterator>
 #include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "core/json.hpp"
 #include "core/rng.hpp"
 #include "pool/pool.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/simulator.hpp"
 
 namespace hotc {
 namespace {
@@ -105,50 +110,145 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PoolModelProperty,
                          ::testing::Values(1, 17, 99, 4242));
 
 // ---------------------------------------------------------------------------
-// EventQueue vs a reference sorted multiset of (time, seq).
+// EventQueue vs a reference set of (time, seq).  seq is an explicit
+// schedule counter and doubles as the event's payload, so a drain is
+// checked event for event, ties included.
 class QueueModelProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(QueueModelProperty, DrainsInExactReferenceOrder) {
   Rng rng(GetParam());
   sim::EventQueue queue;
-  struct Ref {
-    TimePoint t;
-    sim::EventId id;
-    bool cancelled = false;
-  };
-  std::vector<Ref> refs;
+  std::set<std::pair<TimePoint, std::uint64_t>> reference;
+  std::map<std::uint64_t, std::pair<TimePoint, sim::EventId>> live;
+  std::vector<sim::EventId> spent;  // fired or cancelled
+  std::uint64_t counter = 0;
+  std::uint64_t fired = 0;
+  TimePoint now = kZeroDuration;
 
-  // Random pushes and cancellations.
-  for (int i = 0; i < 500; ++i) {
-    if (rng.chance(0.75) || refs.empty()) {
-      const TimePoint t = seconds(rng.uniform_int(0, 50));
-      const auto id = queue.push(t, []() {});
-      refs.push_back(Ref{t, id, false});
+  // Times on a coarse grid near the last pop, so ties are common.
+  const auto push = [&] {
+    const TimePoint t = now + seconds(rng.uniform_int(0, 8));
+    const std::uint64_t seq = counter++;
+    const sim::EventId id = queue.push(t, [&fired, seq]() { fired = seq; });
+    reference.emplace(t, seq);
+    live.emplace(seq, std::make_pair(t, id));
+    return id;
+  };
+  const auto pop = [&] {
+    const auto [t_ref, seq_ref] = *reference.begin();
+    ASSERT_EQ(queue.next_time(), t_ref);
+    auto [t, fn] = queue.pop();
+    fn();
+    EXPECT_EQ(t, t_ref);
+    EXPECT_EQ(fired, seq_ref);
+    reference.erase(reference.begin());
+    spent.push_back(live.at(seq_ref).second);
+    live.erase(seq_ref);
+    now = t;
+  };
+  const auto cancel_live = [&] {
+    auto it = live.begin();
+    std::advance(it, static_cast<std::ptrdiff_t>(rng.index(live.size())));
+    EXPECT_TRUE(queue.cancel(it->second.second));
+    reference.erase({it->second.first, it->first});
+    spent.push_back(it->second.second);
+    live.erase(it);
+  };
+
+  for (int i = 0; i < 2000; ++i) {
+    const double u = rng.uniform();
+    if (u < 0.45 || live.empty()) {
+      push();
+    } else if (u < 0.70) {
+      pop();
+    } else if (u < 0.82) {
+      cancel_live();
+    } else if (u < 0.92 && !spent.empty()) {
+      // Cancel after fire, or a second cancel: both refuse.
+      EXPECT_FALSE(queue.cancel(spent[rng.index(spent.size())]));
     } else {
-      auto& r = refs[rng.index(refs.size())];
-      const bool expected = !r.cancelled;
-      EXPECT_EQ(queue.cancel(r.id), expected);
-      r.cancelled = true;
+      // A stale id after its slot is reused: the next push takes the
+      // freed slot, and cancelling the old id must leave it alone.
+      cancel_live();
+      const sim::EventId stale = spent.back();
+      const sim::EventId reused = push();
+      EXPECT_EQ(static_cast<std::uint32_t>(reused),
+                static_cast<std::uint32_t>(stale));  // same slot
+      EXPECT_FALSE(queue.cancel(stale));
+    }
+    ASSERT_EQ(queue.size(), reference.size());
+  }
+  while (!reference.empty()) pop();
+  EXPECT_TRUE(queue.empty());
+}
+
+// Simulator streams interleaved with ordinary events at equal times.  A
+// stream of n items takes n consecutive counter values when it is set up,
+// so the reference orders item k by (at(k), first + k) — the eager
+// schedule's order — although the simulator schedules item k+1 only when
+// item k fires, after later events at the same time may have been
+// scheduled.  Some set-up events schedule a child when they fire; children
+// take the counter in firing order, so any slip in the order shows as a
+// payload mismatch.
+TEST_P(QueueModelProperty, StreamsOrderLikeEagerSchedules) {
+  Rng rng(GetParam());
+  sim::Simulator sim;
+  std::set<std::pair<TimePoint, std::uint64_t>> reference;
+  std::vector<std::uint64_t> fired;
+  std::uint64_t counter = 0;
+
+  std::uint64_t setup_end = 0;  // payloads below this may spawn a child
+  const auto spawns = [&setup_end](std::uint64_t s) {
+    return s < setup_end && s % 4 == 0;
+  };
+  const auto child_delay = [](std::uint64_t s) {
+    return seconds(static_cast<std::int64_t>(s % 3));
+  };
+  std::uint64_t sim_counter = 0;  // the simulator side's child numbering
+  const std::function<void(std::uint64_t)> fire = [&](std::uint64_t s) {
+    fired.push_back(s);
+    if (!spawns(s)) return;
+    const std::uint64_t child = sim_counter++;
+    sim.after(child_delay(s), [&fired, child]() { fired.push_back(child); });
+  };
+
+  for (int i = 0; i < 40; ++i) {
+    if (rng.chance(0.3)) {
+      const auto n = static_cast<std::size_t>(rng.uniform_int(1, 12));
+      std::vector<TimePoint> times;
+      TimePoint t = seconds(rng.uniform_int(0, 10));
+      for (std::size_t k = 0; k < n; ++k) {
+        times.push_back(t);
+        t += seconds(rng.uniform_int(0, 2));
+      }
+      const std::uint64_t first = counter;
+      counter += n;
+      for (std::size_t k = 0; k < n; ++k) {
+        reference.emplace(times[k], first + k);
+      }
+      sim.stream(
+          n, [times](std::size_t k) { return times[k]; },
+          [&fire, first](std::size_t k) { fire(first + k); });
+    } else {
+      const TimePoint t = seconds(rng.uniform_int(0, 30));
+      const std::uint64_t s = counter++;
+      reference.emplace(t, s);
+      sim.at(t, [&fire, s]() { fire(s); });
     }
   }
+  setup_end = counter;
+  sim_counter = counter;
 
-  // Expected drain order: by (t, insertion id), skipping cancelled.
-  std::vector<Ref> live;
-  for (const auto& r : refs) {
-    if (!r.cancelled) live.push_back(r);
+  std::vector<std::uint64_t> expected;
+  while (!reference.empty()) {
+    const auto [t, s] = *reference.begin();
+    reference.erase(reference.begin());
+    expected.push_back(s);
+    if (spawns(s)) reference.emplace(t + child_delay(s), counter++);
   }
-  std::sort(live.begin(), live.end(), [](const Ref& a, const Ref& b) {
-    if (a.t != b.t) return a.t < b.t;
-    return a.id < b.id;
-  });
-  ASSERT_EQ(queue.size(), live.size());
-  for (const auto& expected : live) {
-    ASSERT_FALSE(queue.empty());
-    EXPECT_EQ(queue.next_time(), expected.t);
-    const auto [t, fn] = queue.pop();
-    EXPECT_EQ(t, expected.t);
-  }
-  EXPECT_TRUE(queue.empty());
+  sim.run();
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueueModelProperty,
