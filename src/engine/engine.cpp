@@ -115,23 +115,23 @@ void ContainerEngine::set_fault_model(const FaultModel& faults) {
 }
 
 StartupBreakdown ContainerEngine::estimate_startup(
-    const spec::RunSpec& spec) const {
-  auto image = registry_.resolve(spec.image);
-  if (!image.ok()) return StartupBreakdown{};
-  const Bytes missing = store_.missing_bytes(image.value());
+    const FunctionHandle& fn) const {
+  if (!fn.resolved()) return StartupBreakdown{};
+  const spec::RunSpec& spec = fn.spec;
+  const Bytes missing = store_.missing_bytes(fn.image);
   const bool create_net =
       (spec.network == spec::NetworkMode::kOverlay && !overlay_created_) ||
       (spec.network == spec::NetworkMode::kRouting && !routing_created_);
-  return cost_.startup(spec, image.value(), missing, create_net);
+  return cost_.startup(spec, fn.image, missing, create_net);
 }
 
-void ContainerEngine::launch(const spec::RunSpec& spec, LaunchCallback cb) {
-  auto image = registry_.resolve(spec.image);
-  if (!image.ok()) {
-    cb(Result<LaunchReport>(image.error()));
+void ContainerEngine::launch(const FunctionHandle& fn, LaunchCallback cb) {
+  if (!fn.resolved()) {
+    cb(Result<LaunchReport>(*fn.image_error));
     return;
   }
-  const Image img = image.value();
+  const spec::RunSpec& spec = fn.spec;
+  const Image& img = fn.image;
 
   // Memory for the idle container is committed up front; a host that
   // cannot even hold the idle footprint refuses the launch.
@@ -177,7 +177,7 @@ void ContainerEngine::launch(const spec::RunSpec& spec, LaunchCallback cb) {
   Container c;
   c.id = id;
   c.spec = spec;
-  c.key = spec::RuntimeKey::from_spec(spec);
+  c.key = fn.key;
   c.image = img;
   c.state = ContainerState::kProvisioning;
   c.endpoint = endpoint.value().id;
@@ -224,12 +224,17 @@ void ContainerEngine::launch(const spec::RunSpec& spec, LaunchCallback cb) {
 
 void ContainerEngine::exec(ContainerId id, const AppModel& app,
                            ExecCallback cb) {
-  exec_as(id, app, spec::RunSpec{}, std::move(cb));
+  run_exec(id, app, nullptr, std::move(cb));
 }
 
 void ContainerEngine::exec_as(ContainerId id, const AppModel& app,
-                              const spec::RunSpec& request_spec,
-                              ExecCallback cb) {
+                              const FunctionHandle& fn, ExecCallback cb) {
+  run_exec(id, app, &fn, std::move(cb));
+}
+
+void ContainerEngine::run_exec(ContainerId id, const AppModel& app,
+                               const FunctionHandle* request,
+                               ExecCallback cb) {
   auto it = containers_.find(id);
   if (it == containers_.end()) {
     cb(make_error<ExecReport>("engine.unknown_container",
@@ -257,9 +262,10 @@ void ContainerEngine::exec_as(ContainerId id, const AppModel& app,
   report.container = id;
   report.app_was_warm = warm;
   report.swapped = swapped;
-  // An empty request image means "as configured" (the plain exec path);
+  // No request function means "as configured" (the plain exec path);
   // otherwise apply the re-applicable deltas before the handler starts.
-  if (!request_spec.image.name.empty()) {
+  if (request != nullptr) {
+    const spec::RunSpec& request_spec = request->spec;
     report.reconfigure = cost_.reconfigure_time(c.spec, request_spec);
     c.spec.env = request_spec.env;
     c.spec.volumes = request_spec.volumes;
@@ -334,9 +340,8 @@ void ContainerEngine::clean(ContainerId id, DoneCallback cb) {
   set_state(c, ContainerState::kBusy);
   set_state(c, ContainerState::kCleaning);
 
-  auto dirty = volumes_.get(c.volume);
-  const Bytes dirty_bytes = dirty.ok() ? dirty.value().dirty_bytes : 0;
-  const Duration d = cost_.cleanup_time(dirty_bytes);
+  const Duration d =
+      cost_.cleanup_time(volumes_.dirty_bytes(c.volume).value_or(0));
   if (clean_duration_ms_ != nullptr) {
     clean_duration_ms_->observe(to_milliseconds(d));
   }
@@ -351,7 +356,7 @@ void ContainerEngine::clean(ContainerId id, DoneCallback cb) {
 }
 
 void ContainerEngine::respecialize(ContainerId id,
-                                   const spec::RunSpec& target,
+                                   const FunctionHandle& target,
                                    RespecCallback cb) {
   auto it = containers_.find(id);
   if (it == containers_.end()) {
@@ -366,24 +371,21 @@ void ContainerEngine::respecialize(ContainerId id,
                                     to_string(c.state)));
     return;
   }
-  if (!spec::compatible(c.spec, target)) {
+  if (spec::CompatClass::from_spec(c.spec) != target.compat()) {
     cb(make_error<RespecBreakdown>(
         "engine.incompatible",
         "container " + std::to_string(id) + " (" + c.spec.image.full() +
-            ") is not class-compatible with " + target.image.full()));
+            ") is not class-compatible with " + target.spec.image.full()));
     return;
   }
-  auto image = registry_.resolve(target.image);
-  if (!image.ok()) {
-    cb(Result<RespecBreakdown>(image.error()));
+  if (!target.resolved()) {
+    cb(Result<RespecBreakdown>(*target.image_error));
     return;
   }
-  const Image img = image.value();
 
-  auto dirty = volumes_.get(c.volume);
-  const Bytes dirty_bytes = dirty.ok() ? dirty.value().dirty_bytes : 0;
   const RespecBreakdown report = cost_.respecialize(
-      c.spec, target, img, store_.missing_bytes(img), dirty_bytes);
+      c.spec, target.spec, target.image, store_.missing_bytes(target.image),
+      volumes_.dirty_bytes(c.volume).value_or(0));
   if (clean_duration_ms_ != nullptr) {
     clean_duration_ms_->observe(to_milliseconds(report.clean));
   }
@@ -393,21 +395,21 @@ void ContainerEngine::respecialize(ContainerId id,
   set_state(c, ContainerState::kBusy);
   set_state(c, ContainerState::kCleaning);
 
-  sim_.after(report.total(), [this, id, target, img, report,
+  sim_.after(report.total(), [this, id, fn = &target, report,
                               cb = std::move(cb)]() {
     auto inner = containers_.find(id);
     HOTC_ASSERT(inner != containers_.end());
     Container& done = inner->second;
     warn_if_failed(volumes_.wipe_and_remount(done.volume), "volume wipe");
-    store_.commit(img);  // the layer delta (if any) is now local
-    if (img.base_memory != done.idle_memory) {
+    store_.commit(fn->image);  // the layer delta (if any) is now local
+    if (fn->image.base_memory != done.idle_memory) {
       release_memory(done.idle_memory);
-      reserve_or_swap(img.base_memory);
-      done.idle_memory = img.base_memory;
+      reserve_or_swap(fn->image.base_memory);
+      done.idle_memory = fn->image.base_memory;
     }
-    done.spec = target;
-    done.key = spec::RuntimeKey::from_spec(target);
-    done.image = img;
+    done.spec = fn->spec;
+    done.key = fn->key;
+    done.image = fn->image;
     done.warm_app.clear();  // the donor's app init state went with the wipe
     set_state(done, ContainerState::kIdle);
     done.last_used = sim_.now();

@@ -21,6 +21,7 @@
 #include "engine/app.hpp"
 #include "engine/container.hpp"
 #include "engine/cost_model.hpp"
+#include "engine/function_table.hpp"
 #include "engine/host.hpp"
 #include "engine/network.hpp"
 #include "engine/registry.hpp"
@@ -72,22 +73,37 @@ class ContainerEngine {
   using ExecCallback = std::function<void(Result<ExecReport>)>;
   using DoneCallback = std::function<void(Result<bool>)>;
 
-  /// Create and start a container for the spec (the cold path).  The
+  /// The function handle of the spec's runtime key in this engine's
+  /// table (engine/function_table.hpp), built on the key's first sighting.
+  /// The handle lives as long as the engine; every entry point below that
+  /// takes a handle expects one from here.
+  const FunctionHandle& prepare(const spec::RunSpec& spec) {
+    return functions_.prepare(spec);
+  }
+
+  /// Create and start a container for the function (the cold path).  The
   /// container ends Idle (Existing-Available).
-  void launch(const spec::RunSpec& spec, LaunchCallback cb);
+  void launch(const FunctionHandle& fn, LaunchCallback cb);
+  void launch(const spec::RunSpec& spec, LaunchCallback cb) {
+    launch(prepare(spec), std::move(cb));
+  }
 
   /// Run an application inside an Idle container.  The container is Busy
   /// for the duration and returns to Idle when done — cleanup is the
   /// caller's (HotC's) decision, per Algorithm 2.
   void exec(ContainerId id, const AppModel& app, ExecCallback cb);
 
-  /// Subset-key variant: the request's spec may differ from the
+  /// Subset-key variant: the request's function may differ from the
   /// container's in the re-applicable fields (env, volumes, command); the
   /// difference is applied before the handler runs and charged as
   /// ExecReport::reconfigure.  The container adopts the request's
   /// re-applicable configuration.
+  void exec_as(ContainerId id, const AppModel& app, const FunctionHandle& fn,
+               ExecCallback cb);
   void exec_as(ContainerId id, const AppModel& app,
-               const spec::RunSpec& request_spec, ExecCallback cb);
+               const spec::RunSpec& request_spec, ExecCallback cb) {
+    exec_as(id, app, prepare(request_spec), std::move(cb));
+  }
 
   /// Algorithm 2: wipe the container's volume and remount a fresh one.
   void clean(ContainerId id, DoneCallback cb);
@@ -95,15 +111,20 @@ class ContainerEngine {
   using RespecCallback = std::function<void(Result<RespecBreakdown>)>;
 
   /// Cross-key sharing: convert an Idle donor container so it can serve
-  /// `target`, a sibling spec in the donor's compatibility class (see
+  /// `target`, a sibling function in the donor's compatibility class (see
   /// spec/compat.hpp).  Runs Algorithm 2's volume wipe + remount, re-applies
   /// the env/exec-option delta, rewrites cgroup limits when they differ and
-  /// pulls the image-layer delta when only the tag changed.  On success the
+  /// pulls the image-layer delta when only the tag changed, priced and
+  /// applied with the target handle's image and key.  On success the
   /// container is Idle under the target's runtime key with the donor's warm
   /// app state discarded.  Fails without side effects if the container is
-  /// not Idle or the specs are not class-compatible.
-  void respecialize(ContainerId id, const spec::RunSpec& target,
+  /// not Idle or the two are not class-compatible.
+  void respecialize(ContainerId id, const FunctionHandle& target,
                     RespecCallback cb);
+  void respecialize(ContainerId id, const spec::RunSpec& target,
+                    RespecCallback cb) {
+    respecialize(id, prepare(target), std::move(cb));
+  }
 
   /// Freeze an Idle container (cgroup freezer): most of its idle footprint
   /// is swapped out, trading memory for a resume latency on next use.
@@ -144,9 +165,15 @@ class ContainerEngine {
   /// Graceful stop + remove; releases memory, endpoint and volume.
   void stop_and_remove(ContainerId id, DoneCallback cb);
 
-  /// Synchronous estimate of a cold start for the spec (no side effects).
+  /// Synchronous estimate of a cold start for the function (no side
+  /// effects): live, because it depends on the image store's misses and on
+  /// whether a multi-host network exists yet.  Zero for an unresolved
+  /// image.
   [[nodiscard]] StartupBreakdown estimate_startup(
-      const spec::RunSpec& spec) const;
+      const FunctionHandle& fn) const;
+  [[nodiscard]] StartupBreakdown estimate_startup(const spec::RunSpec& spec) {
+    return estimate_startup(prepare(spec));
+  }
 
   // --- introspection ---------------------------------------------------
   [[nodiscard]] const Container* find(ContainerId id) const;
@@ -210,10 +237,15 @@ class ContainerEngine {
   /// Returns true if the reservation spilled (execution must slow down).
   bool reserve_or_swap(Bytes amount);
   void release_memory(Bytes amount);
+  /// exec() and exec_as(): `request` is null for the as-configured path.
+  void run_exec(ContainerId id, const AppModel& app,
+                const FunctionHandle* request, ExecCallback cb);
 
   sim::Simulator& sim_;
   CostModel cost_;
   Registry registry_;
+  /// Handles over registry_ and cost_ (declared after both).
+  FunctionTable functions_{registry_, cost_};
   ImageStore store_;
   NetworkManager network_;
   VolumeManager volumes_;

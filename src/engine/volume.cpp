@@ -32,6 +32,15 @@ Result<Volume> VolumeManager::get(VolumeId id) const {
   return it->second;
 }
 
+Result<Bytes> VolumeManager::dirty_bytes(VolumeId id) const {
+  const auto it = volumes_.find(id);
+  if (it == volumes_.end()) {
+    return make_error<Bytes>("volume.unknown",
+                             "no volume " + std::to_string(id));
+  }
+  return it->second.dirty_bytes;
+}
+
 Result<Bytes> VolumeManager::wipe_and_remount(VolumeId id) {
   const auto it = volumes_.find(id);
   if (it == volumes_.end()) {

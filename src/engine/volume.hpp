@@ -36,6 +36,10 @@ class VolumeManager {
 
   [[nodiscard]] Result<Volume> get(VolumeId id) const;
 
+  /// Bytes written into the volume since its last remount (what
+  /// Algorithm 2's wipe must delete), without copying the volume.
+  [[nodiscard]] Result<Bytes> dirty_bytes(VolumeId id) const;
+
   /// Step 1+2 of Algorithm 2: wipe contents and remount fresh.  Returns
   /// the number of bytes that had to be deleted.
   [[nodiscard]] Result<Bytes> wipe_and_remount(VolumeId id);

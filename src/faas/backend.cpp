@@ -5,12 +5,12 @@ namespace hotc::faas {
 // --- ColdStartBackend ------------------------------------------------------
 
 ColdStartBackend::ColdStartBackend(engine::ContainerEngine& engine)
-    : engine_(engine) {}
+    : Backend(engine) {}
 
-void ColdStartBackend::dispatch(const spec::RunSpec& spec,
+void ColdStartBackend::dispatch(const engine::FunctionHandle& fn,
                                 const engine::AppModel& app, Callback cb) {
   ++colds_;
-  engine_.launch(spec, [this, app, cb = std::move(cb)](
+  engine_.launch(fn, [this, app, cb = std::move(cb)](
                            Result<engine::LaunchReport> launched) {
     if (!launched.ok()) {
       cb(Result<DispatchReport>(launched.error()));
@@ -40,7 +40,7 @@ void ColdStartBackend::dispatch(const spec::RunSpec& spec,
 
 KeepAliveBackend::KeepAliveBackend(engine::ContainerEngine& engine,
                                    Duration keep_alive)
-    : engine_(engine), sim_(engine.simulator()), keep_alive_(keep_alive) {}
+    : Backend(engine), sim_(engine.simulator()), keep_alive_(keep_alive) {}
 
 std::string KeepAliveBackend::name() const {
   return "keep-alive(" + format_duration(keep_alive_) + ")";
@@ -76,9 +76,9 @@ void KeepAliveBackend::park(const spec::RuntimeKey& key,
   idle_[key].push_back(entry);
 }
 
-void KeepAliveBackend::dispatch(const spec::RunSpec& spec,
+void KeepAliveBackend::dispatch(const engine::FunctionHandle& fn,
                                 const engine::AppModel& app, Callback cb) {
-  const auto key = spec::RuntimeKey::from_spec(spec);
+  const spec::RuntimeKey key = fn.key;
   const auto it = idle_.find(key);
   if (it != idle_.end() && !it->second.empty()) {
     IdleEntry entry = it->second.front();
@@ -105,7 +105,7 @@ void KeepAliveBackend::dispatch(const spec::RunSpec& spec,
   }
 
   ++colds_;
-  engine_.launch(spec, [this, key, app, cb = std::move(cb)](
+  engine_.launch(fn, [this, key, app, cb = std::move(cb)](
                            Result<engine::LaunchReport> launched) {
     if (!launched.ok()) {
       cb(Result<DispatchReport>(launched.error()));
@@ -135,18 +135,18 @@ void KeepAliveBackend::dispatch(const spec::RunSpec& spec,
 
 HotCBackend::HotCBackend(engine::ContainerEngine& engine,
                          ControllerOptions options)
-    : controller_(engine, std::move(options)) {}
+    : Backend(engine), controller_(engine, std::move(options)) {}
 
-void HotCBackend::dispatch(const spec::RunSpec& spec,
+void HotCBackend::dispatch(const engine::FunctionHandle& fn,
                            const engine::AppModel& app, Callback cb) {
-  dispatch_traced(/*trace_id=*/0, spec, app, std::move(cb));
+  dispatch_traced(/*trace_id=*/0, fn, app, std::move(cb));
 }
 
 void HotCBackend::dispatch_traced(std::uint64_t trace_id,
-                                  const spec::RunSpec& spec,
+                                  const engine::FunctionHandle& fn,
                                   const engine::AppModel& app, Callback cb) {
   controller_.handle_traced(
-      spec, app, trace_id,
+      fn, app, trace_id,
       [cb = std::move(cb)](Result<RequestOutcome> outcome) {
         if (!outcome.ok()) {
           cb(Result<DispatchReport>(outcome.error()));
@@ -170,7 +170,7 @@ void HotCBackend::dispatch_traced(std::uint64_t trace_id,
 PeriodicWarmupBackend::PeriodicWarmupBackend(engine::ContainerEngine& engine,
                                              Duration period,
                                              Duration keep_alive)
-    : engine_(engine),
+    : Backend(engine),
       sim_(engine.simulator()),
       period_(period),
       inner_(engine, keep_alive) {}
@@ -179,20 +179,20 @@ std::string PeriodicWarmupBackend::name() const {
   return "periodic-warmup(" + format_duration(period_) + ")";
 }
 
-void PeriodicWarmupBackend::dispatch(const spec::RunSpec& spec,
+void PeriodicWarmupBackend::dispatch(const engine::FunctionHandle& fn,
                                      const engine::AppModel& app,
                                      Callback cb) {
-  inner_.dispatch(spec, app, std::move(cb));
+  inner_.dispatch(fn, app, std::move(cb));
 }
 
-void PeriodicWarmupBackend::register_warmup(const spec::RunSpec& spec,
+void PeriodicWarmupBackend::register_warmup(const engine::FunctionHandle& fn,
                                             const engine::AppModel& ping_app,
                                             TimePoint until) {
   sim_.every(
       period_, [this, until]() { return sim_.now() <= until; },
-      [this, spec, ping_app]() {
+      [this, fn = &fn, ping_app]() {
         ++pings_;
-        inner_.dispatch(spec, ping_app, [](Result<DispatchReport>) {});
+        inner_.dispatch(*fn, ping_app, [](Result<DispatchReport>) {});
       });
 }
 

@@ -21,6 +21,7 @@
 
 #include "core/result.hpp"
 #include "engine/engine.hpp"
+#include "engine/function_table.hpp"
 #include "hotc/controller.hpp"
 #include "sim/event_queue.hpp"
 #include "spec/runtime_key.hpp"
@@ -40,11 +41,13 @@ struct DispatchReport {
 
 class Backend {
  public:
+  explicit Backend(engine::ContainerEngine& engine) : engine_(engine) {}
   virtual ~Backend() = default;
   [[nodiscard]] virtual std::string name() const = 0;
 
   using Callback = std::function<void(Result<DispatchReport>)>;
-  virtual void dispatch(const spec::RunSpec& spec,
+  /// Serve one request for a function of engine()'s table.
+  virtual void dispatch(const engine::FunctionHandle& fn,
                         const engine::AppModel& app, Callback cb) = 0;
 
   /// Trace-attributed dispatch: callers that own a request id (the
@@ -52,14 +55,26 @@ class Backend {
   /// forwarding hops.  Default forwards to dispatch() — only
   /// tracing-aware backends override.
   virtual void dispatch_traced(std::uint64_t trace_id,
-                               const spec::RunSpec& spec,
+                               const engine::FunctionHandle& fn,
                                const engine::AppModel& app, Callback cb) {
     (void)trace_id;
-    dispatch(spec, app, std::move(cb));
+    dispatch(fn, app, std::move(cb));
+  }
+
+  /// RunSpec form: prepare the spec's handle in the engine, then dispatch.
+  void dispatch(const spec::RunSpec& spec, const engine::AppModel& app,
+                Callback cb) {
+    dispatch(engine_.prepare(spec), app, std::move(cb));
   }
 
   /// Cold starts this backend has caused (for figure tables).
   [[nodiscard]] virtual std::uint64_t cold_starts() const = 0;
+
+  /// The engine whose function table this backend's handles come from.
+  [[nodiscard]] engine::ContainerEngine& engine() { return engine_; }
+
+ protected:
+  engine::ContainerEngine& engine_;
 };
 
 /// Launch + exec + remove on every request.
@@ -67,12 +82,12 @@ class ColdStartBackend final : public Backend {
  public:
   explicit ColdStartBackend(engine::ContainerEngine& engine);
   [[nodiscard]] std::string name() const override { return "cold-always"; }
-  void dispatch(const spec::RunSpec& spec, const engine::AppModel& app,
+  using Backend::dispatch;
+  void dispatch(const engine::FunctionHandle& fn, const engine::AppModel& app,
                 Callback cb) override;
   [[nodiscard]] std::uint64_t cold_starts() const override { return colds_; }
 
  private:
-  engine::ContainerEngine& engine_;
   std::uint64_t colds_ = 0;
 };
 
@@ -83,7 +98,8 @@ class KeepAliveBackend final : public Backend {
  public:
   KeepAliveBackend(engine::ContainerEngine& engine, Duration keep_alive);
   [[nodiscard]] std::string name() const override;
-  void dispatch(const spec::RunSpec& spec, const engine::AppModel& app,
+  using Backend::dispatch;
+  void dispatch(const engine::FunctionHandle& fn, const engine::AppModel& app,
                 Callback cb) override;
   [[nodiscard]] std::uint64_t cold_starts() const override { return colds_; }
 
@@ -103,7 +119,6 @@ class KeepAliveBackend final : public Backend {
 
   void park(const spec::RuntimeKey& key, engine::ContainerId id);
 
-  engine::ContainerEngine& engine_;
   sim::Simulator& sim_;
   Duration keep_alive_;
   std::map<spec::RuntimeKey, std::list<IdleEntry>> idle_;
@@ -116,9 +131,11 @@ class HotCBackend final : public Backend {
  public:
   HotCBackend(engine::ContainerEngine& engine, ControllerOptions options);
   [[nodiscard]] std::string name() const override { return "hotc"; }
-  void dispatch(const spec::RunSpec& spec, const engine::AppModel& app,
+  using Backend::dispatch;
+  void dispatch(const engine::FunctionHandle& fn, const engine::AppModel& app,
                 Callback cb) override;
-  void dispatch_traced(std::uint64_t trace_id, const spec::RunSpec& spec,
+  void dispatch_traced(std::uint64_t trace_id,
+                       const engine::FunctionHandle& fn,
                        const engine::AppModel& app, Callback cb) override;
   [[nodiscard]] std::uint64_t cold_starts() const override {
     return controller_.stats().cold_starts;
@@ -138,20 +155,25 @@ class PeriodicWarmupBackend final : public Backend {
   PeriodicWarmupBackend(engine::ContainerEngine& engine, Duration period,
                         Duration keep_alive);
   [[nodiscard]] std::string name() const override;
-  void dispatch(const spec::RunSpec& spec, const engine::AppModel& app,
+  using Backend::dispatch;
+  void dispatch(const engine::FunctionHandle& fn, const engine::AppModel& app,
                 Callback cb) override;
   [[nodiscard]] std::uint64_t cold_starts() const override {
     return inner_.cold_starts();
   }
 
-  /// Begin pinging this function spec until `until`.
-  void register_warmup(const spec::RunSpec& spec,
+  /// Begin pinging this function until `until`; the timer carries the
+  /// handle.
+  void register_warmup(const engine::FunctionHandle& fn,
                        const engine::AppModel& ping_app, TimePoint until);
+  void register_warmup(const spec::RunSpec& spec,
+                       const engine::AppModel& ping_app, TimePoint until) {
+    register_warmup(engine_.prepare(spec), ping_app, until);
+  }
 
   [[nodiscard]] std::uint64_t warmup_pings() const { return pings_; }
 
  private:
-  engine::ContainerEngine& engine_;
   sim::Simulator& sim_;
   Duration period_;
   KeepAliveBackend inner_;

@@ -12,8 +12,8 @@ Gateway::Gateway(sim::Simulator& sim, Backend& backend,
       slots_(options.max_concurrent) {}
 
 void Gateway::submit(std::uint64_t request_id, std::size_t config_index,
-                     const spec::RunSpec& spec, const engine::AppModel& app,
-                     Callback cb) {
+                     const engine::FunctionHandle& fn,
+                     const engine::AppModel& app, Callback cb) {
   std::uint32_t slot = 0;
   if (free_records_.empty()) {
     slot = static_cast<std::uint32_t>(records_.size());
@@ -27,7 +27,7 @@ void Gateway::submit(std::uint64_t request_id, std::size_t config_index,
   r.rec.id = request_id;
   r.rec.config_index = config_index;
   r.rec.submitted = sim_.now();
-  r.spec = spec;
+  r.fn = &fn;
   r.app = app;
   r.cb = std::move(cb);
   r.answered = false;
@@ -81,7 +81,7 @@ void Gateway::at_watchdog(std::uint32_t slot) {
     options_.tracer->span(r.rec.id, obs::Stage::kForward, r.rec.submitted,
                           r.rec.t2 - r.rec.submitted);
   }
-  backend_.dispatch_traced(r.rec.id, r.spec, r.app,
+  backend_.dispatch_traced(r.rec.id, *r.fn, r.app,
                            [this, slot](Result<DispatchReport> d) {
                              dispatched(slot, std::move(d));
                            });

@@ -80,10 +80,18 @@ class Gateway {
 
   using Callback = std::function<void(Result<CompletedRequest>)>;
 
-  /// Submit a request "from the client" at the current simulation time.
+  /// Submit a request "from the client" at the current simulation time,
+  /// for a function of the backend's engine (Backend::engine().prepare()).
+  void submit(std::uint64_t request_id, std::size_t config_index,
+              const engine::FunctionHandle& fn, const engine::AppModel& app,
+              Callback cb);
+  /// RunSpec form: prepare the spec's handle, then submit it.
   void submit(std::uint64_t request_id, std::size_t config_index,
               const spec::RunSpec& spec, const engine::AppModel& app,
-              Callback cb);
+              Callback cb) {
+    submit(request_id, config_index, backend_.engine().prepare(spec), app,
+           std::move(cb));
+  }
 
   [[nodiscard]] std::uint64_t handled() const {
     const RankedGuard lock(mu_);
@@ -98,13 +106,14 @@ class Gateway {
   [[nodiscard]] std::size_t in_flight() const { return slots_.in_use(); }
 
  private:
-  /// One in-flight request: submit() copies its spec and app here once,
-  /// and every hop event captures only {this, slot}, which std::function
-  /// stores inline.  Records are recycled through a free list; a deque
-  /// keeps a record in place while later submits add more.
+  /// One in-flight request: submit() stores its function handle and
+  /// copies its app here once, and every hop event captures only
+  /// {this, slot}, which std::function stores inline.  Records are
+  /// recycled through a free list; a deque keeps a record in place while
+  /// later submits add more.
   struct Record {
     CompletedRequest rec;
-    spec::RunSpec spec;
+    const engine::FunctionHandle* fn = nullptr;
     engine::AppModel app;
     Callback cb;
     /// Bumped when the record is freed, so a deadline timer that outlives

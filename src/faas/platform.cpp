@@ -83,7 +83,29 @@ metrics::LatencyRecorder FaasPlatform::run(
     }
   }
 
-  const TimePoint last = arrivals.back().at;
+  // Each function of the mix is prepared once, at its first request, and
+  // its requests carry the handle.  Preparing on first request keeps the
+  // order in which runtime keys are interned (and so their KeyIds, which
+  // the pool's random-eviction walk follows) the order of first requests.
+  std::vector<const engine::FunctionHandle*> functions(mix.size(), nullptr);
+  const auto function = [this, &mix, &functions](std::size_t config)
+      -> const engine::FunctionHandle& {
+    const engine::FunctionHandle*& fn = functions[config];
+    if (fn == nullptr) fn = &engine_.prepare(mix.at(config).spec);
+    return *fn;
+  };
+
+  // One pass checks every arrival's config, finds whether the list is in
+  // time order and takes the latest arrival: the run's horizon, which the
+  // last list entry gives only when the list is sorted.
+  bool sorted = true;
+  TimePoint last = arrivals.front().at;
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    HOTC_ASSERT_MSG(arrivals[i].config_index < mix.size(),
+                    "arrival names a config outside the mix");
+    if (i > 0 && arrivals[i].at < arrivals[i - 1].at) sorted = false;
+    last = std::max(last, arrivals[i].at);
+  }
   const TimePoint horizon = last + options_.trailing_slack;
 
   if (auto* controller = hotc_controller()) {
@@ -93,7 +115,7 @@ metrics::LatencyRecorder FaasPlatform::run(
     // Azure-Logic style: every function in the mix gets a keep-warm timer
     // for the whole run.
     for (std::size_t i = 0; i < mix.size(); ++i) {
-      warmup->register_warmup(mix.at(i).spec, engine::apps::random_number(),
+      warmup->register_warmup(function(i), engine::apps::random_number(),
                               horizon);
     }
   }
@@ -103,12 +125,6 @@ metrics::LatencyRecorder FaasPlatform::run(
   // order an eager schedule of the whole list would fire them: by time,
   // then list index.  A list out of time order streams through its
   // indices stable-sorted by time.  Request ids are list index + 1.
-  bool sorted = true;
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    HOTC_ASSERT_MSG(arrivals[i].config_index < mix.size(),
-                    "arrival names a config outside the mix");
-    if (i > 0 && arrivals[i].at < arrivals[i - 1].at) sorted = false;
-  }
   std::vector<std::size_t> order;
   if (!sorted) {
     order.resize(arrivals.size());
@@ -126,11 +142,10 @@ metrics::LatencyRecorder FaasPlatform::run(
   sim_.stream(
       arrivals.size(),
       [&arrivals, index](std::size_t k) { return arrivals[index(k)].at; },
-      [this, &arrivals, &mix, &recorder, index](std::size_t k) {
+      [this, &arrivals, &mix, &function, &recorder, index](std::size_t k) {
         const std::size_t i = index(k);
-        const auto& entry = mix.at(arrivals[i].config_index);
-        gateway_->submit(i + 1, arrivals[i].config_index, entry.spec,
-                         entry.app,
+        const std::size_t config = arrivals[i].config_index;
+        gateway_->submit(i + 1, config, function(config), mix.at(config).app,
                          [this, &recorder](Result<CompletedRequest> done) {
                            record(std::move(done), recorder);
                          });

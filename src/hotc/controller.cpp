@@ -98,41 +98,56 @@ void HotCController::emit_span(std::uint64_t trace_id, obs::Stage stage,
   }
 }
 
-spec::RuntimeKey HotCController::key_for(const spec::RunSpec& spec) const {
-  return options_.use_subset_key ? spec::RuntimeKey::subset_from_spec(spec)
-                                 : spec::RuntimeKey::from_spec(spec);
-}
-
 HotCController::KeyState& HotCController::key_state(
-    const spec::RuntimeKey& key, const spec::RunSpec& spec) {
-  auto it = keys_.find(key.id());
-  if (it == keys_.end()) {
-    KeyState state;
-    state.canonical_spec = spec;
-    state.predictor = options_.predictor_factory();
-    state.drift = obs::PageHinkley(options_.drift);
-    // Every key the controller has seen is a potential donor for its
-    // compatibility-class siblings.
-    if (donors_ != nullptr) state.compat = donors_->record(key, spec);
-    it = keys_.emplace(key.id(), std::move(state)).first;
-  }
-  return it->second;
+    const spec::RuntimeKey& key, const engine::FunctionHandle& fn) {
+  if (KeyState* known = find_state(key)) return *known;
+  KeyState& state = keys_.emplace_back();
+  state.key = key;
+  state.fn = &fn;
+  state.predictor = options_.predictor_factory();
+  state.drift = obs::PageHinkley(options_.drift);
+  // Every key the controller has seen is a potential donor for its
+  // compatibility-class siblings.
+  if (donors_ != nullptr) donors_->record(key, fn);
+  const auto index = static_cast<std::uint32_t>(keys_.size() - 1);
+  key_slots_.insert(key.id(), index);
+  const spec::InternTextLess less;
+  tick_order_.insert(
+      std::upper_bound(tick_order_.begin(), tick_order_.end(), key.id(),
+                       [this, &less](spec::KeyId id, std::uint32_t i) {
+                         return less(id, keys_[i].key.id());
+                       }),
+      index);
+  return state;
 }
 
-void HotCController::handle(const spec::RunSpec& spec,
-                            const engine::AppModel& app, Callback cb) {
-  handle_traced(spec, app, /*trace_id=*/0, std::move(cb));
+HotCController::KeyState* HotCController::find_state(
+    const spec::RuntimeKey& key) {
+  const std::uint32_t slot = key_slots_.find(key.id());
+  return slot == IdSlotMap::kNotFound ? nullptr : &keys_[slot];
 }
 
-void HotCController::handle_traced(const spec::RunSpec& spec,
+const HotCController::KeyState* HotCController::find_state(
+    const spec::RuntimeKey& key) const {
+  const std::uint32_t slot = key_slots_.find(key.id());
+  return slot == IdSlotMap::kNotFound ? nullptr : &keys_[slot];
+}
+
+void HotCController::end_busy(const spec::RuntimeKey& key) {
+  KeyState* state = find_state(key);
+  if (state != nullptr && state->busy_now > 0) --state->busy_now;
+}
+
+void HotCController::handle_traced(const engine::FunctionHandle& fn,
                                    const engine::AppModel& app,
                                    std::uint64_t trace_id, Callback cb) {
   if (trace_id == 0 && options_.tracer != nullptr) {
     trace_id = options_.tracer->next_trace_id();
   }
   const TimePoint arrival = sim_.now();
-  const spec::RuntimeKey key = key_for(spec);
-  KeyState& state = key_state(key, spec);
+  const spec::RuntimeKey key =
+      options_.use_subset_key ? fn.subset_key() : fn.key;
+  KeyState& state = key_state(key, fn);
   if (options_.registry != nullptr) {
     if (state.req_counter == nullptr) {
       state.req_counter = &options_.registry->counter(
@@ -162,31 +177,29 @@ void HotCController::handle_traced(const spec::RunSpec& spec,
     emit_span(trace_id, obs::Stage::kReuse, arrival, kZeroDuration,
               key.hash(), obs::kSpanHit);
     notify_pool_change(key);
-    run_on(*entry, spec, app, entry->prewarmed, kZeroDuration, arrival,
+    run_on(*entry, fn, app, entry->prewarmed, kZeroDuration, arrival,
            trace_id, std::move(cb));
     return;
   }
 
   // Cross-key sharing: a compatible sibling's idle container may be
   // convertible for less than a cold start (src/share/).
-  if (donors_ != nullptr && try_donor(spec, app, key, arrival, trace_id, cb)) {
+  if (donors_ != nullptr && try_donor(fn, app, key, arrival, trace_id, cb)) {
     return;
   }
 
-  provision_cold(spec, app, key, arrival, trace_id, std::move(cb));
+  provision_cold(fn, app, key, arrival, trace_id, std::move(cb));
 }
 
-void HotCController::provision_cold(const spec::RunSpec& spec,
+void HotCController::provision_cold(const engine::FunctionHandle& fn,
                                     const engine::AppModel& app,
                                     const spec::RuntimeKey& key,
                                     TimePoint arrival,
                                     std::uint64_t trace_id, Callback cb) {
   ++stats_.cold_starts;
-  {
-    const auto it = keys_.find(key.id());
-    if (it != keys_.end() && it->second.cold_counter != nullptr) {
-      it->second.cold_counter->inc();
-    }
+  if (const KeyState* state = find_state(key);
+      state != nullptr && state->cold_counter != nullptr) {
+    state->cold_counter->inc();
   }
   enforce_pressure();  // make room before allocating a new runtime
 
@@ -199,7 +212,7 @@ void HotCController::provision_cold(const spec::RunSpec& spec,
       const TimePoint restore_start = sim_.now();
       engine_.restore_container(
           snap->container,
-          [this, spec, app, key, arrival, restore_start, trace_id,
+          [this, fn = &fn, app, key, arrival, restore_start, trace_id,
            cb = std::move(cb)](Result<engine::LaunchReport> r) mutable {
             if (!r.ok()) {
               // The parked container died out from under the store (the
@@ -208,7 +221,7 @@ void HotCController::provision_cold(const spec::RunSpec& spec,
               emit_span(trace_id, obs::Stage::kRestore, restore_start,
                         sim_.now() - restore_start, key.hash(),
                         obs::kSpanCold | obs::kSpanError);
-              launch_cold(spec, app, key, arrival, trace_id, std::move(cb));
+              launch_cold(*fn, app, key, arrival, trace_id, std::move(cb));
               return;
             }
             ++stats_.restores;
@@ -224,7 +237,7 @@ void HotCController::provision_cold(const spec::RunSpec& spec,
             fresh.key = key;
             fresh.created_at = sim_.now();
             fresh.restored = true;  // counted once at re-admission
-            run_on(fresh, spec, app, /*was_prewarmed=*/false, paid, arrival,
+            run_on(fresh, *fn, app, /*was_prewarmed=*/false, paid, arrival,
                    trace_id, std::move(cb), /*was_resumed=*/false,
                    /*was_restored=*/true);
           });
@@ -232,24 +245,21 @@ void HotCController::provision_cold(const spec::RunSpec& spec,
     }
   }
 
-  launch_cold(spec, app, key, arrival, trace_id, std::move(cb));
+  launch_cold(fn, app, key, arrival, trace_id, std::move(cb));
 }
 
-void HotCController::launch_cold(const spec::RunSpec& spec,
+void HotCController::launch_cold(const engine::FunctionHandle& fn,
                                  const engine::AppModel& app,
                                  const spec::RuntimeKey& key,
                                  TimePoint arrival, std::uint64_t trace_id,
                                  Callback cb) {
-  engine_.launch(spec, [this, key, spec, app, arrival, trace_id,
-                        cb = std::move(cb)](Result<engine::LaunchReport> r) {
+  engine_.launch(fn, [this, key, fn = &fn, app, arrival, trace_id,
+                      cb = std::move(cb)](Result<engine::LaunchReport> r) {
     if (!r.ok()) {
       emit_span(trace_id, obs::Stage::kColdStart, arrival,
                 sim_.now() - arrival, key.hash(),
                 obs::kSpanCold | obs::kSpanError);
-      auto it = keys_.find(key.id());
-      if (it != keys_.end() && it->second.busy_now > 0) {
-        --it->second.busy_now;
-      }
+      end_busy(key);
       cb(Result<RequestOutcome>(r.error()));
       return;
     }
@@ -260,12 +270,12 @@ void HotCController::launch_cold(const spec::RunSpec& spec,
     fresh.id = r.value().container;
     fresh.key = key;
     fresh.created_at = sim_.now();
-    run_on(fresh, spec, app, /*was_prewarmed=*/false,
+    run_on(fresh, *fn, app, /*was_prewarmed=*/false,
            r.value().breakdown.total(), arrival, trace_id, cb);
   });
 }
 
-bool HotCController::try_donor(const spec::RunSpec& spec,
+bool HotCController::try_donor(const engine::FunctionHandle& fn,
                                const engine::AppModel& app,
                                const spec::RuntimeKey& key,
                                TimePoint arrival, std::uint64_t trace_id,
@@ -276,13 +286,10 @@ bool HotCController::try_donor(const spec::RunSpec& spec,
   // The request's side of the price: its cold start and its image, whose
   // missing layers a donor of another tag must fetch.  An unknown image
   // prices as an empty one; its zero cold estimate fails the gate anyway.
-  static const engine::Image kUnknownImage;
-  const auto image = engine_.registry().resolve(spec.image);
-  const engine::Image& target = image.ok() ? image.value() : kUnknownImage;
   const auto choice = share::choose_donor(
-      *donors_, pool_, engine_.cost_model(), spec, key,
-      engine_.estimate_startup(spec).total(), target,
-      engine_.image_store().missing_bytes(target),
+      *donors_, pool_, engine_.cost_model(), fn, key,
+      engine_.estimate_startup(fn).total(),
+      engine_.image_store().missing_bytes(fn.image),
       options_.share_max_cost_ratio);
   emit_span(trace_id, obs::Stage::kDonorLookup, lookup_start,
             sim_.now() - lookup_start, key.hash(),
@@ -309,8 +316,8 @@ bool HotCController::try_donor(const spec::RunSpec& spec,
   const TimePoint respec_start = sim_.now();
   const pool::PoolEntry donor_entry = *donor;
   engine_.respecialize(
-      donor_entry.id, spec,
-      [this, donor_entry, spec, app, key, arrival, respec_start, trace_id,
+      donor_entry.id, fn,
+      [this, donor_entry, fn = &fn, app, key, arrival, respec_start, trace_id,
        cb = std::move(cb)](Result<engine::RespecBreakdown> r) mutable {
         if (!r.ok()) {
           emit_span(trace_id, obs::Stage::kRespecialize, respec_start,
@@ -318,7 +325,7 @@ bool HotCController::try_donor(const spec::RunSpec& spec,
           // The donor is in an unknown state; drop it and fall back to an
           // ordinary cold start for the request.
           engine_.stop_and_remove(donor_entry.id, [](Result<bool>) {});
-          provision_cold(spec, app, key, arrival, trace_id, std::move(cb));
+          provision_cold(*fn, app, key, arrival, trace_id, std::move(cb));
           return;
         }
         const Duration paid = r.value().total();
@@ -336,8 +343,8 @@ bool HotCController::try_donor(const spec::RunSpec& spec,
         converted.prewarmed = false;
         converted.paused = false;
         converted.app_tag = 0;  // the wipe discarded the donor's app state
-        donors_->record(key, spec);
-        run_on(converted, spec, app, /*was_prewarmed=*/false, paid, arrival,
+        donors_->record(key, *fn);
+        run_on(converted, *fn, app, /*was_prewarmed=*/false, paid, arrival,
                trace_id, std::move(cb), /*was_resumed=*/false,
                /*was_restored=*/false, /*was_respecialized=*/true);
       });
@@ -345,7 +352,7 @@ bool HotCController::try_donor(const spec::RunSpec& spec,
 }
 
 void HotCController::run_on(const pool::PoolEntry& entry,
-                            const spec::RunSpec& spec,
+                            const engine::FunctionHandle& fn,
                             const engine::AppModel& app, bool was_prewarmed,
                             Duration startup_paid, TimePoint arrival,
                             std::uint64_t trace_id, Callback cb,
@@ -355,7 +362,7 @@ void HotCController::run_on(const pool::PoolEntry& entry,
     // The pooled runtime is frozen: thaw before execution.  The fault-in
     // latency lands on this request, still far below a cold start.
     const TimePoint resume_start = sim_.now();
-    engine_.resume(entry.id, [this, entry, spec, app, was_prewarmed,
+    engine_.resume(entry.id, [this, entry, fn = &fn, app, was_prewarmed,
                               startup_paid, arrival, resume_start, trace_id,
                               was_respecialized,
                               cb = std::move(cb)](Result<bool> r) mutable {
@@ -369,17 +376,14 @@ void HotCController::run_on(const pool::PoolEntry& entry,
         // fresh cold start.
         engine_.stop_and_remove(entry.id, [](Result<bool>) {});
         const TimePoint relaunch_start = sim_.now();
-        engine_.launch(spec, [this, spec, app, arrival, relaunch_start,
-                              trace_id, key = entry.key, cb = std::move(cb)](
-                                 Result<engine::LaunchReport> launched) {
+        engine_.launch(*fn, [this, fn, app, arrival, relaunch_start,
+                             trace_id, key = entry.key, cb = std::move(cb)](
+                                Result<engine::LaunchReport> launched) {
           if (!launched.ok()) {
             emit_span(trace_id, obs::Stage::kColdStart, relaunch_start,
                       sim_.now() - relaunch_start, key.hash(),
                       obs::kSpanCold | obs::kSpanError);
-            auto it = keys_.find(key.id());
-            if (it != keys_.end() && it->second.busy_now > 0) {
-              --it->second.busy_now;
-            }
+            end_busy(key);
             cb(Result<RequestOutcome>(launched.error()));
             return;
           }
@@ -390,14 +394,14 @@ void HotCController::run_on(const pool::PoolEntry& entry,
           fresh.id = launched.value().container;
           fresh.key = key;
           fresh.created_at = sim_.now();
-          run_on(fresh, spec, app, false,
+          run_on(fresh, *fn, app, false,
                  launched.value().breakdown.total(), arrival, trace_id, cb);
         });
         return;
       }
       emit_span(trace_id, obs::Stage::kResume, resume_start,
                 sim_.now() - resume_start, entry.key.hash());
-      run_on(thawed, spec, app, was_prewarmed, startup_paid, arrival,
+      run_on(thawed, *fn, app, was_prewarmed, startup_paid, arrival,
              trace_id, std::move(cb), /*was_resumed=*/true,
              /*was_restored=*/false, was_respecialized);
     });
@@ -410,10 +414,7 @@ void HotCController::run_on(const pool::PoolEntry& entry,
                   exec_start, trace_id, was_resumed, was_restored,
                   was_respecialized,
                   cb = std::move(cb)](Result<engine::ExecReport> r) {
-    auto it = keys_.find(key.id());
-    if (it != keys_.end() && it->second.busy_now > 0) {
-      --it->second.busy_now;
-    }
+    end_busy(key);
     const std::uint8_t cold_flag =
         startup_paid == kZeroDuration ? obs::kSpanHit : obs::kSpanCold;
     if (!r.ok()) {
@@ -469,7 +470,7 @@ void HotCController::run_on(const pool::PoolEntry& entry,
   if (options_.use_subset_key) {
     // Subset-key reuse: the pooled container may differ in re-applicable
     // fields; the engine applies the delta and charges it to this request.
-    engine_.exec_as(entry.id, app, spec, std::move(exec_cb));
+    engine_.exec_as(entry.id, app, fn, std::move(exec_cb));
   } else {
     engine_.exec(entry.id, app, std::move(exec_cb));
   }
@@ -536,16 +537,16 @@ void HotCController::retire_entry(const pool::PoolEntry& entry,
 
 std::optional<snapshot::SnapshotMeta> HotCController::demotion_plan(
     const pool::PoolEntry& entry) const {
-  const auto state_it = keys_.find(entry.key.id());
+  const KeyState* state = find_state(entry.key);
   const engine::Container* c = engine_.find(entry.id);
-  if (state_it == keys_.end() || c == nullptr) return std::nullopt;
-  const spec::RunSpec& spec = state_it->second.canonical_spec;
+  if (state == nullptr || c == nullptr) return std::nullopt;
+  const engine::FunctionHandle& fn = *state->fn;
   // The engine's dump model: the idle resident set plus ~2 MiB of metadata.
   const Bytes image_bytes = c->idle_memory + mib(2);
   return snapshot::plan_demotion(
-      options_.tiering, entry.key.id(), snapshot::tenant_of(spec), entry.id,
-      image_bytes, engine_.cost_model().restore_time(image_bytes, spec),
-      engine_.estimate_startup(spec).total());
+      options_.tiering, entry.key.id(), fn.tenant, entry.id, image_bytes,
+      engine_.cost_model().restore_time(image_bytes, fn.spec),
+      engine_.estimate_startup(fn).total());
 }
 
 void HotCController::demote(const pool::PoolEntry& entry,
@@ -582,12 +583,12 @@ void HotCController::demote(const pool::PoolEntry& entry,
       });
 }
 
-void HotCController::prewarm(const spec::RuntimeKey& key, KeyState& state) {
+void HotCController::prewarm(const KeyState& state) {
   ++stats_.prewarm_launches;
   if (obs_.prewarms != nullptr) obs_.prewarms->inc();
   const TimePoint launch_start = sim_.now();
-  engine_.launch(state.canonical_spec,
-                 [this, key, launch_start](Result<engine::LaunchReport> r) {
+  engine_.launch(*state.fn, [this, key = state.key,
+                             launch_start](Result<engine::LaunchReport> r) {
                    if (!r.ok()) {
                      emit_span(0, obs::Stage::kPrewarm, launch_start,
                                sim_.now() - launch_start, key.hash(),
@@ -625,8 +626,11 @@ void HotCController::adaptive_tick() {
   std::size_t tick_prewarms = 0;
   std::size_t tick_retires = 0;
   const std::uint64_t evicted_before = stats_.evicted;
-  for (auto& [key_id, state] : keys_) {
-    const spec::RuntimeKey key = spec::RuntimeKey::from_id(key_id);
+  // By index: a KeyState reference stays valid, and the bound is re-read,
+  // should a synchronous callback ever add a key mid-tick.
+  for (std::size_t i = 0; i < tick_order_.size(); ++i) {
+    KeyState& state = keys_[tick_order_[i]];
+    const spec::RuntimeKey key = state.key;
     // Observe this interval's demand: the peak number of simultaneously
     // busy containers of this runtime type.
     const auto demand = static_cast<double>(state.interval_peak);
@@ -694,15 +698,15 @@ void HotCController::adaptive_tick() {
       // decays toward (but never reaches) zero.  A drift-muted key is
       // additionally barred from find_donor entirely — its surplus is
       // computed from a forecast the detector just distrusted.
-      donors_->set_flags(state.compat, key, decision.nominate_donor,
+      donors_->set_flags(state.fn->compat(), key, decision.nominate_donor,
                          in.donation_muted);
     }
-    for (std::size_t i = 0; i < decision.prewarms; ++i) prewarm(key, state);
+    for (std::size_t p = 0; p < decision.prewarms; ++p) prewarm(state);
     if (decision.retires > 0) {
       auto entries = pool_.entries(key);  // oldest first
-      for (std::size_t i = 0; i < decision.retires && i < entries.size();
-           ++i) {
-        retire_entry(entries[i], /*pressure=*/false);
+      for (std::size_t r = 0; r < decision.retires && r < entries.size();
+           ++r) {
+        retire_entry(entries[r], /*pressure=*/false);
       }
     }
     tick_prewarms += decision.prewarms;
@@ -818,9 +822,9 @@ void HotCController::start_adaptive_loop(TimePoint until) {
 
 std::optional<double> HotCController::current_forecast(
     const spec::RuntimeKey& key) const {
-  const auto it = keys_.find(key.id());
-  if (it == keys_.end()) return std::nullopt;
-  return it->second.predictor->predict();
+  const KeyState* state = find_state(key);
+  if (state == nullptr) return std::nullopt;
+  return state->predictor->predict();
 }
 
 }  // namespace hotc

@@ -13,14 +13,17 @@
 // with oldest-first eviction.
 #pragma once
 
+#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "core/annotations.hpp"
+#include "core/flat_map.hpp"
 #include "core/result.hpp"
 #include "engine/engine.hpp"
+#include "engine/function_table.hpp"
 #include "obs/blackbox.hpp"
 #include "obs/drift.hpp"
 #include "obs/journal.hpp"
@@ -157,15 +160,25 @@ class HotCController {
 
   using Callback = std::function<void(Result<RequestOutcome>)>;
 
-  /// Algorithm 1 + 2: serve one request.
-  void handle(const spec::RunSpec& spec, const engine::AppModel& app,
-              Callback cb);
+  /// Algorithm 1 + 2: serve one request for a function of this
+  /// controller's engine (engine().prepare()).
+  void handle(const engine::FunctionHandle& fn, const engine::AppModel& app,
+              Callback cb) {
+    handle_traced(fn, app, /*trace_id=*/0, std::move(cb));
+  }
 
   /// Same, attributing every span to the caller's trace id (the gateway
   /// passes its request id so one trace covers the whole request path).
   /// A zero trace id draws a fresh one from the tracer when present.
-  void handle_traced(const spec::RunSpec& spec, const engine::AppModel& app,
-                     std::uint64_t trace_id, Callback cb);
+  void handle_traced(const engine::FunctionHandle& fn,
+                     const engine::AppModel& app, std::uint64_t trace_id,
+                     Callback cb);
+
+  /// RunSpec form: prepare the spec's handle in the engine, then serve it.
+  void handle(const spec::RunSpec& spec, const engine::AppModel& app,
+              Callback cb) {
+    handle(engine_.prepare(spec), app, std::move(cb));
+  }
 
   /// Start the Algorithm 3 control loop (call once, before running the
   /// simulation).  `until` bounds the loop; pass a horizon past your
@@ -208,9 +221,10 @@ class HotCController {
 
  private:
   struct KeyState {
-    spec::RunSpec canonical_spec;  // a spec that can recreate this runtime
-    /// Donor-registry class of canonical_spec (set only with sharing on).
-    spec::CompatClass compat;
+    spec::RuntimeKey key;  // this controller's key (subset or full)
+    /// The first function seen under the key: it recreates the runtime
+    /// and carries the key's image, class and tenant.
+    const engine::FunctionHandle* fn = nullptr;
     predict::PredictorPtr predictor;
     std::size_t busy_now = 0;       // currently executing containers
     std::size_t interval_peak = 0;  // max busy within the current interval
@@ -234,8 +248,15 @@ class HotCController {
     obs::Counter* cold_counter = nullptr;
   };
 
-  KeyState& key_state(const spec::RuntimeKey& key, const spec::RunSpec& spec);
-  spec::RuntimeKey key_for(const spec::RunSpec& spec) const;
+  /// The key's state, created (and filed in the tick order and the donor
+  /// registry) on its first request.
+  KeyState& key_state(const spec::RuntimeKey& key,
+                      const engine::FunctionHandle& fn);
+  /// The key's state, or nullptr if the key has had no request.
+  [[nodiscard]] KeyState* find_state(const spec::RuntimeKey& key);
+  [[nodiscard]] const KeyState* find_state(const spec::RuntimeKey& key) const;
+  /// One fewer busy container of the key (a request ended or failed).
+  void end_busy(const spec::RuntimeKey& key);
 
   /// Enforce max_live / memory threshold by stopping idle victims.
   void enforce_pressure();
@@ -254,9 +275,9 @@ class HotCController {
   void demote(const pool::PoolEntry& entry, snapshot::SnapshotMeta meta);
 
   /// Launch a pre-warmed container for a key (Algorithm 3 scale-up).
-  void prewarm(const spec::RuntimeKey& key, KeyState& state);
+  void prewarm(const KeyState& state);
 
-  void run_on(const pool::PoolEntry& entry, const spec::RunSpec& spec,
+  void run_on(const pool::PoolEntry& entry, const engine::FunctionHandle& fn,
               const engine::AppModel& app, bool was_prewarmed,
               Duration startup_paid, TimePoint arrival,
               std::uint64_t trace_id, Callback cb, bool was_resumed = false,
@@ -265,24 +286,25 @@ class HotCController {
   /// The cold tail of the miss path: enforce pressure, then restore from
   /// the snapshot tier when possible, else launch.  Counts one true cold
   /// start.
-  void provision_cold(const spec::RunSpec& spec, const engine::AppModel& app,
+  void provision_cold(const engine::FunctionHandle& fn,
+                      const engine::AppModel& app,
                       const spec::RuntimeKey& key, TimePoint arrival,
                       std::uint64_t trace_id, Callback cb);
 
   /// The launch tail of provision_cold (also the fallback when a
   /// snapshot-tier restore loses its container).  The caller has already
   /// counted the cold start.
-  void launch_cold(const spec::RunSpec& spec, const engine::AppModel& app,
-                   const spec::RuntimeKey& key, TimePoint arrival,
-                   std::uint64_t trace_id, Callback cb);
+  void launch_cold(const engine::FunctionHandle& fn,
+                   const engine::AppModel& app, const spec::RuntimeKey& key,
+                   TimePoint arrival, std::uint64_t trace_id, Callback cb);
 
   /// Cross-key sharing on the miss path: choose an idle sibling donor
   /// (share::choose_donor), lease it and convert it.  Returns true if
   /// the request was taken over (cb moved from); false leaves cb intact
   /// and the caller cold-starts.
-  bool try_donor(const spec::RunSpec& spec, const engine::AppModel& app,
-                 const spec::RuntimeKey& key, TimePoint arrival,
-                 std::uint64_t trace_id, Callback& cb);
+  bool try_donor(const engine::FunctionHandle& fn,
+                 const engine::AppModel& app, const spec::RuntimeKey& key,
+                 TimePoint arrival, std::uint64_t trace_id, Callback& cb);
 
   /// Record one span when a tracer is attached (no-op otherwise).
   void emit_span(std::uint64_t trace_id, obs::Stage stage, TimePoint start,
@@ -325,11 +347,14 @@ class HotCController {
   Rng rng_;
   ControllerStats stats_;
   Instruments obs_;
-  /// Per-key state, keyed on the interned KeyId (no string storage per
-  /// node); InternTextLess preserves the historical canonical-text
-  /// iteration order, so adaptive ticks visit keys in the same sequence
-  /// the RuntimeKey-keyed map produced.
-  std::map<spec::KeyId, KeyState, spec::InternTextLess> keys_;
+  /// Per-key state in first-request order (a deque: a KeyState stays put
+  /// while later keys are added), found by KeyId through key_slots_.
+  std::deque<KeyState> keys_;
+  IdSlotMap key_slots_;
+  /// keys_ indices sorted by canonical key text (spec::InternTextLess):
+  /// adaptive ticks visit keys in this order, the historical one.  Kept
+  /// sorted on insert, the only time it changes.
+  std::vector<std::uint32_t> tick_order_;
   std::function<void(const spec::RuntimeKey&)> pool_listener_;
   /// Cross-key donor index; null unless enable_sharing.
   std::unique_ptr<share::DonorRegistry> donors_;

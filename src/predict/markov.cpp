@@ -51,27 +51,37 @@ void RegionMarkovChain::recount() {
   hi_ = max_;
   if (hi_ <= lo_) hi_ = lo_ + 1.0;  // constant series: one wide region
 
-  for (std::size_t t = 0; t + 1 < series_.size(); ++t) {
-    const std::size_t i = state_of(series_[t]);
-    const std::size_t j = state_of(series_[t + 1]);
+  // Each value's state is computed once: a transition's target is the
+  // next one's source.
+  const double width = region_width();
+  std::size_t i = state_in(series_[0], width);
+  for (std::size_t t = 1; t < series_.size(); ++t) {
+    const std::size_t j = state_in(series_[t], width);
     ++counts_[i * regions_ + j];
     ++row_totals_[i];
+    i = j;
   }
   fitted_ = true;
 }
 
-std::size_t RegionMarkovChain::state_of(double value) const {
-  const double width = (hi_ - lo_) / static_cast<double>(regions_);
+double RegionMarkovChain::region_width() const {
+  return (hi_ - lo_) / static_cast<double>(regions_);
+}
+
+std::size_t RegionMarkovChain::state_in(double value, double width) const {
   if (value <= lo_) return 0;
   if (value >= hi_) return regions_ - 1;
   const auto idx = static_cast<std::size_t>((value - lo_) / width);
   return std::min(idx, regions_ - 1);
 }
 
+std::size_t RegionMarkovChain::state_of(double value) const {
+  return state_in(value, region_width());
+}
+
 double RegionMarkovChain::midpoint(std::size_t state) const {
   HOTC_ASSERT(state < regions_);
-  const double width = (hi_ - lo_) / static_cast<double>(regions_);
-  return lo_ + width * (static_cast<double>(state) + 0.5);
+  return lo_ + region_width() * (static_cast<double>(state) + 0.5);
 }
 
 std::vector<double> RegionMarkovChain::row(std::size_t i) const {
@@ -117,18 +127,30 @@ double RegionMarkovChain::transition_probability(std::size_t i,
 
 double RegionMarkovChain::predict_from(double current_value) const {
   if (!fitted_) return current_value;
-  const auto r = row(state_of(current_value));
-  const std::size_t best = static_cast<std::size_t>(
-      std::max_element(r.begin(), r.end()) - r.begin());
+  // argmax_j P_ij over the count row itself: dividing by the row total
+  // keeps the order, the first maximum wins as in max_element, and an
+  // unvisited (uniform) row gives state 0.
+  const std::size_t* counts = &counts_[state_of(current_value) * regions_];
+  std::size_t best = 0;
+  for (std::size_t j = 1; j < regions_; ++j) {
+    if (counts[j] > counts[best]) best = j;
+  }
   return midpoint(best);
 }
 
 double RegionMarkovChain::expected_from(double current_value) const {
   if (!fitted_) return current_value;
-  const auto r = row(state_of(current_value));
+  // sum_j P_ij * midpoint(j), each term as row() would give it.
+  const std::size_t i = state_of(current_value);
+  const auto total = static_cast<double>(row_totals_[i]);
+  const double uniform = 1.0 / static_cast<double>(regions_);
   double expected = 0.0;
   for (std::size_t j = 0; j < regions_; ++j) {
-    expected += r[j] * midpoint(j);
+    const double p =
+        row_totals_[i] == 0
+            ? uniform
+            : static_cast<double>(counts_[i * regions_ + j]) / total;
+    expected += p * midpoint(j);
   }
   return expected;
 }

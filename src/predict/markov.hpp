@@ -69,6 +69,10 @@ class RegionMarkovChain {
   /// Partition and counts over the whole of series_.
   void recount();
 
+  /// (hi_ - lo_) / regions_, and state_of() with it precomputed.
+  [[nodiscard]] double region_width() const;
+  [[nodiscard]] std::size_t state_in(double value, double width) const;
+
   std::size_t regions_;
   std::vector<double> series_;
   double min_ = 0.0;  // observed extremes of series_ (hi_ may be widened)

@@ -4,6 +4,7 @@
 #include <optional>
 #include <thread>
 
+#include "core/assert.hpp"
 #include "obs/prof.hpp"
 #include "share/donor_choice.hpp"
 
@@ -26,7 +27,6 @@ RealHotC::RealHotC(RealOptions options)
       cost_(options.host),
       warm_(warm_limits(options), 0),
       snapshots_(options.tiering.store),
-      plans_mu_(LockRank::kSnapshotStore, 0x10000, "runtime.plans"),
       pool_(options.worker_threads, [this](Request& r) { run(r); },
             "hotc.submit") {}
 
@@ -34,36 +34,12 @@ RealHotC::~RealHotC() { shutdown(); }
 
 void RealHotC::shutdown() { pool_.shutdown(); }
 
-const RealHotC::KeyPlan& RealHotC::plan_for(const spec::RunSpec& spec) {
-  const spec::RuntimeKey key = spec::RuntimeKey::from_spec(spec);
-  if (const KeyPlan* plan = plans_.load(key.id())) return *plan;
-
-  // First submission of this key.  The canonical key covers every field
-  // the cost model reads, so what is computed here holds for every later
-  // spec with the same key.
-  // hot-path-alloc: allow — once per distinct key
-  auto fresh = std::make_unique<KeyPlan>();
-  fresh->key = key;
-  fresh->spec = spec;
-  fresh->image = engine::image_for_name(spec.image);
-  fresh->cold =
-      cost_.startup(spec, fresh->image, /*bytes_to_pull=*/0).total();
-  // Mirror the engine's checkpoint model: the image is the idle resident
-  // set plus ~2 MiB of dump metadata.
-  fresh->image_bytes = fresh->image.base_memory + mib(2);
-  fresh->restore = cost_.restore_time(fresh->image_bytes, spec);
-  fresh->tenant = snapshot::tenant_of(spec);
-  const KeyPlan* plan = nullptr;
-  {
-    const RankedGuard lock(plans_mu_);
-    plan = plans_.load(key.id());
-    if (plan != nullptr) return *plan;  // a racing submitter published first
-    plan = fresh.get();
-    plan_storage_.push_back(std::move(fresh));
-    plans_.store(key.id(), plan);
-  }
-  if (options_.enable_sharing) donors_.record(plan->key, plan->spec);
-  return *plan;
+const engine::FunctionHandle& RealHotC::prepare(const spec::RunSpec& spec) {
+  bool published = false;
+  const engine::FunctionHandle& fn = functions_.prepare(spec, &published);
+  // Only the caller that published the handle files it, once per key.
+  if (published && options_.enable_sharing) donors_.record(fn.key, fn);
+  return fn;
 }
 
 void RealHotC::trim_warm() {
@@ -82,12 +58,11 @@ void RealHotC::trim_warm() {
 }
 
 bool RealHotC::demote_victim(const pool::PoolEntry& victim) {
-  // Every pooled key was submitted, so its plan exists.
-  const KeyPlan* plan = plans_.load(victim.key.id());
+  // Every pooled key was submitted, so its handle exists.
+  const engine::FunctionHandle* fn = functions_.find(victim.key.id());
   auto meta = snapshot::plan_demotion(options_.tiering, victim.key.id(),
-                                      plan->tenant, victim.id,
-                                      plan->image_bytes, plan->restore,
-                                      plan->cold);
+                                      fn->tenant, victim.id, fn->image_bytes,
+                                      fn->restore, fn->cold);
   if (!meta.has_value()) return false;
   // The ledger flow: remove_for_checkpoint counts the demotion as a
   // checkpointed removal (checkpointed ⊆ removed).  A racing worker may
@@ -103,13 +78,16 @@ bool RealHotC::demote_victim(const pool::PoolEntry& victim) {
   return true;
 }
 
-std::future<RealOutcome> RealHotC::submit(const spec::RunSpec& spec,
+std::future<RealOutcome> RealHotC::submit(const engine::FunctionHandle& fn,
                                           const engine::AppModel& app,
                                           Handler handler,
                                           // hot-path-alloc: allow — caller
                                           std::string argument) {  // hands
                                           // off payload ownership by value.
-  Request request{&plan_for(spec), spec::fnv1a(app.name),
+  // Trim and sharing look a pooled key's handle up in this table.
+  HOTC_ASSERT_MSG(functions_.find(fn.key.id()) == &fn,
+                  "submit() takes a handle this instance prepared");
+  Request request{&fn, spec::fnv1a(app.name),
                   app.app_init_seconds, std::move(handler),
                   std::move(argument), {}};
   std::future<RealOutcome> future = request.promise.get_future();
@@ -133,14 +111,14 @@ void RealHotC::run(Request& request) {
 
 RealOutcome RealHotC::serve(const Request& request) {
   const auto start = std::chrono::steady_clock::now();
-  const KeyPlan& plan = *request.plan;
+  const engine::FunctionHandle& fn = *request.fn;
 
   // Algorithm 1, wall-clock edition: claim a warm runtime from the
   // striped pool (one shard lock), pay delays outside any lock.
   std::optional<pool::PoolEntry> warm;
   {
     const obs::StageScope stage(obs::Stage::kPoolLookup);
-    warm = warm_.acquire(plan.key, wall_now());
+    warm = warm_.acquire(fn.key, wall_now());
   }
   const bool reused = warm.has_value();
   const bool app_warm = reused && warm->app_tag == request.app_tag;
@@ -152,9 +130,9 @@ RealOutcome RealHotC::serve(const Request& request) {
   if (!reused && options_.enable_sharing) {
     const obs::StageScope stage(obs::Stage::kDonorLookup);
     ++donor_lookups_;
-    // Priced like the cold plan: every image counts as fully cached.
+    // Priced like the cold estimate: every image counts as fully cached.
     const auto choice = share::choose_donor(
-        donors_, warm_, cost_, plan.spec, plan.key, plan.cold, plan.image,
+        donors_, warm_, cost_, fn, fn.key, fn.cold,
         /*missing_layer_bytes=*/0, options_.share_max_cost_ratio);
     if (choice.has_value() && choice->viable) {
       auto donor = warm_.acquire_for_donation(choice->donor.key, wall_now());
@@ -162,7 +140,7 @@ RealOutcome RealHotC::serve(const Request& request) {
         respecialized = true;
         respec_cost = choice->respec;
         warm = donor;
-        warm->key = plan.key;        // re-keyed to the requested config
+        warm->key = fn.key;          // re-keyed to the requested config
         warm->respecialized = true;  // counted once at return
         warm->app_tag = 0;           // donor's app state is gone
       }
@@ -174,7 +152,7 @@ RealOutcome RealHotC::serve(const Request& request) {
   // under the cold start whenever the demotion gate admitted it.
   std::optional<snapshot::SnapshotMeta> snap;
   if (!reused && !respecialized && options_.tiering.enabled) {
-    snap = snapshots_.take(plan.key.id(), wall_now());
+    snap = snapshots_.take(fn.key.id(), wall_now());
   }
   const bool restored = snap.has_value();
 
@@ -187,11 +165,11 @@ RealOutcome RealHotC::serve(const Request& request) {
   } else if (restored) {
     const obs::StageScope stage(obs::Stage::kRestore);
     std::this_thread::sleep_for(
-        scale(plan.restore, options_.cold_start_scale));
+        scale(fn.restore, options_.cold_start_scale));
   } else {
     ++cold_starts_;
     const obs::StageScope stage(obs::Stage::kColdStart);
-    std::this_thread::sleep_for(scale(plan.cold, options_.cold_start_scale));
+    std::this_thread::sleep_for(scale(fn.cold, options_.cold_start_scale));
   }
   if (!app_warm) {
     std::this_thread::sleep_for(
@@ -204,7 +182,7 @@ RealOutcome RealHotC::serve(const Request& request) {
   outcome.respecialized = respecialized;
   outcome.restored = restored;
   outcome.app_was_warm = app_warm;
-  outcome.modeled_cold = plan.cold;
+  outcome.modeled_cold = fn.cold;
   {
     const obs::StageScope stage(obs::Stage::kExec);
     outcome.payload = request.handler(request.argument);
@@ -223,7 +201,7 @@ RealOutcome RealHotC::serve(const Request& request) {
       entry.id = restored ? snap->container
                           : next_runtime_id_.fetch_add(
                                 1, std::memory_order_relaxed);
-      entry.key = plan.key;
+      entry.key = fn.key;
       entry.created_at = wall_now();
       entry.restored = restored;  // counted once at re-admission
     }

@@ -15,25 +15,24 @@
 // version funnelled every lookup through one global mutex + std::map).
 //
 // Everything the request path needs that depends on the runtime key alone
-// — the modelled cold start, the tiering economics, a stable copy of the
-// spec — is computed once, on the key's first submission, into an
-// immutable per-key plan that later requests read lock-free.
+// — the modelled cold start, the tiering economics, the compatibility
+// class, a stable copy of the spec — is computed once, on the key's first
+// sighting, into an immutable engine::FunctionHandle that later requests
+// read lock-free (engine/function_table.hpp; the simulator's engine keeps
+// the same table).
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <functional>
 #include <future>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "core/chunked_atomic.hpp"
-#include "core/ranked_mutex.hpp"
 #include "core/time.hpp"
 #include "engine/app.hpp"
 #include "engine/cost_model.hpp"
-#include "engine/image.hpp"
+#include "engine/function_table.hpp"
+#include "engine/registry.hpp"
 #include "pool/sharded_pool.hpp"
 #include "runtime/thread_pool.hpp"
 #include "share/donor_registry.hpp"
@@ -91,33 +90,34 @@ class RealHotC {
   /// The function body: receives the request argument, returns the payload.
   using Handler = std::function<std::string(const std::string&)>;
 
-  /// Submit a request.  The future resolves when the function has run; if
-  /// the handler throws, the future rethrows and the runtime it ran in is
-  /// discarded, not re-pooled.  After shutdown() the future resolves at
-  /// once to an empty RealOutcome.
-  std::future<RealOutcome> submit(const spec::RunSpec& spec,
+  /// The function handle of the spec's runtime key, built (and filed as a
+  /// potential donor) on the key's first sighting.  Every field is a pure
+  /// function of the canonical key: specs that differ only outside it (the
+  /// command) share one handle.  It lives as long as this instance.
+  const engine::FunctionHandle& prepare(const spec::RunSpec& spec);
+
+  /// Submit a request for a function this instance prepared.  The future
+  /// resolves when the function has run; if the handler throws, the future
+  /// rethrows and the runtime it ran in is discarded, not re-pooled.  After
+  /// shutdown() the future resolves at once to an empty RealOutcome.
+  std::future<RealOutcome> submit(const engine::FunctionHandle& fn,
                                   const engine::AppModel& app,
                                   Handler handler, std::string argument);
+  /// RunSpec form: the key derivation plus one lock-free load, then submit.
+  std::future<RealOutcome> submit(const spec::RunSpec& spec,
+                                  const engine::AppModel& app,
+                                  Handler handler, std::string argument) {
+    return submit(prepare(spec), app, std::move(handler),
+                  std::move(argument));
+  }
 
   /// Drain outstanding work and stop the workers.
   void shutdown();
 
-  /// What a runtime key costs, computed from its first submission's spec.
-  /// Every field is a pure function of the canonical key: specs that
-  /// differ only outside it (the command) share one plan.
-  struct KeyPlan {
-    spec::RuntimeKey key;
-    spec::RunSpec spec;              // the first submission's, kept stable
-    engine::Image image;             // what the cost model prices it on
-    Duration cold = kZeroDuration;   // modelled full cold start
-    // Tiering economics: trim victims arrive as bare pool entries.
-    Bytes image_bytes = 0;           // modelled checkpoint image size
-    Duration restore = kZeroDuration;  // restoring that image
-    std::uint64_t tenant = 0;
-  };
-  /// The plan of a key submitted at least once, else nullptr.
-  [[nodiscard]] const KeyPlan* plan(spec::KeyId key) const {
-    return plans_.load(key);
+  /// The handle of a key submitted (or prepared) at least once, else
+  /// nullptr.  Lock-free.
+  [[nodiscard]] const engine::FunctionHandle* plan(spec::KeyId key) const {
+    return functions_.find(key);
   }
 
   [[nodiscard]] std::uint64_t cold_starts() const { return cold_starts_; }
@@ -148,16 +148,13 @@ class RealHotC {
 
   /// One submission, carried by value through a worker lane.
   struct Request {
-    const KeyPlan* plan = nullptr;
+    const engine::FunctionHandle* fn = nullptr;
     std::uint64_t app_tag = 0;  // which app's init state a runtime holds
     double app_init_seconds = 0.0;
     Handler handler;
     std::string argument;
     std::promise<RealOutcome> promise;
   };
-
-  /// The key's plan, built and published on its first submission.
-  const KeyPlan& plan_for(const spec::RunSpec& spec);
 
   /// The worker lanes' runner: serve the request and resolve its future
   /// with the outcome, or with whatever serve() threw.
@@ -178,6 +175,12 @@ class RealHotC {
 
   RealOptions options_;
   engine::CostModel cost_;
+  /// A default registry: it synthesises every image from its name
+  /// (engine::image_for_name), with no pull source behind it.
+  engine::Registry images_;
+  /// KeyId -> handle over images_ and cost_ (declared after both),
+  /// published once per key and read lock-free.
+  engine::FunctionTable functions_{images_, cost_};
   pool::ShardedRuntimePool warm_;
   /// Compatibility index over keys this instance has seen.  Writes to the
   /// warm set itself still go through the pool's lease/return seam only.
@@ -185,13 +188,6 @@ class RealHotC {
   /// The disk-resident middle tier (always constructed; empty and idle
   /// unless options_.tiering.enabled routes traffic through it).
   snapshot::CheckpointStore snapshots_;
-  /// KeyId -> plan, published once per key under plans_mu_ and read
-  /// lock-free.  Band 55 with a sequence past any store stripe; held only
-  /// to publish a built plan, never across a pool or store call.
-  RankedMutex plans_mu_;
-  ChunkedAtomic<const KeyPlan*> plans_ HOTC_WRITE_GUARDED_BY(plans_mu_);
-  std::vector<std::unique_ptr<KeyPlan>> plan_storage_
-      HOTC_GUARDED_BY(plans_mu_);
   std::atomic<engine::ContainerId> next_runtime_id_{1};
   std::atomic<std::uint64_t> cold_starts_{0};
   std::atomic<std::uint64_t> reuses_{0};

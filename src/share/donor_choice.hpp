@@ -28,7 +28,6 @@
 #include "engine/cost_model.hpp"
 #include "pool/pool_view.hpp"
 #include "share/donor_registry.hpp"
-#include "spec/runspec.hpp"
 #include "spec/runtime_key.hpp"
 
 namespace hotc::share {
@@ -41,15 +40,16 @@ struct DonorChoice {
 };
 
 /// Find an idle compatible sibling of `request` (key `key`) in `view`,
-/// price converting it, and gate the price against `cold`.  `image` is the
-/// request's image and `missing_layer_bytes` the part of it not yet local,
-/// charged only when a donor differs in image tag.  nullopt when no sibling
-/// has idle stock right now; otherwise the best candidate (nominated keys
+/// price converting it, and gate the price against `cold`.  The price
+/// reads both sides' handles: the request's image (empty when unresolved)
+/// and `missing_layer_bytes`, the part of it not yet local, are charged
+/// only when a donor differs in image tag.  nullopt when no sibling has
+/// idle stock right now; otherwise the best candidate (nominated keys
 /// first), priced, with `viable` set when it beats the ratio gate.
 [[nodiscard]] std::optional<DonorChoice> choose_donor(
     const DonorRegistry& donors, const pool::PoolView& view,
-    const engine::CostModel& cost, const spec::RunSpec& request,
-    const spec::RuntimeKey& key, Duration cold, const engine::Image& image,
-    Bytes missing_layer_bytes, double max_cost_ratio);
+    const engine::CostModel& cost, const engine::FunctionHandle& request,
+    const spec::RuntimeKey& key, Duration cold, Bytes missing_layer_bytes,
+    double max_cost_ratio);
 
 }  // namespace hotc::share

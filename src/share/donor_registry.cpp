@@ -20,12 +20,12 @@ DonorRegistry::DonorRegistry(std::size_t stripe_count) {
 }
 
 spec::CompatClass DonorRegistry::record(const spec::RuntimeKey& key,
-                                        const spec::RunSpec& spec) {
-  const spec::CompatClass cls = spec::CompatClass::from_spec(spec);
+                                        const engine::FunctionHandle& fn) {
+  const spec::CompatClass cls = fn.compat();
   Stripe& stripe = stripe_for(cls);
   const RankedGuard lock(stripe.mu);
   Member& m = stripe.classes[cls][key];
-  m.spec = spec;  // refresh; nomination state survives the upsert
+  m.fn = &fn;  // refresh; nomination state survives the upsert
   return cls;
 }
 
@@ -43,8 +43,8 @@ void DonorRegistry::set_flags(const spec::CompatClass& cls,
 }
 
 void DonorRegistry::forget(const spec::RuntimeKey& key,
-                           const spec::RunSpec& spec) {
-  const spec::CompatClass cls = spec::CompatClass::from_spec(spec);
+                           const engine::FunctionHandle& fn) {
+  const spec::CompatClass cls = fn.compat();
   Stripe& stripe = stripe_for(cls);
   const RankedGuard lock(stripe.mu);
   const auto cit = stripe.classes.find(cls);
@@ -54,14 +54,14 @@ void DonorRegistry::forget(const spec::RuntimeKey& key,
 }
 
 std::optional<DonorCandidate> DonorRegistry::find_donor(
-    const spec::RunSpec& request, const spec::RuntimeKey& exclude,
+    const engine::FunctionHandle& request, const spec::RuntimeKey& exclude,
     const pool::PoolView& view) const {
   lookups_.fetch_add(1, std::memory_order_relaxed);
   if (obs::Counter* c = lookup_counter_.load(std::memory_order_relaxed)) {
     c->inc();
   }
 
-  const spec::CompatClass cls = spec::CompatClass::from_spec(request);
+  const spec::CompatClass cls = request.compat();
   Stripe& stripe = stripe_for(cls);
   // The stripe lock (rank 45) is held across the PoolView liveness reads
   // below, which take pool-shard locks (rank 50) — a legal downward
@@ -81,7 +81,7 @@ std::optional<DonorCandidate> DonorRegistry::find_donor(
     // would convert exact-match hits elsewhere into misses.
     const std::size_t reserve = member.nominated ? 0 : 1;
     if (view.num_available(key) <= reserve) continue;
-    best = DonorCandidate{key, member.spec, member.nominated};
+    best = DonorCandidate{key, member.fn, member.nominated};
     if (best->nominated) break;  // Algorithm-3 surplus wins outright
   }
   if (best.has_value()) {

@@ -7,9 +7,11 @@
 // container to donate and re-specialize instead of paying the full cold
 // start.
 //
-// The registry never touches the pool.  It records only (key, spec) pairs
-// the controller has seen; whether a candidate key actually has an idle
-// container is checked at lookup time through the read-only PoolView seam,
+// The registry never touches the pool.  It records only (key, function
+// handle) pairs the controller has seen — a pointer to the handle, whose
+// class it files the key under, never a RunSpec copy.  Whether a
+// candidate key actually has an idle container is checked at lookup time
+// through the read-only PoolView seam,
 // and the donor itself is leased by the controller through the pool's own
 // acquire_for_donation() path.  That keeps every pool mutation behind the
 // lease/return seam (enforced by tools/hotc_lint.py's share-pool-seam
@@ -31,10 +33,10 @@
 
 #include "core/annotations.hpp"
 #include "core/ranked_mutex.hpp"
+#include "engine/function_table.hpp"
 #include "obs/metrics.hpp"
 #include "pool/pool_view.hpp"
 #include "spec/compat.hpp"
-#include "spec/runspec.hpp"
 #include "spec/runtime_key.hpp"
 
 namespace hotc::share {
@@ -44,7 +46,7 @@ namespace hotc::share {
 /// lookup time.
 struct DonorCandidate {
   spec::RuntimeKey key;
-  spec::RunSpec spec;
+  const engine::FunctionHandle* fn = nullptr;  // the key's recorded function
   /// The adaptive controller forecast this key as over-provisioned and
   /// marked its surplus as preferred donor stock (Algorithm 3 cooperation).
   bool nominated = false;
@@ -59,11 +61,12 @@ class DonorRegistry {
   DonorRegistry& operator=(const DonorRegistry&) = delete;
 
   /// Make a key discoverable as a potential donor (idempotent upsert; the
-  /// stored spec is refreshed).  Called whenever the controller first sees
-  /// a key and whenever a converted container re-enters under a new key.
-  /// Returns the compatibility class the key was filed under.
+  /// stored handle is refreshed).  Called whenever a request path first
+  /// sees a key and whenever a converted container re-enters under a new
+  /// key.  The handle must outlive the registry.  Returns the
+  /// compatibility class the key was filed under (the handle's).
   spec::CompatClass record(const spec::RuntimeKey& key,
-                           const spec::RunSpec& spec);
+                           const engine::FunctionHandle& fn);
 
   /// Set a recorded key's per-tick flags; `cls` is the class record()
   /// returned for it.  No-op if the key was never recorded there.
@@ -75,15 +78,15 @@ class DonorRegistry {
                  bool nominated, bool muted);
 
   /// Drop a key from the index (its function was retired).
-  void forget(const spec::RuntimeKey& key, const spec::RunSpec& spec);
+  void forget(const spec::RuntimeKey& key, const engine::FunctionHandle& fn);
 
-  /// Find an idle donor for `request`: a recorded sibling key in the same
-  /// compatibility class, not `exclude` (the request's own key), with
-  /// `view.num_available(key) > 0` right now.  Nominated keys win over
+  /// Find an idle donor for `request`: a recorded sibling key in the
+  /// request's compatibility class, not `exclude` (the request's own key),
+  /// with `view.num_available(key) > 0` right now.  Nominated keys win over
   /// merely-live ones.  The liveness probe is advisory — the caller must
   /// still handle an empty lease (the container may be taken concurrently).
   [[nodiscard]] std::optional<DonorCandidate> find_donor(
-      const spec::RunSpec& request, const spec::RuntimeKey& exclude,
+      const engine::FunctionHandle& request, const spec::RuntimeKey& exclude,
       const pool::PoolView& view) const;
 
   // --- introspection ----------------------------------------------------
@@ -103,7 +106,7 @@ class DonorRegistry {
 
  private:
   struct Member {
-    spec::RunSpec spec;
+    const engine::FunctionHandle* fn = nullptr;
     bool nominated = false;
     bool muted = false;  // drift cooldown: excluded from donation
   };

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
 #include "engine/app.hpp"
 
@@ -267,6 +268,53 @@ TEST_F(GatewayTest, NoTimeoutByDefault) {
   sim_.run();
   EXPECT_TRUE(ok);
   EXPECT_EQ(gw.timeouts(), 0u);
+}
+
+// The RunSpec form of submit() prepares the spec's handle and submits
+// that: a run through either form answers every request identically.
+TEST(GatewayForms, SpecAndHandleSubmitsAnswerAlike) {
+  const auto serve = [](bool by_handle) {
+    sim::Simulator sim;
+    engine::ContainerEngine engine(sim, engine::HostProfile::server());
+    engine.preload_image(python_spec().image);
+    HotCBackend backend(engine, ControllerOptions{});
+    Gateway gw(sim, backend);
+    std::vector<CompletedRequest> done;
+    const auto record = [&done](Result<CompletedRequest> r) {
+      done.push_back(r.value());
+    };
+    for (std::uint64_t id = 1; id <= 3; ++id) {
+      if (by_handle) {
+        gw.submit(id, 0, engine.prepare(python_spec()),
+                  engine::apps::qr_encoder(), record);
+      } else {
+        gw.submit(id, 0, python_spec(), engine::apps::qr_encoder(), record);
+      }
+      sim.run();
+    }
+    return done;
+  };
+  const std::vector<CompletedRequest> by_spec = serve(false);
+  const std::vector<CompletedRequest> by_handle = serve(true);
+  ASSERT_EQ(by_spec.size(), 3u);
+  ASSERT_EQ(by_handle.size(), by_spec.size());
+  for (std::size_t i = 0; i < by_spec.size(); ++i) {
+    const CompletedRequest& a = by_spec[i];
+    const CompletedRequest& b = by_handle[i];
+    EXPECT_EQ(a.id, b.id);
+    EXPECT_EQ(a.config_index, b.config_index);
+    EXPECT_EQ(a.submitted, b.submitted);
+    EXPECT_EQ(a.t1, b.t1);
+    EXPECT_EQ(a.t2, b.t2);
+    EXPECT_EQ(a.t3, b.t3);
+    EXPECT_EQ(a.t4, b.t4);
+    EXPECT_EQ(a.t5, b.t5);
+    EXPECT_EQ(a.t6, b.t6);
+    EXPECT_EQ(a.cold, b.cold);
+    EXPECT_EQ(a.provision, b.provision);
+  }
+  EXPECT_TRUE(by_spec.front().cold);
+  EXPECT_FALSE(by_spec.back().cold);
 }
 
 }  // namespace

@@ -131,8 +131,7 @@ TEST(Platform, SameInstantArrivalsCompleteInIdOrder) {
 }
 
 TEST(Platform, UnsortedArrivalsReplayAsTheirStableSort) {
-  // Out of time order, with ties.  The latest arrival stays last: run()
-  // takes the list's back as its horizon.
+  // Out of time order, with ties.
   const workload::ArrivalList unsorted{
       {seconds(20), 0}, {seconds(5), 1},  {seconds(20), 2}, {seconds(5), 0},
       {seconds(12), 1}, {seconds(5), 2},  {seconds(20), 1}, {seconds(12), 0},
@@ -169,6 +168,46 @@ TEST(Platform, UnsortedArrivalsReplayAsTheirStableSort) {
   for (std::size_t i = 0; i < unsorted.size(); ++i) {
     EXPECT_EQ(got.at(i + 1), want.at(position[i] + 1)) << "list index " << i;
   }
+}
+
+TEST(Platform, UnsortedArrivalsKeepTheLatestHorizon) {
+  // The latest arrival sits mid-list, more than the trailing slack after
+  // the list's last entry.  The run's horizon (adaptive loop, warm-up
+  // timers, monitor) must still follow the latest arrival, as it does for
+  // the stable-sorted copy of the list.
+  const workload::ArrivalList unsorted{
+      {seconds(0), 0}, {minutes(10), 1}, {seconds(30), 2}, {minutes(1), 0}};
+  workload::ArrivalList sorted = unsorted;
+  std::stable_sort(sorted.begin(), sorted.end());
+  ASSERT_GT(unsorted[1].at - unsorted.back().at,
+            PlatformOptions{}.trailing_slack);
+
+  PlatformOptions opt;
+  opt.policy = PolicyKind::kHotC;
+  FaasPlatform got(opt);
+  got.run(unsorted, qr_mix());
+  FaasPlatform want(opt);
+  want.run(sorted, qr_mix());
+  const HotCController& a = *got.hotc_controller();
+  const HotCController& b = *want.hotc_controller();
+  EXPECT_EQ(a.adaptive_ticks(), b.adaptive_ticks());
+  const ControllerStats& sa = a.stats();
+  const ControllerStats& sb = b.stats();
+  EXPECT_EQ(sa.requests, sb.requests);
+  EXPECT_EQ(sa.cold_starts, sb.cold_starts);
+  EXPECT_EQ(sa.reuses, sb.reuses);
+  EXPECT_EQ(sa.donor_lookups, sb.donor_lookups);
+  EXPECT_EQ(sa.donor_hits, sb.donor_hits);
+  EXPECT_EQ(sa.respec_rejected, sb.respec_rejected);
+  EXPECT_EQ(sa.donor_respec_seconds, sb.donor_respec_seconds);
+  EXPECT_EQ(sa.cold_start_seconds, sb.cold_start_seconds);
+  EXPECT_EQ(sa.restores, sb.restores);
+  EXPECT_EQ(sa.checkpoints, sb.checkpoints);
+  EXPECT_EQ(sa.prewarm_launches, sb.prewarm_launches);
+  EXPECT_EQ(sa.retired, sb.retired);
+  EXPECT_EQ(sa.evicted, sb.evicted);
+  EXPECT_EQ(sa.drift_restarts, sb.drift_restarts);
+  EXPECT_EQ(sa.idle_container_seconds, sb.idle_container_seconds);
 }
 
 TEST(Platform, PolicyNames) {

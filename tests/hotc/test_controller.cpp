@@ -338,5 +338,36 @@ TEST_F(ControllerTest, PredictionErrorMetricsPopulateAfterScoredTick) {
   EXPECT_TRUE(per_key_seen);
 }
 
+// Per-key state is stored in first-request order, but the adaptive tick
+// visits keys in canonical-text order (spec::InternTextLess), as the
+// text-ordered map it replaced did: the journal's per-tick records come
+// out sorted by key text even when the keys were interned in another order.
+TEST_F(ControllerTest, TickVisitsKeysInCanonicalTextOrder) {
+  obs::DecisionJournal journal;
+  ControllerOptions opt;
+  opt.journal = &journal;
+  auto ctl = make(std::move(opt));
+  for (const char* func :
+       {"tick-order-c", "tick-order-a", "tick-order-d", "tick-order-b"}) {
+    spec::RunSpec s = python_spec();
+    s.env["FUNC"] = func;
+    ctl.handle(s, engine::apps::qr_encoder(), [](Result<RequestOutcome>) {});
+  }
+  sim_.run();
+  ctl.adaptive_tick();
+
+  std::vector<spec::KeyId> ids;
+  for (const auto& rec : journal.snapshot()) {
+    if ((rec.flags & obs::kJournalSummary) == 0 &&
+        rec.tick == ctl.adaptive_ticks()) {
+      ids.push_back(rec.key_id);
+    }
+  }
+  ASSERT_EQ(ids.size(), 4u);
+  EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end(), spec::InternTextLess{}));
+  // First sight (the KeyId order) was not text order.
+  EXPECT_FALSE(std::is_sorted(ids.begin(), ids.end()));
+}
+
 }  // namespace
 }  // namespace hotc

@@ -183,7 +183,7 @@ TEST(RealHotC, ThrowingHandlerFailsItsFutureOnly) {
   EXPECT_EQ(hotc.warm_pool().flows().leased, 2u);
 }
 
-// The per-key plan holds exactly what a fresh per-request computation
+// The per-key handle holds exactly what a fresh per-request computation
 // would, for every spec the benchmark mixes submit.
 TEST(RealHotC, PlanMatchesFreshCostModel) {
   RealOptions opt = fast_options();
@@ -202,7 +202,7 @@ TEST(RealHotC, PlanMatchesFreshCostModel) {
       const engine::Image image = engine::image_for_name(s.image);
       const Duration cold = cost.startup(s, image, 0).total();
       const Bytes image_bytes = image.base_memory + mib(2);
-      const RealHotC::KeyPlan* plan =
+      const engine::FunctionHandle* plan =
           hotc.plan(spec::RuntimeKey::from_spec(s).id());
       ASSERT_NE(plan, nullptr);
       EXPECT_EQ(plan->cold, cold);
@@ -262,7 +262,7 @@ TEST(RealHotC, SpecsDifferingOnlyInCommandShareAPlan) {
   EXPECT_EQ(hotc.plan(key), nullptr);  // built on first submission
 
   hotc.submit(a, app, handler, "").get();
-  const RealHotC::KeyPlan* plan = hotc.plan(key);
+  const engine::FunctionHandle* plan = hotc.plan(key);
   ASSERT_NE(plan, nullptr);
   const RealOutcome out = hotc.submit(b, app, handler, "").get();
   EXPECT_TRUE(out.reused);

@@ -47,7 +47,7 @@ class DonorChoiceTest : public ::testing::Test {
   /// donate.  Returns the first one's id.
   engine::ContainerId stock_two(const spec::RunSpec& s) {
     const spec::RuntimeKey key = spec::RuntimeKey::from_spec(s);
-    donors_.record(key, s);
+    donors_.record(key, engine_.prepare(s));
     engine::ContainerId first = 0;
     for (int i = 0; i < 2; ++i) {
       pool::PoolEntry e;
@@ -62,12 +62,10 @@ class DonorChoiceTest : public ::testing::Test {
   std::optional<DonorChoice> choose(const spec::RunSpec& request,
                                     double max_cost_ratio = 0.8) {
     engine_.preload_image(request.image);
-    const spec::RuntimeKey key = spec::RuntimeKey::from_spec(request);
-    const engine::Image image =
-        engine_.registry().resolve(request.image).value();
-    return choose_donor(donors_, pool_, engine_.cost_model(), request, key,
-                        engine_.estimate_startup(request).total(), image,
-                        engine_.image_store().missing_bytes(image),
+    const engine::FunctionHandle& fn = engine_.prepare(request);
+    return choose_donor(donors_, pool_, engine_.cost_model(), fn, fn.key,
+                        engine_.estimate_startup(fn).total(),
+                        engine_.image_store().missing_bytes(fn.image),
                         max_cost_ratio);
   }
 

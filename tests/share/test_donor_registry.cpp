@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "engine/function_table.hpp"
 #include "pool/audit.hpp"
 #include "pool/pool.hpp"
 #include "pool/sharded_pool.hpp"
@@ -45,6 +46,14 @@ class DonorRegistryTest : public ::testing::Test {
     pool_.add_available(entry(id, key), seconds(1));
   }
 
+  /// The registry files and finds function handles, not specs.
+  const engine::FunctionHandle& fn(const spec::RunSpec& s) {
+    return functions_.prepare(s);
+  }
+
+  engine::Registry images_;
+  engine::CostModel cost_{engine::HostProfile::server()};
+  engine::FunctionTable functions_{images_, cost_};
   DonorRegistry registry_;
   pool::ShardedRuntimePool pool_{{}, 4};
 };
@@ -53,13 +62,13 @@ TEST_F(DonorRegistryTest, FindsSiblingWithSurplusStock) {
   const auto req = function_spec("python", "alpha");
   const auto sib = function_spec("python", "beta");
   const auto sib_key = spec::RuntimeKey::from_spec(sib);
-  registry_.record(spec::RuntimeKey::from_spec(req), req);
-  registry_.record(sib_key, sib);
+  registry_.record(spec::RuntimeKey::from_spec(req), fn(req));
+  registry_.record(sib_key, fn(sib));
   add_idle(sib_key, 1);
   add_idle(sib_key, 2);  // surplus: donating one still leaves one
 
   const auto cand =
-      registry_.find_donor(req, spec::RuntimeKey::from_spec(req), pool_);
+      registry_.find_donor(fn(req), spec::RuntimeKey::from_spec(req), pool_);
   ASSERT_TRUE(cand.has_value());
   EXPECT_EQ(cand->key, sib_key);
   EXPECT_FALSE(cand->nominated);
@@ -70,20 +79,20 @@ TEST_F(DonorRegistryTest, FindsSiblingWithSurplusStock) {
 TEST_F(DonorRegistryTest, NeverReturnsTheRequestsOwnKey) {
   const auto req = function_spec("python", "alpha");
   const auto key = spec::RuntimeKey::from_spec(req);
-  registry_.record(key, req);
+  registry_.record(key, fn(req));
   add_idle(key, 1);
   add_idle(key, 2);
-  EXPECT_FALSE(registry_.find_donor(req, key, pool_).has_value());
+  EXPECT_FALSE(registry_.find_donor(fn(req), key, pool_).has_value());
 }
 
 TEST_F(DonorRegistryTest, NonNominatedKeyKeepsItsLastIdleRuntime) {
   const auto req = function_spec("python", "alpha");
   const auto sib = function_spec("python", "beta");
   const auto sib_key = spec::RuntimeKey::from_spec(sib);
-  registry_.record(sib_key, sib);
+  registry_.record(sib_key, fn(sib));
   add_idle(sib_key, 1);  // exactly one idle: reserved for its own key
   EXPECT_FALSE(registry_
-                   .find_donor(req, spec::RuntimeKey::from_spec(req), pool_)
+                   .find_donor(fn(req), spec::RuntimeKey::from_spec(req), pool_)
                    .has_value());
 }
 
@@ -91,19 +100,19 @@ TEST_F(DonorRegistryTest, NominationReleasesTheLastIdleRuntime) {
   const auto req = function_spec("python", "alpha");
   const auto sib = function_spec("python", "beta");
   const auto sib_key = spec::RuntimeKey::from_spec(sib);
-  const spec::CompatClass sib_cls = registry_.record(sib_key, sib);
+  const spec::CompatClass sib_cls = registry_.record(sib_key, fn(sib));
   registry_.set_flags(sib_cls, sib_key, /*nominated=*/true, /*muted=*/false);
   add_idle(sib_key, 1);
 
   const auto cand =
-      registry_.find_donor(req, spec::RuntimeKey::from_spec(req), pool_);
+      registry_.find_donor(fn(req), spec::RuntimeKey::from_spec(req), pool_);
   ASSERT_TRUE(cand.has_value());
   EXPECT_EQ(cand->key, sib_key);
   EXPECT_TRUE(cand->nominated);
 
   registry_.set_flags(sib_cls, sib_key, /*nominated=*/false, /*muted=*/false);
   EXPECT_FALSE(registry_
-                   .find_donor(req, spec::RuntimeKey::from_spec(req), pool_)
+                   .find_donor(fn(req), spec::RuntimeKey::from_spec(req), pool_)
                    .has_value());
 }
 
@@ -113,15 +122,15 @@ TEST_F(DonorRegistryTest, NominatedDonorWinsOverMerelyLive) {
   const auto nominated = function_spec("python", "gamma");
   const auto live_key = spec::RuntimeKey::from_spec(live);
   const auto nom_key = spec::RuntimeKey::from_spec(nominated);
-  registry_.record(live_key, live);
-  const spec::CompatClass nom_cls = registry_.record(nom_key, nominated);
+  registry_.record(live_key, fn(live));
+  const spec::CompatClass nom_cls = registry_.record(nom_key, fn(nominated));
   registry_.set_flags(nom_cls, nom_key, /*nominated=*/true, /*muted=*/false);
   add_idle(live_key, 1);
   add_idle(live_key, 2);
   add_idle(nom_key, 3);
 
   const auto cand =
-      registry_.find_donor(req, spec::RuntimeKey::from_spec(req), pool_);
+      registry_.find_donor(fn(req), spec::RuntimeKey::from_spec(req), pool_);
   ASSERT_TRUE(cand.has_value());
   EXPECT_EQ(cand->key, nom_key);
 }
@@ -130,13 +139,13 @@ TEST_F(DonorRegistryTest, NeverCrossesCompatibilityClasses) {
   const auto req = function_spec("python", "alpha");
   const auto other = function_spec("golang", "beta");
   const auto other_key = spec::RuntimeKey::from_spec(other);
-  const spec::CompatClass other_cls = registry_.record(other_key, other);
+  const spec::CompatClass other_cls = registry_.record(other_key, fn(other));
   registry_.set_flags(other_cls, other_key, /*nominated=*/true,
                       /*muted=*/false);
   add_idle(other_key, 1);
   add_idle(other_key, 2);
   EXPECT_FALSE(registry_
-                   .find_donor(req, spec::RuntimeKey::from_spec(req), pool_)
+                   .find_donor(fn(req), spec::RuntimeKey::from_spec(req), pool_)
                    .has_value());
 }
 
@@ -144,14 +153,14 @@ TEST_F(DonorRegistryTest, ForgetDropsTheKey) {
   const auto req = function_spec("python", "alpha");
   const auto sib = function_spec("python", "beta");
   const auto sib_key = spec::RuntimeKey::from_spec(sib);
-  const spec::CompatClass sib_cls = registry_.record(sib_key, sib);
+  const spec::CompatClass sib_cls = registry_.record(sib_key, fn(sib));
   registry_.set_flags(sib_cls, sib_key, /*nominated=*/true, /*muted=*/false);
   add_idle(sib_key, 1);
   EXPECT_EQ(registry_.known_keys(), 1u);
-  registry_.forget(sib_key, sib);
+  registry_.forget(sib_key, fn(sib));
   EXPECT_EQ(registry_.known_keys(), 0u);
   EXPECT_FALSE(registry_
-                   .find_donor(req, spec::RuntimeKey::from_spec(req), pool_)
+                   .find_donor(fn(req), spec::RuntimeKey::from_spec(req), pool_)
                    .has_value());
 }
 
@@ -163,12 +172,12 @@ TEST_F(DonorRegistryTest, CoherentUnderConcurrentLeaseAndReturn) {
   constexpr int kKeys = 8;
   constexpr int kOpsPerThread = 400;
 
-  std::vector<spec::RunSpec> specs;
+  std::vector<const engine::FunctionHandle*> specs;
   std::vector<spec::RuntimeKey> keys;
   for (int i = 0; i < kKeys; ++i) {
-    specs.push_back(function_spec("python", "fn-" + std::to_string(i)));
-    keys.push_back(spec::RuntimeKey::from_spec(specs.back()));
-    registry_.record(keys.back(), specs.back());
+    specs.push_back(&fn(function_spec("python", "fn-" + std::to_string(i))));
+    keys.push_back(specs.back()->key);
+    registry_.record(keys.back(), *specs.back());
     pool_.add_available(entry(static_cast<engine::ContainerId>(i + 1),
                               keys.back()),
                         seconds(1));
@@ -179,7 +188,7 @@ TEST_F(DonorRegistryTest, CoherentUnderConcurrentLeaseAndReturn) {
   threads.emplace_back([&]() {
     for (int i = 0; i < kOpsPerThread; ++i) {
       const int k = i % kKeys;
-      const spec::CompatClass cls = registry_.record(keys[k], specs[k]);
+      const spec::CompatClass cls = registry_.record(keys[k], *specs[k]);
       registry_.set_flags(cls, keys[k], /*nominated=*/i % 2 == 0,
                           /*muted=*/false);
     }
@@ -198,7 +207,7 @@ TEST_F(DonorRegistryTest, CoherentUnderConcurrentLeaseAndReturn) {
     threads.emplace_back([&, t]() {
       for (int i = 0; i < kOpsPerThread; ++i) {
         const int k = (i + t) % kKeys;
-        const auto cand = registry_.find_donor(specs[k], keys[k], pool_);
+        const auto cand = registry_.find_donor(*specs[k], keys[k], pool_);
         if (!cand.has_value()) continue;
         auto donor = pool_.acquire_for_donation(cand->key, seconds(3 + i));
         if (!donor.has_value()) continue;  // lost the race: fine

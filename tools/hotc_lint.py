@@ -124,10 +124,12 @@ HOT_PATH_ALLOC_RE = re.compile(
 
 # Files the hot-path-alloc rule covers: the whole pool layer, the snapshot
 # tier (its take()/peek() lookups sit on the request miss path) plus the
-# RealHotC dispatch implementation and the worker lanes every request
-# passes through (real_hotc.hpp only declares API types).
+# RealHotC dispatch implementation, the worker lanes every request passes
+# through (real_hotc.hpp only declares API types) and the function table
+# every RealHotC::submit(spec) looks its handle up in.
 HOT_PATH_ALLOC_SCOPE = ("pool/", "snapshot/")
-HOT_PATH_ALLOC_FILES = {"runtime/real_hotc.cpp", "runtime/thread_pool.hpp"}
+HOT_PATH_ALLOC_FILES = {"runtime/real_hotc.cpp", "runtime/thread_pool.hpp",
+                        "engine/function_table.cpp"}
 
 ALLOC_ALLOW = "hot-path-alloc: allow"
 
@@ -568,6 +570,10 @@ SELF_TEST_CASES = {
         "#pragma once\n#include <memory>\n"
         "template <typename T> void post(T& t) "
         "{ auto s = std::make_unique<T>(t); }\n",
+        "hot-path-alloc"),
+    "hot-path-alloc fires in the function table": (
+        "engine/function_table.cpp",
+        "#include <memory>\nauto p = std::make_unique<int>(3);\n",
         "hot-path-alloc"),
     "hot-path-alloc exempts the dispatch header": (
         "runtime/real_hotc.hpp",
