@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 #include "core/log.hpp"
 #include "spec/compat.hpp"
@@ -48,25 +49,25 @@ void ContainerEngine::set_state(Container& c, ContainerState next) {
 
 void ContainerEngine::add_container(Container c) {
   HOTC_ASSERT(c.state == ContainerState::kProvisioning);
-  const ContainerId id = c.id;
-  containers_.emplace(id, std::move(c));
+  const std::uint32_t slot = containers_.insert(c.id);
+  containers_[slot].c = std::move(c);
   ++state_counts_[state_index(ContainerState::kProvisioning)];
   audit_counts();
 }
 
-void ContainerEngine::erase_container(ContainerMap::iterator it) {
-  --state_counts_[state_index(it->second.state)];
-  containers_.erase(it);
+void ContainerEngine::erase_container(ContainerId id) {
+  const Entry* e = containers_.find(id);
+  HOTC_ASSERT(e != nullptr);
+  --state_counts_[state_index(e->c.state)];
+  containers_.erase(id);
   audit_counts();
 }
 
 void ContainerEngine::audit_counts() const {
 #ifdef HOTC_AUDIT
   std::array<std::size_t, kContainerStateCount> scanned{};
-  for (const auto& [id, c] : containers_) {
-    (void)id;
-    ++scanned[state_index(c.state)];
-  }
+  containers_.for_each(
+      [&scanned](const Entry& e) { ++scanned[state_index(e.c.state)]; });
   if (scanned != state_counts_) {
     HOTC_ERROR("engine.audit")
         << "container state counts disagree with a scan of the engine";
@@ -197,24 +198,24 @@ void ContainerEngine::launch(const FunctionHandle& fn, LaunchCallback cb) {
       fault_rng_.chance(faults_.launch_failure_rate);
   sim_.after(breakdown.total(), [this, id, breakdown, inject_failure,
                                  cb = std::move(cb)]() {
-    auto it = containers_.find(id);
-    HOTC_ASSERT(it != containers_.end());
+    Entry* e = containers_.find(id);
+    HOTC_ASSERT(e != nullptr);
     // Pull committed the layers to the local store even on failure.
-    store_.commit(it->second.image);
+    store_.commit(e->c.image);
     if (inject_failure) {
       ++launch_failures_;
-      Container& dead = it->second;
+      Container& dead = e->c;
       set_state(dead, ContainerState::kStopping);
       set_state(dead, ContainerState::kRemoved);
       release_memory(dead.idle_memory);
       warn_if_failed(network_.release(dead.endpoint), "endpoint release");
       warn_if_failed(volumes_.destroy(dead.volume), "volume destroy");
-      erase_container(it);
+      erase_container(id);
       cb(make_error<LaunchReport>("engine.launch_failed",
                                   "injected launch failure"));
       return;
     }
-    set_state(it->second, ContainerState::kIdle);
+    set_state(e->c, ContainerState::kIdle);
     LaunchReport report;
     report.container = id;
     report.breakdown = breakdown;
@@ -235,19 +236,22 @@ void ContainerEngine::exec_as(ContainerId id, const AppModel& app,
 void ContainerEngine::run_exec(ContainerId id, const AppModel& app,
                                const FunctionHandle* request,
                                ExecCallback cb) {
-  auto it = containers_.find(id);
-  if (it == containers_.end()) {
+  const std::uint32_t slot = containers_.slot_of(id);
+  if (slot == IdSlab<Entry>::kNone) {
     cb(make_error<ExecReport>("engine.unknown_container",
                               "no container " + std::to_string(id)));
     return;
   }
-  Container& c = it->second;
+  Entry& e = containers_[slot];
+  Container& c = e.c;
   if (c.state != ContainerState::kIdle) {
     cb(make_error<ExecReport>(
         "engine.not_available",
         "container " + std::to_string(id) + " is " + to_string(c.state)));
     return;
   }
+  HOTC_ASSERT_MSG(!e.on_exec && !e.on_clean,
+                  "one operation in flight per container");
   set_state(c, ContainerState::kBusy);
   c.last_used = sim_.now();
   ++c.exec_count;
@@ -258,7 +262,8 @@ void ContainerEngine::run_exec(ContainerId id, const AppModel& app,
   const bool swapped = reserve_or_swap(extra_memory);
   c.busy_memory = extra_memory;
 
-  ExecReport report;
+  ExecReport& report = e.report;
+  report = ExecReport{};
   report.container = id;
   report.app_was_warm = warm;
   report.swapped = swapped;
@@ -284,51 +289,57 @@ void ContainerEngine::run_exec(ContainerId id, const AppModel& app,
   const double slow = (swapped ? 2.0 : 1.0) * quota;
   report.compute = scale(cost_.compute_time(app.exec_seconds), slow);
 
-  const TimePoint queued_at = sim_.now();
-  const Bytes writes = app.volume_writes;
-  const bool inject_crash = faults_.exec_crash_rate > 0.0 &&
-                            fault_rng_.chance(faults_.exec_crash_rate);
-  cpu_.acquire([this, id, report, queued_at, app_name = app.name, writes,
-                inject_crash, cb = std::move(cb)]() mutable {
-    report.queueing = sim_.now() - queued_at;
-    Duration busy = report.reconfigure + report.app_init + report.download +
-                    report.compute;
-    // An injected crash kills the process partway through execution.
-    if (inject_crash) busy = scale(busy, 0.5);
-    sim_.after(busy, [this, id, report, app_name = std::move(app_name),
-                      writes, inject_crash, cb = std::move(cb)]() {
-      auto inner = containers_.find(id);
-      HOTC_ASSERT(inner != containers_.end());
-      Container& done = inner->second;
-      release_memory(done.busy_memory);
-      done.busy_memory = 0;
-      set_state(done, ContainerState::kIdle);
-      done.last_used = sim_.now();
-      cpu_.release();
-      if (inject_crash) {
-        ++exec_crashes_;
-        // The container survives (the watchdog restarts the handler); the
-        // warm-app state is gone with the dead process.
-        done.warm_app.clear();
-        cb(make_error<ExecReport>("engine.exec_crashed",
-                                  "injected function crash"));
-        return;
-      }
-      done.warm_app = app_name;
-      warn_if_failed(volumes_.write(done.volume, writes), "volume write");
-      cb(report);
-    });
-  });
+  e.queued_at = sim_.now();
+  e.writes = app.volume_writes;
+  e.inject_crash = faults_.exec_crash_rate > 0.0 &&
+                   fault_rng_.chance(faults_.exec_crash_rate);
+  e.app_name = app.name;
+  e.on_exec = std::move(cb);
+  cpu_.acquire([this, slot]() { exec_granted(slot); });
+}
+
+void ContainerEngine::exec_granted(std::uint32_t slot) {
+  Entry& e = containers_[slot];
+  e.report.queueing = sim_.now() - e.queued_at;
+  Duration busy = e.report.reconfigure + e.report.app_init +
+                  e.report.download + e.report.compute;
+  // An injected crash kills the process partway through execution.
+  if (e.inject_crash) busy = scale(busy, 0.5);
+  sim_.after(busy, [this, slot]() { exec_done(slot); });
+}
+
+void ContainerEngine::exec_done(std::uint32_t slot) {
+  Entry& e = containers_[slot];
+  Container& done = e.c;
+  const ExecCallback cb = std::exchange(e.on_exec, nullptr);
+  release_memory(done.busy_memory);
+  done.busy_memory = 0;
+  set_state(done, ContainerState::kIdle);
+  done.last_used = sim_.now();
+  cpu_.release();
+  if (e.inject_crash) {
+    ++exec_crashes_;
+    // The container survives (the watchdog restarts the handler); the
+    // warm-app state is gone with the dead process.
+    done.warm_app.clear();
+    cb(make_error<ExecReport>("engine.exec_crashed",
+                              "injected function crash"));
+    return;
+  }
+  done.warm_app = e.app_name;
+  warn_if_failed(volumes_.write(done.volume, e.writes), "volume write");
+  cb(e.report);
 }
 
 void ContainerEngine::clean(ContainerId id, DoneCallback cb) {
-  auto it = containers_.find(id);
-  if (it == containers_.end()) {
+  const std::uint32_t slot = containers_.slot_of(id);
+  if (slot == IdSlab<Entry>::kNone) {
     cb(make_error<bool>("engine.unknown_container",
                         "no container " + std::to_string(id)));
     return;
   }
-  Container& c = it->second;
+  Entry& e = containers_[slot];
+  Container& c = e.c;
   // Cleaning is only legal once execution has finished (the container is
   // back to Idle); cleaning a Busy container would race the in-flight exec.
   if (c.state != ContainerState::kIdle) {
@@ -337,6 +348,8 @@ void ContainerEngine::clean(ContainerId id, DoneCallback cb) {
                             to_string(c.state)));
     return;
   }
+  HOTC_ASSERT_MSG(!e.on_exec && !e.on_clean,
+                  "one operation in flight per container");
   set_state(c, ContainerState::kBusy);
   set_state(c, ContainerState::kCleaning);
 
@@ -345,26 +358,28 @@ void ContainerEngine::clean(ContainerId id, DoneCallback cb) {
   if (clean_duration_ms_ != nullptr) {
     clean_duration_ms_->observe(to_milliseconds(d));
   }
-  sim_.after(d, [this, id, cb = std::move(cb)]() {
-    auto inner = containers_.find(id);
-    HOTC_ASSERT(inner != containers_.end());
-    warn_if_failed(volumes_.wipe_and_remount(inner->second.volume),
-                   "volume wipe");
-    set_state(inner->second, ContainerState::kIdle);
-    cb(true);
-  });
+  e.on_clean = std::move(cb);
+  sim_.after(d, [this, slot]() { clean_done(slot); });
+}
+
+void ContainerEngine::clean_done(std::uint32_t slot) {
+  Entry& e = containers_[slot];
+  const DoneCallback cb = std::exchange(e.on_clean, nullptr);
+  warn_if_failed(volumes_.wipe_and_remount(e.c.volume), "volume wipe");
+  set_state(e.c, ContainerState::kIdle);
+  cb(true);
 }
 
 void ContainerEngine::respecialize(ContainerId id,
                                    const FunctionHandle& target,
                                    RespecCallback cb) {
-  auto it = containers_.find(id);
-  if (it == containers_.end()) {
+  Entry* e = containers_.find(id);
+  if (e == nullptr) {
     cb(make_error<RespecBreakdown>("engine.unknown_container",
                                 "no container " + std::to_string(id)));
     return;
   }
-  Container& c = it->second;
+  Container& c = e->c;
   if (c.state != ContainerState::kIdle) {
     cb(make_error<RespecBreakdown>("engine.not_respecializable",
                                 "container " + std::to_string(id) + " is " +
@@ -397,9 +412,9 @@ void ContainerEngine::respecialize(ContainerId id,
 
   sim_.after(report.total(), [this, id, fn = &target, report,
                               cb = std::move(cb)]() {
-    auto inner = containers_.find(id);
-    HOTC_ASSERT(inner != containers_.end());
-    Container& done = inner->second;
+    Entry* inner = containers_.find(id);
+    HOTC_ASSERT(inner != nullptr);
+    Container& done = inner->c;
     warn_if_failed(volumes_.wipe_and_remount(done.volume), "volume wipe");
     store_.commit(fn->image);  // the layer delta (if any) is now local
     if (fn->image.base_memory != done.idle_memory) {
@@ -418,13 +433,13 @@ void ContainerEngine::respecialize(ContainerId id,
 }
 
 void ContainerEngine::pause(ContainerId id, DoneCallback cb) {
-  auto it = containers_.find(id);
-  if (it == containers_.end()) {
+  Entry* e = containers_.find(id);
+  if (e == nullptr) {
     cb(make_error<bool>("engine.unknown_container",
                         "no container " + std::to_string(id)));
     return;
   }
-  Container& c = it->second;
+  Container& c = e->c;
   if (c.state != ContainerState::kIdle) {
     cb(make_error<bool>("engine.not_pausable",
                         "container " + std::to_string(id) + " is " +
@@ -440,13 +455,13 @@ void ContainerEngine::pause(ContainerId id, DoneCallback cb) {
 }
 
 void ContainerEngine::resume(ContainerId id, DoneCallback cb) {
-  auto it = containers_.find(id);
-  if (it == containers_.end()) {
+  Entry* e = containers_.find(id);
+  if (e == nullptr) {
     cb(make_error<bool>("engine.unknown_container",
                         "no container " + std::to_string(id)));
     return;
   }
-  Container& c = it->second;
+  Container& c = e->c;
   if (c.state != ContainerState::kPaused) {
     cb(make_error<bool>("engine.not_paused",
                         "container " + std::to_string(id) + " is " +
@@ -457,21 +472,21 @@ void ContainerEngine::resume(ContainerId id, DoneCallback cb) {
   reserve_or_swap(c.paused_released);
   c.paused_released = 0;
   sim_.after(d, [this, id, cb = std::move(cb)]() {
-    auto inner = containers_.find(id);
-    HOTC_ASSERT(inner != containers_.end());
-    set_state(inner->second, ContainerState::kIdle);
+    Entry* inner = containers_.find(id);
+    HOTC_ASSERT(inner != nullptr);
+    set_state(inner->c, ContainerState::kIdle);
     cb(true);
   });
 }
 
 void ContainerEngine::demote(ContainerId id, DemoteCallback cb) {
-  auto it = containers_.find(id);
-  if (it == containers_.end()) {
+  Entry* e = containers_.find(id);
+  if (e == nullptr) {
     cb(make_error<DemoteReport>("engine.unknown_container",
                                 "no container " + std::to_string(id)));
     return;
   }
-  Container& c = it->second;
+  Container& c = e->c;
   if (c.state != ContainerState::kIdle) {
     cb(make_error<DemoteReport>("engine.not_checkpointable",
                                 "container " + std::to_string(id) + " is " +
@@ -493,13 +508,13 @@ void ContainerEngine::demote(ContainerId id, DemoteCallback cb) {
 }
 
 void ContainerEngine::restore_container(ContainerId id, LaunchCallback cb) {
-  auto it = containers_.find(id);
-  if (it == containers_.end()) {
+  Entry* e = containers_.find(id);
+  if (e == nullptr) {
     cb(make_error<LaunchReport>("engine.unknown_container",
                                 "no container " + std::to_string(id)));
     return;
   }
-  Container& c = it->second;
+  Container& c = e->c;
   if (c.state != ContainerState::kCheckpointed) {
     cb(make_error<LaunchReport>("engine.not_checkpointed",
                                 "container " + std::to_string(id) + " is " +
@@ -512,9 +527,9 @@ void ContainerEngine::restore_container(ContainerId id, LaunchCallback cb) {
   StartupBreakdown breakdown;  // restore is a single "attach"-like phase
   breakdown.attach = d;
   sim_.after(d, [this, id, breakdown, cb = std::move(cb)]() {
-    auto inner = containers_.find(id);
-    HOTC_ASSERT(inner != containers_.end());
-    Container& done = inner->second;
+    Entry* inner = containers_.find(id);
+    HOTC_ASSERT(inner != nullptr);
+    Container& done = inner->c;
     done.checkpoint_image = 0;
     set_state(done, ContainerState::kIdle);
     done.last_used = sim_.now();
@@ -526,13 +541,13 @@ void ContainerEngine::restore_container(ContainerId id, LaunchCallback cb) {
 }
 
 void ContainerEngine::discard_checkpointed(ContainerId id, DoneCallback cb) {
-  auto it = containers_.find(id);
-  if (it == containers_.end()) {
+  Entry* e = containers_.find(id);
+  if (e == nullptr) {
     cb(make_error<bool>("engine.unknown_container",
                         "no container " + std::to_string(id)));
     return;
   }
-  Container& c = it->second;
+  Container& c = e->c;
   if (c.state != ContainerState::kCheckpointed) {
     cb(make_error<bool>("engine.not_checkpointed",
                         "container " + std::to_string(id) + " is " +
@@ -542,15 +557,15 @@ void ContainerEngine::discard_checkpointed(ContainerId id, DoneCallback cb) {
   set_state(c, ContainerState::kStopping);
   // No process to SIGTERM — only the dump file and metadata go away.
   sim_.after(cost_.remove_time(), [this, id, cb = std::move(cb)]() {
-    auto inner = containers_.find(id);
-    HOTC_ASSERT(inner != containers_.end());
-    Container& done = inner->second;
+    Entry* inner = containers_.find(id);
+    HOTC_ASSERT(inner != nullptr);
+    Container& done = inner->c;
     release_memory(done.idle_memory + done.busy_memory -
                    done.paused_released - done.checkpoint_released);
     warn_if_failed(network_.release(done.endpoint), "endpoint release");
     warn_if_failed(volumes_.destroy(done.volume), "volume destroy");
     set_state(done, ContainerState::kRemoved);
-    erase_container(inner);
+    erase_container(id);
     cb(true);
   });
 }
@@ -561,21 +576,22 @@ std::size_t ContainerEngine::checkpointed_count() const {
 
 Bytes ContainerEngine::checkpointed_disk_used() const {
   Bytes total = 0;
-  for (const auto& [id, c] : containers_) {
-    (void)id;
-    if (c.state == ContainerState::kCheckpointed) total += c.checkpoint_image;
-  }
+  containers_.for_each([&total](const Entry& e) {
+    if (e.c.state == ContainerState::kCheckpointed) {
+      total += e.c.checkpoint_image;
+    }
+  });
   return total;
 }
 
 void ContainerEngine::stop_and_remove(ContainerId id, DoneCallback cb) {
-  auto it = containers_.find(id);
-  if (it == containers_.end()) {
+  Entry* e = containers_.find(id);
+  if (e == nullptr) {
     cb(make_error<bool>("engine.unknown_container",
                         "no container " + std::to_string(id)));
     return;
   }
-  Container& c = it->second;
+  Container& c = e->c;
   if (c.state == ContainerState::kStopping ||
       c.state == ContainerState::kRemoved) {
     cb(make_error<bool>("engine.already_stopping",
@@ -583,25 +599,28 @@ void ContainerEngine::stop_and_remove(ContainerId id, DoneCallback cb) {
                             to_string(c.state)));
     return;
   }
+  // An exec or wipe in flight would complete into a removed container.
+  HOTC_ASSERT_MSG(!e->on_exec && !e->on_clean,
+                  "stopping a container with an operation in flight");
   set_state(c, ContainerState::kStopping);
   const Duration d = cost_.stop_time() + cost_.remove_time();
   sim_.after(d, [this, id, cb = std::move(cb)]() {
-    auto inner = containers_.find(id);
-    HOTC_ASSERT(inner != containers_.end());
-    Container& done = inner->second;
+    Entry* inner = containers_.find(id);
+    HOTC_ASSERT(inner != nullptr);
+    Container& done = inner->c;
     release_memory(done.idle_memory + done.busy_memory -
                    done.paused_released - done.checkpoint_released);
     warn_if_failed(network_.release(done.endpoint), "endpoint release");
     warn_if_failed(volumes_.destroy(done.volume), "volume destroy");
     set_state(done, ContainerState::kRemoved);
-    erase_container(inner);
+    erase_container(id);
     cb(true);
   });
 }
 
 const Container* ContainerEngine::find(ContainerId id) const {
-  const auto it = containers_.find(id);
-  return it == containers_.end() ? nullptr : &it->second;
+  const Entry* e = containers_.find(id);
+  return e == nullptr ? nullptr : &e->c;
 }
 
 std::size_t ContainerEngine::live_count() const {

@@ -12,12 +12,12 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 
 #include "core/result.hpp"
 #include "core/rng.hpp"
+#include "core/slab.hpp"
 #include "engine/app.hpp"
 #include "engine/container.hpp"
 #include "engine/cost_model.hpp"
@@ -224,13 +224,27 @@ class ContainerEngine {
   void attach_metrics(obs::Registry& registry);
 
  private:
-  using ContainerMap = std::map<ContainerId, Container>;
+  /// A container's slab entry: the public record plus the state of its
+  /// one operation in flight.  The Fig. 7 FSM runs one at a time (an exec
+  /// while Busy, a volume wipe while Cleaning), so the pending exec report
+  /// and the exec/clean continuation live here, and the events on the
+  /// warm-hit chain capture only {this, slot}.
+  struct Entry {
+    Container c;
+    ExecReport report;  // the pending exec's, filled in as it runs
+    TimePoint queued_at = kZeroDuration;
+    Bytes writes = 0;
+    bool inject_crash = false;
+    std::string app_name;  // becomes warm_app when the exec succeeds
+    ExecCallback on_exec;
+    DoneCallback on_clean;
+  };
 
   void set_state(Container& c, ContainerState next);
   /// The only containers_ insert and erase; with set_state() they keep
-  /// state_counts_ in step with the map.
+  /// state_counts_ in step with the slab.
   void add_container(Container c);
-  void erase_container(ContainerMap::iterator it);
+  void erase_container(ContainerId id);
   /// HOTC_AUDIT builds: abort if state_counts_ disagrees with a scan.
   void audit_counts() const;
   /// Reserve memory, spilling to swap accounting when the pool is full.
@@ -240,6 +254,11 @@ class ContainerEngine {
   /// exec() and exec_as(): `request` is null for the as-configured path.
   void run_exec(ContainerId id, const AppModel& app,
                 const FunctionHandle* request, ExecCallback cb);
+  /// The exec's CPU core is granted / its compute is over.
+  void exec_granted(std::uint32_t slot);
+  void exec_done(std::uint32_t slot);
+  /// clean()'s wipe is over.
+  void clean_done(std::uint32_t slot);
 
   sim::Simulator& sim_;
   CostModel cost_;
@@ -252,7 +271,8 @@ class ContainerEngine {
   sim::MemoryPool memory_;
   sim::CountingResource cpu_;
 
-  ContainerMap containers_;
+  /// Containers by id (ids are never reused; slots are).
+  IdSlab<Entry> containers_;
   /// Containers per ContainerState; the count queries read these instead
   /// of walking containers_.
   std::array<std::size_t, kContainerStateCount> state_counts_{};

@@ -2,71 +2,62 @@
 
 namespace hotc::engine {
 
+namespace {
+
+template <typename T>
+[[nodiscard]] Result<T> unknown_volume(VolumeId id) {
+  return make_error<T>("volume.unknown", "no volume " + std::to_string(id));
+}
+
+}  // namespace
+
 Volume VolumeManager::create() {
   Volume v;
   v.id = next_id_++;
   v.path = "/var/lib/hotc/volumes/v" + std::to_string(v.id);
-  volumes_[v.id] = v;
+  volumes_[volumes_.insert(v.id)] = v;
   return v;
 }
 
 Result<bool> VolumeManager::write(VolumeId id, Bytes bytes) {
-  const auto it = volumes_.find(id);
-  if (it == volumes_.end()) {
-    return make_error<bool>("volume.unknown", "no volume " +
-                                                  std::to_string(id));
-  }
+  Volume* v = volumes_.find(id);
+  if (v == nullptr) return unknown_volume<bool>(id);
   if (bytes < 0) {
     return make_error<bool>("volume.bad_write", "negative write size");
   }
-  it->second.dirty_bytes += bytes;
+  v->dirty_bytes += bytes;
   return true;
 }
 
 Result<Volume> VolumeManager::get(VolumeId id) const {
-  const auto it = volumes_.find(id);
-  if (it == volumes_.end()) {
-    return make_error<Volume>("volume.unknown",
-                              "no volume " + std::to_string(id));
-  }
-  return it->second;
+  const Volume* v = volumes_.find(id);
+  if (v == nullptr) return unknown_volume<Volume>(id);
+  return *v;
 }
 
 Result<Bytes> VolumeManager::dirty_bytes(VolumeId id) const {
-  const auto it = volumes_.find(id);
-  if (it == volumes_.end()) {
-    return make_error<Bytes>("volume.unknown",
-                             "no volume " + std::to_string(id));
-  }
-  return it->second.dirty_bytes;
+  const Volume* v = volumes_.find(id);
+  if (v == nullptr) return unknown_volume<Bytes>(id);
+  return v->dirty_bytes;
 }
 
 Result<Bytes> VolumeManager::wipe_and_remount(VolumeId id) {
-  const auto it = volumes_.find(id);
-  if (it == volumes_.end()) {
-    return make_error<Bytes>("volume.unknown",
-                             "no volume " + std::to_string(id));
-  }
-  const Bytes wiped = it->second.dirty_bytes;
-  it->second.dirty_bytes = 0;
-  ++it->second.generation;
+  Volume* v = volumes_.find(id);
+  if (v == nullptr) return unknown_volume<Bytes>(id);
+  const Bytes wiped = v->dirty_bytes;
+  v->dirty_bytes = 0;
+  ++v->generation;
   return wiped;
 }
 
 Result<bool> VolumeManager::destroy(VolumeId id) {
-  if (volumes_.erase(id) == 0) {
-    return make_error<bool>("volume.unknown",
-                            "no volume " + std::to_string(id));
-  }
+  if (!volumes_.erase(id)) return unknown_volume<bool>(id);
   return true;
 }
 
 Bytes VolumeManager::total_dirty_bytes() const {
   Bytes total = 0;
-  for (const auto& [id, v] : volumes_) {
-    (void)id;
-    total += v.dirty_bytes;
-  }
+  volumes_.for_each([&total](const Volume& v) { total += v.dirty_bytes; });
   return total;
 }
 

@@ -9,10 +9,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 
 #include "core/result.hpp"
+#include "core/slab.hpp"
 #include "core/units.hpp"
 
 namespace hotc::engine {
@@ -51,7 +51,7 @@ class VolumeManager {
   [[nodiscard]] Bytes total_dirty_bytes() const;
 
  private:
-  std::map<VolumeId, Volume> volumes_;
+  IdSlab<Volume> volumes_;  // by id (ids are never reused; slots are)
   VolumeId next_id_ = 1;
 };
 

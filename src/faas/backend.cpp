@@ -1,5 +1,7 @@
 #include "faas/backend.hpp"
 
+#include <utility>
+
 namespace hotc::faas {
 
 // --- ColdStartBackend ------------------------------------------------------
@@ -145,24 +147,31 @@ void HotCBackend::dispatch(const engine::FunctionHandle& fn,
 void HotCBackend::dispatch_traced(std::uint64_t trace_id,
                                   const engine::FunctionHandle& fn,
                                   const engine::AppModel& app, Callback cb) {
-  controller_.handle_traced(
-      fn, app, trace_id,
-      [cb = std::move(cb)](Result<RequestOutcome> outcome) {
-        if (!outcome.ok()) {
-          cb(Result<DispatchReport>(outcome.error()));
-          return;
-        }
-        DispatchReport report;
-        // A donor conversion pays a (smaller) provision cost but is not a
-        // cold start — keep the split honest for the summary counters.
-        report.cold =
-            !outcome.value().reused && !outcome.value().respecialized;
-        report.respecialized = outcome.value().respecialized;
-        report.provision = outcome.value().startup;
-        report.exec = outcome.value().exec_total;
-        report.container = outcome.value().container;
-        cb(report);
-      });
+  const std::uint32_t slot = pending_.claim();
+  pending_[slot] = std::move(cb);
+  controller_.handle_traced(fn, app, trace_id,
+                            [this, slot](Result<RequestOutcome> outcome) {
+                              answer(slot, std::move(outcome));
+                            });
+}
+
+void HotCBackend::answer(std::uint32_t slot,
+                         Result<RequestOutcome> outcome) {
+  const Callback cb = std::exchange(pending_[slot], nullptr);
+  pending_.free(slot);
+  if (!outcome.ok()) {
+    cb(Result<DispatchReport>(outcome.error()));
+    return;
+  }
+  DispatchReport report;
+  // A donor conversion pays a (smaller) provision cost but is not a
+  // cold start — keep the split honest for the summary counters.
+  report.cold = !outcome.value().reused && !outcome.value().respecialized;
+  report.respecialized = outcome.value().respecialized;
+  report.provision = outcome.value().startup;
+  report.exec = outcome.value().exec_total;
+  report.container = outcome.value().container;
+  cb(report);
 }
 
 // --- PeriodicWarmupBackend -------------------------------------------------

@@ -20,6 +20,7 @@
 #include <string>
 
 #include "core/result.hpp"
+#include "core/slab.hpp"
 #include "engine/engine.hpp"
 #include "engine/function_table.hpp"
 #include "hotc/controller.hpp"
@@ -144,7 +145,13 @@ class HotCBackend final : public Backend {
   [[nodiscard]] HotCController& controller() { return controller_; }
 
  private:
+  /// Answer the request parked in `slot` with the controller's outcome.
+  void answer(std::uint32_t slot, Result<RequestOutcome> outcome);
+
   HotCController controller_;
+  /// Each dispatch's callback, parked while the controller serves it, so
+  /// the continuation handed to the controller is {this, slot}.
+  Slab<Callback> pending_;
 };
 
 /// Azure-Logic-style periodic warm-up: a timer fires every `period` and

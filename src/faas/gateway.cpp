@@ -14,14 +14,7 @@ Gateway::Gateway(sim::Simulator& sim, Backend& backend,
 void Gateway::submit(std::uint64_t request_id, std::size_t config_index,
                      const engine::FunctionHandle& fn,
                      const engine::AppModel& app, Callback cb) {
-  std::uint32_t slot = 0;
-  if (free_records_.empty()) {
-    slot = static_cast<std::uint32_t>(records_.size());
-    records_.emplace_back();
-  } else {
-    slot = free_records_.back();
-    free_records_.pop_back();
-  }
+  const std::uint32_t slot = records_.claim();
   Record& r = records_[slot];
   r.rec = CompletedRequest{};
   r.rec.id = request_id;
@@ -135,7 +128,7 @@ void Gateway::finish(std::uint32_t slot, Result<CompletedRequest> result) {
   const Callback cb = std::exchange(r.cb, nullptr);
   const bool answered = r.answered;
   ++r.generation;
-  free_records_.push_back(slot);
+  records_.free(slot);
   // The client may submit again from its callback; the record is already
   // free for it.
   if (!answered) cb(std::move(result));

@@ -13,14 +13,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
-#include <vector>
 
 #include "core/annotations.hpp"
 #include "core/ranked_mutex.hpp"
 #include "core/result.hpp"
+#include "core/slab.hpp"
 #include "faas/backend.hpp"
 #include "obs/trace.hpp"
 #include "sim/resource.hpp"
@@ -108,9 +107,7 @@ class Gateway {
  private:
   /// One in-flight request: submit() stores its function handle and
   /// copies its app here once, and every hop event captures only
-  /// {this, slot}, which std::function stores inline.  Records are
-  /// recycled through a free list; a deque keeps a record in place while
-  /// later submits add more.
+  /// {this, slot}, which std::function stores inline.
   struct Record {
     CompletedRequest rec;
     const engine::FunctionHandle* fn = nullptr;
@@ -134,8 +131,7 @@ class Gateway {
   Backend& backend_;
   GatewayOptions options_;
   sim::CountingResource slots_;
-  std::deque<Record> records_;
-  std::vector<std::uint32_t> free_records_;
+  Slab<Record> records_;
   /// Guards the counters only — never held across backend or simulator
   /// calls.  The simulator is single-threaded today; the ranked mutex pins
   /// the gateway's place in the lock order (above pool shards and the

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "core/log.hpp"
 #include "share/donor_choice.hpp"
@@ -408,72 +409,96 @@ void HotCController::run_on(const pool::PoolEntry& entry,
     return;
   }
 
-  const spec::RuntimeKey key = entry.key;
-  const TimePoint exec_start = sim_.now();
-  auto exec_cb = [this, entry, key, was_prewarmed, startup_paid, arrival,
-                  exec_start, trace_id, was_resumed, was_restored,
-                  was_respecialized,
-                  cb = std::move(cb)](Result<engine::ExecReport> r) {
-    end_busy(key);
-    const std::uint8_t cold_flag =
-        startup_paid == kZeroDuration ? obs::kSpanHit : obs::kSpanCold;
-    if (!r.ok()) {
-      emit_span(trace_id, obs::Stage::kExec, exec_start,
-                sim_.now() - exec_start, key.hash(),
-                cold_flag | obs::kSpanError);
-      // A container that failed to execute is not trusted back into the
-      // pool; tear it down.
-      engine_.stop_and_remove(entry.id, [](Result<bool>) {});
-      cb(Result<RequestOutcome>(r.error()));
-      return;
-    }
-    emit_span(trace_id, obs::Stage::kExec, exec_start, r.value().total(),
-              key.hash(), cold_flag);
-
-    RequestOutcome outcome;
-    outcome.reused = startup_paid == kZeroDuration;
-    outcome.prewarmed = was_prewarmed;
-    outcome.resumed = was_resumed;
-    outcome.restored = was_restored;
-    outcome.respecialized = was_respecialized;
-    outcome.startup = startup_paid;
-    outcome.exec_total = r.value().total();
-    outcome.total = sim_.now() - arrival;
-    outcome.container = entry.id;
-
-    // The response goes back to the client *now*; cleanup (Algorithm 2)
-    // happens off the critical path and only then does the container
-    // become Existing-Available again.
-    cb(outcome);
-
-    pool::PoolEntry returned = entry;
-    const TimePoint clean_start = sim_.now();
-    engine_.clean(entry.id, [this, returned, clean_start,
-                             trace_id](Result<bool> cleaned) {
-      if (!cleaned.ok()) {
-        emit_span(trace_id, obs::Stage::kClean, clean_start,
-                  sim_.now() - clean_start, returned.key.hash(),
-                  obs::kSpanError);
-        engine_.stop_and_remove(returned.id, [](Result<bool>) {});
-        return;
-      }
-      emit_span(trace_id, obs::Stage::kClean, clean_start,
-                sim_.now() - clean_start, returned.key.hash());
-      pool::PoolEntry e = returned;
-      e.prewarmed = false;  // once used, it is an ordinary pooled runtime
-      pool_.add_available(e, sim_.now());
-      emit_span(trace_id, obs::Stage::kReadmit, sim_.now(), kZeroDuration,
-                e.key.hash());
-      notify_pool_change(e.key);
-    });
+  const std::uint32_t slot = in_flight_.claim();
+  InFlight& f = in_flight_[slot];
+  f.entry = entry;
+  f.startup_paid = startup_paid;
+  f.arrival = arrival;
+  f.started = sim_.now();
+  f.trace_id = trace_id;
+  f.prewarmed = was_prewarmed;
+  f.resumed = was_resumed;
+  f.restored = was_restored;
+  f.respecialized = was_respecialized;
+  f.cb = std::move(cb);
+  auto done = [this, slot](Result<engine::ExecReport> r) {
+    exec_finished(slot, std::move(r));
   };
   if (options_.use_subset_key) {
     // Subset-key reuse: the pooled container may differ in re-applicable
     // fields; the engine applies the delta and charges it to this request.
-    engine_.exec_as(entry.id, app, fn, std::move(exec_cb));
+    engine_.exec_as(entry.id, app, fn, done);
   } else {
-    engine_.exec(entry.id, app, std::move(exec_cb));
+    engine_.exec(entry.id, app, done);
   }
+}
+
+void HotCController::exec_finished(std::uint32_t slot,
+                                   Result<engine::ExecReport> r) {
+  InFlight& f = in_flight_[slot];
+  const spec::RuntimeKey key = f.entry.key;
+  end_busy(key);
+  const std::uint8_t cold_flag =
+      f.startup_paid == kZeroDuration ? obs::kSpanHit : obs::kSpanCold;
+  if (!r.ok()) {
+    emit_span(f.trace_id, obs::Stage::kExec, f.started,
+              sim_.now() - f.started, key.hash(),
+              cold_flag | obs::kSpanError);
+    // A container that failed to execute is not trusted back into the
+    // pool; tear it down.
+    const engine::ContainerId id = f.entry.id;
+    const Callback cb = std::exchange(f.cb, nullptr);
+    in_flight_.free(slot);
+    engine_.stop_and_remove(id, [](Result<bool>) {});
+    cb(Result<RequestOutcome>(r.error()));
+    return;
+  }
+  emit_span(f.trace_id, obs::Stage::kExec, f.started, r.value().total(),
+            key.hash(), cold_flag);
+
+  RequestOutcome outcome;
+  outcome.reused = f.startup_paid == kZeroDuration;
+  outcome.prewarmed = f.prewarmed;
+  outcome.resumed = f.resumed;
+  outcome.restored = f.restored;
+  outcome.respecialized = f.respecialized;
+  outcome.startup = f.startup_paid;
+  outcome.exec_total = r.value().total();
+  outcome.total = sim_.now() - f.arrival;
+  outcome.container = f.entry.id;
+
+  // The response goes back to the client *now*; cleanup (Algorithm 2)
+  // happens off the critical path and only then does the container
+  // become Existing-Available again.  The record stays claimed until the
+  // readmit, so a request the client submits from its callback takes
+  // another slot (and records never move).
+  std::exchange(f.cb, nullptr)(outcome);
+
+  f.started = sim_.now();
+  engine_.clean(f.entry.id, [this, slot](Result<bool> wiped) {
+    cleaned(slot, std::move(wiped));
+  });
+}
+
+void HotCController::cleaned(std::uint32_t slot, Result<bool> r) {
+  InFlight& f = in_flight_[slot];
+  pool::PoolEntry e = f.entry;
+  const std::uint64_t trace_id = f.trace_id;
+  const TimePoint clean_start = f.started;
+  in_flight_.free(slot);
+  if (!r.ok()) {
+    emit_span(trace_id, obs::Stage::kClean, clean_start,
+              sim_.now() - clean_start, e.key.hash(), obs::kSpanError);
+    engine_.stop_and_remove(e.id, [](Result<bool>) {});
+    return;
+  }
+  emit_span(trace_id, obs::Stage::kClean, clean_start,
+            sim_.now() - clean_start, e.key.hash());
+  e.prewarmed = false;  // once used, it is an ordinary pooled runtime
+  pool_.add_available(e, sim_.now());
+  emit_span(trace_id, obs::Stage::kReadmit, sim_.now(), kZeroDuration,
+            e.key.hash());
+  notify_pool_change(e.key);
 }
 
 void HotCController::enforce_pressure() {

@@ -22,6 +22,7 @@
 #include "core/annotations.hpp"
 #include "core/flat_map.hpp"
 #include "core/result.hpp"
+#include "core/slab.hpp"
 #include "engine/engine.hpp"
 #include "engine/function_table.hpp"
 #include "obs/blackbox.hpp"
@@ -283,6 +284,26 @@ class HotCController {
               std::uint64_t trace_id, Callback cb, bool was_resumed = false,
               bool was_restored = false, bool was_respecialized = false);
 
+  /// One request from run_on's exec to its container's readmit: what the
+  /// exec and clean continuations need, so each captures only
+  /// {this, slot}.
+  struct InFlight {
+    pool::PoolEntry entry;
+    Duration startup_paid = kZeroDuration;
+    TimePoint arrival = kZeroDuration;
+    TimePoint started = kZeroDuration;  // the exec's start, then the clean's
+    std::uint64_t trace_id = 0;
+    bool prewarmed = false;
+    bool resumed = false;
+    bool restored = false;
+    bool respecialized = false;
+    Callback cb;  // empty once the client is answered
+  };
+  /// run_on's continuations: the exec is over (answer the client, then
+  /// clean), the clean is over (readmit).
+  void exec_finished(std::uint32_t slot, Result<engine::ExecReport> r);
+  void cleaned(std::uint32_t slot, Result<bool> r);
+
   /// The cold tail of the miss path: enforce pressure, then restore from
   /// the snapshot tier when possible, else launch.  Counts one true cold
   /// start.
@@ -356,6 +377,7 @@ class HotCController {
   /// sorted on insert, the only time it changes.
   std::vector<std::uint32_t> tick_order_;
   std::function<void(const spec::RuntimeKey&)> pool_listener_;
+  Slab<InFlight> in_flight_;
   /// Cross-key donor index; null unless enable_sharing.
   std::unique_ptr<share::DonorRegistry> donors_;
   /// Snapshot tier index; null unless options.tiering.enabled.

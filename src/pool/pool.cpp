@@ -251,7 +251,7 @@ void RuntimePool::maybe_compact() {
   // heaps stay O(total_available) sized.
   const std::size_t live =
       static_cast<std::size_t>(live_.load(std::memory_order_relaxed));
-  if (by_created_.size() <= 2 * live + 64) return;
+  if (by_created_.size() <= 2 * live + kCompactSlack) return;
   // Refill the node vectors in place: clear() keeps their capacity, so
   // steady-state compaction allocates nothing.
   by_created_.nodes.clear();

@@ -233,6 +233,9 @@ class RuntimePool : public PoolView {
 
  private:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+  /// Stale heap nodes tolerated beyond 2x the live entries before
+  /// maybe_compact() rebuilds the heaps.
+  static constexpr std::size_t kCompactSlack = 64;
 
   /// One residency of a container in the pool, threaded on its key's FIFO
   /// list.  `gen` is unique per residency: re-adding an acquired container
@@ -277,7 +280,12 @@ class RuntimePool : public PoolView {
     std::vector<AgeNode> nodes;
     std::size_t sorted_ = 0;  // nodes[0..sorted_) satisfy the heap invariant
 
-    void push(const AgeNode& n) { nodes.push_back(n); }
+    void push(const AgeNode& n) {
+      // The first push reserves the compaction slack, so the heaps of a
+      // pool of fewer than kCompactSlack / 2 live entries never grow.
+      if (nodes.capacity() == 0) nodes.reserve(2 * kCompactSlack);
+      nodes.push_back(n);
+    }
     void ensure() {
       while (sorted_ < nodes.size()) {
         ++sorted_;

@@ -10,19 +10,11 @@
 
 namespace hotc::pool {
 
-namespace {
-
-std::size_t default_shard_count() {
-  const std::size_t hw = std::thread::hardware_concurrency();
-  return std::clamp<std::size_t>(hw, 1, 64);
-}
-
-}  // namespace
-
 ShardedRuntimePool::ShardedRuntimePool(PoolLimits limits,
                                        std::size_t shard_count)
     : limits_(limits) {
-  if (shard_count == 0) shard_count = default_shard_count();
+  if (shard_count == 0) shard_count = std::thread::hardware_concurrency();
+  shard_count = std::clamp<std::size_t>(shard_count, 1, kMaxShards);
   if ((shard_count & (shard_count - 1)) == 0) {
     // h % n == h & (n-1) for powers of two: identical striping, no div.
     shard_mask_ = static_cast<std::uint64_t>(shard_count - 1);
@@ -147,9 +139,8 @@ bool ShardedRuntimePool::mark_paused(const spec::RuntimeKey& key,
   return shard.pool.mark_paused(key, id);
 }
 
-std::vector<RankedLock> ShardedRuntimePool::lock_all() const {
-  std::vector<RankedLock> locks;
-  locks.reserve(shards_.size());
+ShardedRuntimePool::ShardLocks ShardedRuntimePool::lock_all() const {
+  ShardLocks locks;
   for (const auto& shard : shards_) {
     // Same-band shard locks are taken in ascending shard-index order,
     // which the runtime lock-rank auditor verifies on every batch.

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The one-command correctness gate: lint, the default build + full test
-# suite (golden figure outputs included), the install-rule check, the
+# suite (golden figure outputs included), the benchmark's self-test
+# (bench_e2e, built Release into .bench_build/), the install-rule check, the
 # ASan/UBSan and TSan matrices with HOTC_AUDIT=ON (lock-rank auditing,
 # pool conservation and engine state-count checks compiled in), and
 # clang-tidy over src/core + src/pool when a binary is available.
@@ -24,6 +25,9 @@ step "build + test: default (tier-1)"
 cmake -B "$ROOT/build" -S "$ROOT" >/dev/null
 cmake --build "$ROOT/build" -j "$JOBS"
 ctest --test-dir "$ROOT/build" --output-on-failure -j "$JOBS"
+
+step "benchmark: bench_e2e self-test (short mode, every workload)"
+(cd "$ROOT" && python3 bench_e2e/run.py --self-test)
 
 step "install: every hotc_* library lands in <prefix>/lib"
 "$ROOT/tools/check_install.sh" "$ROOT/build"
