@@ -71,7 +71,9 @@
 // always the tracking implementation.
 #pragma once
 
+#include <array>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -80,6 +82,7 @@
 #include <vector>
 
 #include "core/annotations.hpp"
+#include "core/assert.hpp"
 #include "core/crash_hook.hpp"
 #include "core/prof_hook.hpp"
 
@@ -285,6 +288,25 @@ using AuditedRankedMutex = BasicRankedMutex<true>;
 /// waits and the lock_all() batch, whose functions carry
 /// HOTC_NO_THREAD_SAFETY_ANALYSIS.
 using RankedLock = std::unique_lock<RankedMutex>;
+
+/// The held locks of one lock_all() batch (every shard of a
+/// ShardedRuntimePool, every stripe of a CheckpointStore), in a fixed
+/// array: taking a batch allocates nothing.  Owners clamp their lock
+/// count to kCapacity.  Locks are added in ascending sequence order, the
+/// in-band rule, and released when the batch goes out of scope.
+class LockBatch {
+ public:
+  static constexpr std::size_t kCapacity = 64;
+
+  void emplace_back(RankedMutex& mu) {
+    HOTC_ASSERT(count_ < kCapacity);
+    locks_[count_++] = RankedLock(mu);
+  }
+
+ private:
+  std::array<RankedLock, kCapacity> locks_;
+  std::size_t count_ = 0;
+};
 
 /// The library's scoped lock: equivalent to
 /// `const std::lock_guard<RankedMutex>` but visible to both checkers —

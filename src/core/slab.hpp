@@ -75,7 +75,9 @@ class Slab {
 
  private:
   struct Cell {
-    T value{};
+    // Value-initialised: `T value{}` would copy-list-initialise an
+    // aggregate's members, which an explicit default constructor rejects.
+    T value = T();
     bool live = false;
   };
 

@@ -13,11 +13,8 @@
 
 #include "core/time.hpp"
 #include "core/units.hpp"
-#include "engine/image.hpp"
 #include "engine/network.hpp"
 #include "engine/volume.hpp"
-#include "spec/runspec.hpp"
-#include "spec/runtime_key.hpp"
 
 namespace hotc::engine {
 
@@ -208,11 +205,14 @@ static_assert(transition_allowed(ContainerState::kCheckpointed,
 
 }  // namespace fsm_proofs
 
+struct FunctionHandle;  // engine/function_table.hpp
+
 struct Container {
   ContainerId id = 0;
-  spec::RunSpec spec;
-  spec::RuntimeKey key;
-  Image image;
+  /// The function the container is configured for, from its engine's
+  /// table: its spec, runtime key and image.  A conversion re-points it
+  /// at the target, and a subset-key exec at the request's function.
+  const FunctionHandle* fn = nullptr;
   ContainerState state = ContainerState::kProvisioning;
 
   EndpointId endpoint = 0;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/log.hpp"
-#include "spec/compat.hpp"
 
 namespace hotc::engine {
 namespace {
@@ -177,9 +176,7 @@ void ContainerEngine::launch(const FunctionHandle& fn, LaunchCallback cb) {
   const ContainerId id = next_id_++;
   Container c;
   c.id = id;
-  c.spec = spec;
-  c.key = fn.key;
-  c.image = img;
+  c.fn = &fn;
   c.state = ContainerState::kProvisioning;
   c.endpoint = endpoint.value().id;
   c.volume = volumes_.create().id;
@@ -201,7 +198,7 @@ void ContainerEngine::launch(const FunctionHandle& fn, LaunchCallback cb) {
     Entry* e = containers_.find(id);
     HOTC_ASSERT(e != nullptr);
     // Pull committed the layers to the local store even on failure.
-    store_.commit(e->c.image);
+    store_.commit(e->c.fn->image);
     if (inject_failure) {
       ++launch_failures_;
       Container& dead = e->c;
@@ -250,8 +247,7 @@ void ContainerEngine::run_exec(ContainerId id, const AppModel& app,
         "container " + std::to_string(id) + " is " + to_string(c.state)));
     return;
   }
-  HOTC_ASSERT_MSG(!e.on_exec && !e.on_clean,
-                  "one operation in flight per container");
+  HOTC_ASSERT_MSG(!e.in_flight(), "one operation in flight per container");
   set_state(c, ContainerState::kBusy);
   c.last_used = sim_.now();
   ++c.exec_count;
@@ -268,19 +264,21 @@ void ContainerEngine::run_exec(ContainerId id, const AppModel& app,
   report.app_was_warm = warm;
   report.swapped = swapped;
   // No request function means "as configured" (the plain exec path);
-  // otherwise apply the re-applicable deltas before the handler starts.
+  // otherwise apply the re-applicable deltas before the handler starts,
+  // and the container takes on the request's function.  Both share the
+  // subset key, so they differ only in env, volumes, command and
+  // entrypoint override; of those, the costs that later read the
+  // container's spec (this delta, a conversion, a restore) read only env
+  // and volumes.
   if (request != nullptr) {
-    const spec::RunSpec& request_spec = request->spec;
-    report.reconfigure = cost_.reconfigure_time(c.spec, request_spec);
-    c.spec.env = request_spec.env;
-    c.spec.volumes = request_spec.volumes;
-    c.spec.command = request_spec.command;
+    report.reconfigure = cost_.reconfigure_time(c.fn->spec, request->spec);
+    c.fn = request;
   }
   // cgroup cpu quota: a limit below one full core stretches compute
   // proportionally (cfs throttling).
-  const double quota = (c.spec.cpu_limit > 0.0 && c.spec.cpu_limit < 1.0)
-                           ? 1.0 / c.spec.cpu_limit
-                           : 1.0;
+  const double cpu_limit = c.fn->spec.cpu_limit;
+  const double quota =
+      (cpu_limit > 0.0 && cpu_limit < 1.0) ? 1.0 / cpu_limit : 1.0;
   report.app_init = warm ? kZeroDuration
                          : scale(cost_.compute_time(app.app_init_seconds),
                                  quota);
@@ -348,8 +346,7 @@ void ContainerEngine::clean(ContainerId id, DoneCallback cb) {
                             to_string(c.state)));
     return;
   }
-  HOTC_ASSERT_MSG(!e.on_exec && !e.on_clean,
-                  "one operation in flight per container");
+  HOTC_ASSERT_MSG(!e.in_flight(), "one operation in flight per container");
   set_state(c, ContainerState::kBusy);
   set_state(c, ContainerState::kCleaning);
 
@@ -373,23 +370,24 @@ void ContainerEngine::clean_done(std::uint32_t slot) {
 void ContainerEngine::respecialize(ContainerId id,
                                    const FunctionHandle& target,
                                    RespecCallback cb) {
-  Entry* e = containers_.find(id);
-  if (e == nullptr) {
+  const std::uint32_t slot = containers_.slot_of(id);
+  if (slot == IdSlab<Entry>::kNone) {
     cb(make_error<RespecBreakdown>("engine.unknown_container",
                                 "no container " + std::to_string(id)));
     return;
   }
-  Container& c = e->c;
+  Entry& e = containers_[slot];
+  Container& c = e.c;
   if (c.state != ContainerState::kIdle) {
     cb(make_error<RespecBreakdown>("engine.not_respecializable",
                                 "container " + std::to_string(id) + " is " +
                                     to_string(c.state)));
     return;
   }
-  if (spec::CompatClass::from_spec(c.spec) != target.compat()) {
+  if (c.fn->compat() != target.compat()) {
     cb(make_error<RespecBreakdown>(
         "engine.incompatible",
-        "container " + std::to_string(id) + " (" + c.spec.image.full() +
+        "container " + std::to_string(id) + " (" + c.fn->spec.image.full() +
             ") is not class-compatible with " + target.spec.image.full()));
     return;
   }
@@ -398,11 +396,11 @@ void ContainerEngine::respecialize(ContainerId id,
     return;
   }
 
-  const RespecBreakdown report = cost_.respecialize(
-      c.spec, target.spec, target.image, store_.missing_bytes(target.image),
-      volumes_.dirty_bytes(c.volume).value_or(0));
+  e.respec = cost_.respecialize(c.fn->spec, target.spec, target.image,
+                                store_.missing_bytes(target.image),
+                                volumes_.dirty_bytes(c.volume).value_or(0));
   if (clean_duration_ms_ != nullptr) {
-    clean_duration_ms_->observe(to_milliseconds(report.clean));
+    clean_duration_ms_->observe(to_milliseconds(e.respec.clean));
   }
 
   // Conversion reuses the clean path's FSM walk: the container is out of
@@ -410,26 +408,28 @@ void ContainerEngine::respecialize(ContainerId id,
   set_state(c, ContainerState::kBusy);
   set_state(c, ContainerState::kCleaning);
 
-  sim_.after(report.total(), [this, id, fn = &target, report,
-                              cb = std::move(cb)]() {
-    Entry* inner = containers_.find(id);
-    HOTC_ASSERT(inner != nullptr);
-    Container& done = inner->c;
-    warn_if_failed(volumes_.wipe_and_remount(done.volume), "volume wipe");
-    store_.commit(fn->image);  // the layer delta (if any) is now local
-    if (fn->image.base_memory != done.idle_memory) {
-      release_memory(done.idle_memory);
-      reserve_or_swap(fn->image.base_memory);
-      done.idle_memory = fn->image.base_memory;
-    }
-    done.spec = fn->spec;
-    done.key = fn->key;
-    done.image = fn->image;
-    done.warm_app.clear();  // the donor's app init state went with the wipe
-    set_state(done, ContainerState::kIdle);
-    done.last_used = sim_.now();
-    cb(report);
-  });
+  e.respec_to = &target;
+  e.on_respec = std::move(cb);
+  sim_.after(e.respec.total(), [this, slot]() { respec_done(slot); });
+}
+
+void ContainerEngine::respec_done(std::uint32_t slot) {
+  Entry& e = containers_[slot];
+  Container& done = e.c;
+  const FunctionHandle& fn = *e.respec_to;
+  const RespecCallback cb = std::exchange(e.on_respec, nullptr);
+  warn_if_failed(volumes_.wipe_and_remount(done.volume), "volume wipe");
+  store_.commit(fn.image);  // the layer delta (if any) is now local
+  if (fn.image.base_memory != done.idle_memory) {
+    release_memory(done.idle_memory);
+    reserve_or_swap(fn.image.base_memory);
+    done.idle_memory = fn.image.base_memory;
+  }
+  done.fn = &fn;
+  done.warm_app.clear();  // the donor's app init state went with the wipe
+  set_state(done, ContainerState::kIdle);
+  done.last_used = sim_.now();
+  cb(e.respec);
 }
 
 void ContainerEngine::pause(ContainerId id, DoneCallback cb) {
@@ -521,7 +521,7 @@ void ContainerEngine::restore_container(ContainerId id, LaunchCallback cb) {
                                     to_string(c.state)));
     return;
   }
-  const Duration d = cost_.restore_time(c.checkpoint_image, c.spec);
+  const Duration d = cost_.restore_time(c.checkpoint_image, c.fn->spec);
   reserve_or_swap(c.checkpoint_released);
   c.checkpoint_released = 0;
   StartupBreakdown breakdown;  // restore is a single "attach"-like phase
@@ -600,7 +600,7 @@ void ContainerEngine::stop_and_remove(ContainerId id, DoneCallback cb) {
     return;
   }
   // An exec or wipe in flight would complete into a removed container.
-  HOTC_ASSERT_MSG(!e->on_exec && !e->on_clean,
+  HOTC_ASSERT_MSG(!e->in_flight(),
                   "stopping a container with an operation in flight");
   set_state(c, ContainerState::kStopping);
   const Duration d = cost_.stop_time() + cost_.remove_time();

@@ -226,9 +226,9 @@ class ContainerEngine {
  private:
   /// A container's slab entry: the public record plus the state of its
   /// one operation in flight.  The Fig. 7 FSM runs one at a time (an exec
-  /// while Busy, a volume wipe while Cleaning), so the pending exec report
-  /// and the exec/clean continuation live here, and the events on the
-  /// warm-hit chain capture only {this, slot}.
+  /// while Busy, a volume wipe or a conversion while Cleaning), so the
+  /// pending reports and the exec/clean/conversion continuation live
+  /// here, and the events of a request's chain capture only {this, slot}.
   struct Entry {
     Container c;
     ExecReport report;  // the pending exec's, filled in as it runs
@@ -236,8 +236,15 @@ class ContainerEngine {
     Bytes writes = 0;
     bool inject_crash = false;
     std::string app_name;  // becomes warm_app when the exec succeeds
+    RespecBreakdown respec;  // the pending conversion's
+    const FunctionHandle* respec_to = nullptr;
     ExecCallback on_exec;
     DoneCallback on_clean;
+    RespecCallback on_respec;
+
+    [[nodiscard]] bool in_flight() const {
+      return on_exec || on_clean || on_respec;
+    }
   };
 
   void set_state(Container& c, ContainerState next);
@@ -259,6 +266,8 @@ class ContainerEngine {
   void exec_done(std::uint32_t slot);
   /// clean()'s wipe is over.
   void clean_done(std::uint32_t slot);
+  /// respecialize()'s conversion is over.
+  void respec_done(std::uint32_t slot);
 
   sim::Simulator& sim_;
   CostModel cost_;

@@ -1,5 +1,7 @@
 #include "engine/registry.hpp"
 
+#include <algorithm>
+
 namespace hotc::engine {
 
 void Registry::push(const Image& image) {
@@ -29,18 +31,18 @@ Bytes ImageStore::missing_bytes(const Image& image) const {
 Bytes ImageStore::commit(const Image& image) {
   ++clock_;
   Bytes added = 0;
-  std::set<std::string> pinned;
   for (const auto& layer : image.layers) {
-    pinned.insert(layer.digest);
-    auto [it, inserted] =
-        layers_.emplace(layer.digest, LayerRecord{layer.extracted_size, 0});
+    // try_emplace builds a node only for a layer not yet local, so
+    // re-committing a local image allocates nothing.
+    auto [it, inserted] = layers_.try_emplace(
+        layer.digest, LayerRecord{layer.extracted_size, 0});
     it->second.last_used = clock_;
     if (inserted) {
       added += layer.size;
       disk_used_ += layer.extracted_size;
     }
   }
-  if (disk_limit_ > 0 && disk_used_ > disk_limit_) run_gc(pinned);
+  if (disk_limit_ > 0 && disk_used_ > disk_limit_) run_gc(image);
   return added;
 }
 
@@ -52,11 +54,16 @@ void ImageStore::touch(const Image& image) {
   }
 }
 
-void ImageStore::run_gc(const std::set<std::string>& pinned) {
+void ImageStore::run_gc(const Image& pinned) {
+  const auto is_pinned = [&pinned](const std::string& digest) {
+    return std::any_of(
+        pinned.layers.begin(), pinned.layers.end(),
+        [&digest](const Layer& layer) { return layer.digest == digest; });
+  };
   while (disk_used_ > disk_limit_) {
     auto victim = layers_.end();
     for (auto it = layers_.begin(); it != layers_.end(); ++it) {
-      if (pinned.count(it->first)) continue;
+      if (is_pinned(it->first)) continue;
       if (victim == layers_.end() ||
           it->second.last_used < victim->second.last_used) {
         victim = it;

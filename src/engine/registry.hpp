@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 
 #include "core/result.hpp"
@@ -77,7 +76,9 @@ class ImageStore {
     std::uint64_t last_used = 0;
   };
 
-  void run_gc(const std::set<std::string>& pinned);
+  /// Evict least-recently-used layers until under the limit, never one
+  /// of `pinned`'s (the image just committed).
+  void run_gc(const Image& pinned);
 
   std::map<std::string, LayerRecord> layers_;  // digest -> record
   Bytes disk_used_ = 0;

@@ -3,6 +3,22 @@
 #include <utility>
 
 namespace hotc::faas {
+namespace {
+
+/// A baseline backend's answer: the launch it paid (zero for a kept-alive
+/// container), then the exec; nothing else is on its path.
+RequestOutcome ran_on(engine::ContainerId id, bool reused, Duration provision,
+                      const engine::ExecReport& ran) {
+  RequestOutcome out;
+  out.reused = reused;
+  out.startup = provision;
+  out.exec_total = ran.total();
+  out.total = provision + ran.total();
+  out.container = id;
+  return out;
+}
+
+}  // namespace
 
 // --- ColdStartBackend ------------------------------------------------------
 
@@ -15,7 +31,7 @@ void ColdStartBackend::dispatch(const engine::FunctionHandle& fn,
   engine_.launch(fn, [this, app, cb = std::move(cb)](
                            Result<engine::LaunchReport> launched) {
     if (!launched.ok()) {
-      cb(Result<DispatchReport>(launched.error()));
+      cb(Result<RequestOutcome>(launched.error()));
       return;
     }
     const auto id = launched.value().container;
@@ -25,15 +41,10 @@ void ColdStartBackend::dispatch(const engine::FunctionHandle& fn,
       // Stateless default platform: the runtime is torn down regardless.
       engine_.stop_and_remove(id, [](Result<bool>) {});
       if (!ran.ok()) {
-        cb(Result<DispatchReport>(ran.error()));
+        cb(Result<RequestOutcome>(ran.error()));
         return;
       }
-      DispatchReport report;
-      report.cold = true;
-      report.provision = provision;
-      report.exec = ran.value().total();
-      report.container = id;
-      cb(report);
+      cb(ran_on(id, /*reused=*/false, provision, ran.value()));
     });
   });
 }
@@ -93,14 +104,10 @@ void KeepAliveBackend::dispatch(const engine::FunctionHandle& fn,
                                     Result<engine::ExecReport> ran) {
       if (!ran.ok()) {
         engine_.stop_and_remove(id, [](Result<bool>) {});
-        cb(Result<DispatchReport>(ran.error()));
+        cb(Result<RequestOutcome>(ran.error()));
         return;
       }
-      DispatchReport report;
-      report.cold = false;
-      report.exec = ran.value().total();
-      report.container = id;
-      cb(report);
+      cb(ran_on(id, /*reused=*/true, kZeroDuration, ran.value()));
       park(key, id);  // timer resets after each use
     });
     return;
@@ -110,7 +117,7 @@ void KeepAliveBackend::dispatch(const engine::FunctionHandle& fn,
   engine_.launch(fn, [this, key, app, cb = std::move(cb)](
                            Result<engine::LaunchReport> launched) {
     if (!launched.ok()) {
-      cb(Result<DispatchReport>(launched.error()));
+      cb(Result<RequestOutcome>(launched.error()));
       return;
     }
     const auto id = launched.value().container;
@@ -119,15 +126,10 @@ void KeepAliveBackend::dispatch(const engine::FunctionHandle& fn,
                            cb](Result<engine::ExecReport> ran) {
       if (!ran.ok()) {
         engine_.stop_and_remove(id, [](Result<bool>) {});
-        cb(Result<DispatchReport>(ran.error()));
+        cb(Result<RequestOutcome>(ran.error()));
         return;
       }
-      DispatchReport report;
-      report.cold = true;
-      report.provision = provision;
-      report.exec = ran.value().total();
-      report.container = id;
-      cb(report);
+      cb(ran_on(id, /*reused=*/false, provision, ran.value()));
       park(key, id);
     });
   });
@@ -147,31 +149,7 @@ void HotCBackend::dispatch(const engine::FunctionHandle& fn,
 void HotCBackend::dispatch_traced(std::uint64_t trace_id,
                                   const engine::FunctionHandle& fn,
                                   const engine::AppModel& app, Callback cb) {
-  const std::uint32_t slot = pending_.claim();
-  pending_[slot] = std::move(cb);
-  controller_.handle_traced(fn, app, trace_id,
-                            [this, slot](Result<RequestOutcome> outcome) {
-                              answer(slot, std::move(outcome));
-                            });
-}
-
-void HotCBackend::answer(std::uint32_t slot,
-                         Result<RequestOutcome> outcome) {
-  const Callback cb = std::exchange(pending_[slot], nullptr);
-  pending_.free(slot);
-  if (!outcome.ok()) {
-    cb(Result<DispatchReport>(outcome.error()));
-    return;
-  }
-  DispatchReport report;
-  // A donor conversion pays a (smaller) provision cost but is not a
-  // cold start — keep the split honest for the summary counters.
-  report.cold = !outcome.value().reused && !outcome.value().respecialized;
-  report.respecialized = outcome.value().respecialized;
-  report.provision = outcome.value().startup;
-  report.exec = outcome.value().exec_total;
-  report.container = outcome.value().container;
-  cb(report);
+  controller_.handle_traced(fn, app, trace_id, std::move(cb));
 }
 
 // --- PeriodicWarmupBackend -------------------------------------------------
@@ -201,7 +179,7 @@ void PeriodicWarmupBackend::register_warmup(const engine::FunctionHandle& fn,
       period_, [this, until]() { return sim_.now() <= until; },
       [this, fn = &fn, ping_app]() {
         ++pings_;
-        inner_.dispatch(*fn, ping_app, [](Result<DispatchReport>) {});
+        inner_.dispatch(*fn, ping_app, [](Result<RequestOutcome>) {});
       });
 }
 

@@ -20,7 +20,6 @@
 #include <string>
 
 #include "core/result.hpp"
-#include "core/slab.hpp"
 #include "engine/engine.hpp"
 #include "engine/function_table.hpp"
 #include "hotc/controller.hpp"
@@ -29,24 +28,16 @@
 
 namespace hotc::faas {
 
-/// How the backend satisfied one dispatch.
-struct DispatchReport {
-  bool cold = false;                    // paid a full container provisioning
-  bool respecialized = false;           // served by a converted cross-key
-                                        // donor (cheaper than cold, not a
-                                        // warm exact-match hit either)
-  Duration provision = kZeroDuration;   // container acquisition time
-  Duration exec = kZeroDuration;        // in-container execution time
-  engine::ContainerId container = 0;
-};
-
 class Backend {
  public:
   explicit Backend(engine::ContainerEngine& engine) : engine_(engine) {}
   virtual ~Backend() = default;
   [[nodiscard]] virtual std::string name() const = 0;
 
-  using Callback = std::function<void(Result<DispatchReport>)>;
+  /// Every backend answers with HotC's RequestOutcome (hotc/controller.hpp):
+  /// startup is the container acquisition time, exec_total the
+  /// in-container execution time and cold() a full provisioning.
+  using Callback = HotCController::Callback;
   /// Serve one request for a function of engine()'s table.
   virtual void dispatch(const engine::FunctionHandle& fn,
                         const engine::AppModel& app, Callback cb) = 0;
@@ -145,13 +136,7 @@ class HotCBackend final : public Backend {
   [[nodiscard]] HotCController& controller() { return controller_; }
 
  private:
-  /// Answer the request parked in `slot` with the controller's outcome.
-  void answer(std::uint32_t slot, Result<RequestOutcome> outcome);
-
   HotCController controller_;
-  /// Each dispatch's callback, parked while the controller serves it, so
-  /// the continuation handed to the controller is {this, slot}.
-  Slab<Callback> pending_;
 };
 
 /// Azure-Logic-style periodic warm-up: a timer fires every `period` and

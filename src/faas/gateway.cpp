@@ -75,12 +75,12 @@ void Gateway::at_watchdog(std::uint32_t slot) {
                           r.rec.t2 - r.rec.submitted);
   }
   backend_.dispatch_traced(r.rec.id, *r.fn, r.app,
-                           [this, slot](Result<DispatchReport> d) {
+                           [this, slot](Result<RequestOutcome> d) {
                              dispatched(slot, std::move(d));
                            });
 }
 
-void Gateway::dispatched(std::uint32_t slot, Result<DispatchReport> d) {
+void Gateway::dispatched(std::uint32_t slot, Result<RequestOutcome> d) {
   Record& r = records_[slot];
   if (!d.ok()) {
     if (options_.tracer != nullptr) {
@@ -94,11 +94,11 @@ void Gateway::dispatched(std::uint32_t slot, Result<DispatchReport> d) {
   }
   // The backend completed provisioning + execution by "now"; recover the
   // interior timestamps from its phase durations.
-  const DispatchReport& report = d.value();
+  const RequestOutcome& outcome = d.value();
   r.rec.t4 = sim_.now();
-  r.rec.t3 = r.rec.t4 - report.exec;
-  r.rec.cold = report.cold;
-  r.rec.provision = report.provision;
+  r.rec.t3 = r.rec.t4 - outcome.exec_total;
+  r.rec.cold = outcome.cold();
+  r.rec.provision = outcome.startup;
   const Duration back = options_.watchdog_shell +
                         options_.watchdog_to_gateway +
                         options_.gateway_to_client;

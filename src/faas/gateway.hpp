@@ -122,7 +122,7 @@ class Gateway {
   void timeout(std::uint32_t slot, std::uint32_t generation);
   void at_gateway(std::uint32_t slot);
   void at_watchdog(std::uint32_t slot);
-  void dispatched(std::uint32_t slot, Result<DispatchReport> r);
+  void dispatched(std::uint32_t slot, Result<RequestOutcome> r);
   void at_client(std::uint32_t slot);
   /// Free the record, then answer the client unless the deadline did.
   void finish(std::uint32_t slot, Result<CompletedRequest> result);

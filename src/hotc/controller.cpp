@@ -21,6 +21,16 @@ std::string key_label(const spec::RuntimeKey& key) {
   return buf;
 }
 
+/// The pool entry of a runtime a request just brought up.
+pool::PoolEntry fresh_entry(engine::ContainerId id,
+                            const spec::RuntimeKey& key, TimePoint now) {
+  pool::PoolEntry e;
+  e.id = id;
+  e.key = key;
+  e.created_at = now;
+  return e;
+}
+
 }  // namespace
 
 HotCController::HotCController(engine::ContainerEngine& engine,
@@ -101,8 +111,9 @@ void HotCController::emit_span(std::uint64_t trace_id, obs::Stage stage,
 
 HotCController::KeyState& HotCController::key_state(
     const spec::RuntimeKey& key, const engine::FunctionHandle& fn) {
-  if (KeyState* known = find_state(key)) return *known;
-  KeyState& state = keys_.emplace_back();
+  if (KeyState* known = keys_.find(key.id())) return *known;
+  const std::uint32_t slot = keys_.insert(key.id());
+  KeyState& state = keys_[slot];
   state.key = key;
   state.fn = &fn;
   state.predictor = options_.predictor_factory();
@@ -110,32 +121,18 @@ HotCController::KeyState& HotCController::key_state(
   // Every key the controller has seen is a potential donor for its
   // compatibility-class siblings.
   if (donors_ != nullptr) donors_->record(key, fn);
-  const auto index = static_cast<std::uint32_t>(keys_.size() - 1);
-  key_slots_.insert(key.id(), index);
   const spec::InternTextLess less;
   tick_order_.insert(
       std::upper_bound(tick_order_.begin(), tick_order_.end(), key.id(),
                        [this, &less](spec::KeyId id, std::uint32_t i) {
                          return less(id, keys_[i].key.id());
                        }),
-      index);
+      slot);
   return state;
 }
 
-HotCController::KeyState* HotCController::find_state(
-    const spec::RuntimeKey& key) {
-  const std::uint32_t slot = key_slots_.find(key.id());
-  return slot == IdSlotMap::kNotFound ? nullptr : &keys_[slot];
-}
-
-const HotCController::KeyState* HotCController::find_state(
-    const spec::RuntimeKey& key) const {
-  const std::uint32_t slot = key_slots_.find(key.id());
-  return slot == IdSlotMap::kNotFound ? nullptr : &keys_[slot];
-}
-
 void HotCController::end_busy(const spec::RuntimeKey& key) {
-  KeyState* state = find_state(key);
+  KeyState* state = keys_.find(key.id());
   if (state != nullptr && state->busy_now > 0) --state->busy_now;
 }
 
@@ -169,6 +166,18 @@ void HotCController::handle_traced(const engine::FunctionHandle& fn,
   emit_span(trace_id, obs::Stage::kParse, arrival, kZeroDuration,
             key.hash());
 
+  // The request's record until its runtime's readmit.  Assigning into a
+  // recycled record reuses its storage (the app name, the callback).
+  const std::uint32_t slot = in_flight_.claim();
+  InFlight& f = in_flight_[slot];
+  f.fn = &fn;
+  f.app = app;
+  f.key = key;
+  f.arrival = arrival;
+  f.trace_id = trace_id;
+  f.outcome = RequestOutcome{};
+  f.cb = std::move(cb);
+
   // Algorithm 1: reuse when Existing-Available, else start a new runtime.
   auto entry = pool_.acquire(key, arrival);
   emit_span(trace_id, obs::Stage::kPoolLookup, arrival, kZeroDuration,
@@ -178,109 +187,21 @@ void HotCController::handle_traced(const engine::FunctionHandle& fn,
     emit_span(trace_id, obs::Stage::kReuse, arrival, kZeroDuration,
               key.hash(), obs::kSpanHit);
     notify_pool_change(key);
-    run_on(*entry, fn, app, entry->prewarmed, kZeroDuration, arrival,
-           trace_id, std::move(cb));
+    f.entry = *entry;
+    f.outcome.reused = true;
+    run_on(slot);
     return;
   }
 
   // Cross-key sharing: a compatible sibling's idle container may be
   // convertible for less than a cold start (src/share/).
-  if (donors_ != nullptr && try_donor(fn, app, key, arrival, trace_id, cb)) {
-    return;
-  }
+  if (donors_ != nullptr && try_donor(slot)) return;
 
-  provision_cold(fn, app, key, arrival, trace_id, std::move(cb));
+  provision_cold(slot);
 }
 
-void HotCController::provision_cold(const engine::FunctionHandle& fn,
-                                    const engine::AppModel& app,
-                                    const spec::RuntimeKey& key,
-                                    TimePoint arrival,
-                                    std::uint64_t trace_id, Callback cb) {
-  ++stats_.cold_starts;
-  if (const KeyState* state = find_state(key);
-      state != nullptr && state->cold_counter != nullptr) {
-    state->cold_counter->inc();
-  }
-  enforce_pressure();  // make room before allocating a new runtime
-
-  // Tiered warm state: a demoted runtime parked in the checkpoint store
-  // beats a full cold boot — the restore is consuming, so the conservation
-  // ledger sees demotes == restores + evictions + still-stored.
-  if (store_ != nullptr) {
-    const auto snap = store_->take(key.id(), sim_.now());
-    if (snap.has_value()) {
-      const TimePoint restore_start = sim_.now();
-      engine_.restore_container(
-          snap->container,
-          [this, fn = &fn, app, key, arrival, restore_start, trace_id,
-           cb = std::move(cb)](Result<engine::LaunchReport> r) mutable {
-            if (!r.ok()) {
-              // The parked container died out from under the store (the
-              // snapshot was already consumed); fall back to a plain
-              // launch — the cold start was counted above.
-              emit_span(trace_id, obs::Stage::kRestore, restore_start,
-                        sim_.now() - restore_start, key.hash(),
-                        obs::kSpanCold | obs::kSpanError);
-              launch_cold(*fn, app, key, arrival, trace_id, std::move(cb));
-              return;
-            }
-            ++stats_.restores;
-            const Duration paid = r.value().breakdown.total();
-            stats_.cold_start_seconds += to_seconds(paid);
-            if (obs_.snapshot_restore_ms != nullptr) {
-              obs_.snapshot_restore_ms->observe(to_milliseconds(paid));
-            }
-            emit_span(trace_id, obs::Stage::kRestore, restore_start, paid,
-                      key.hash(), obs::kSpanCold);
-            pool::PoolEntry fresh;
-            fresh.id = r.value().container;
-            fresh.key = key;
-            fresh.created_at = sim_.now();
-            fresh.restored = true;  // counted once at re-admission
-            run_on(fresh, *fn, app, /*was_prewarmed=*/false, paid, arrival,
-                   trace_id, std::move(cb), /*was_resumed=*/false,
-                   /*was_restored=*/true);
-          });
-      return;
-    }
-  }
-
-  launch_cold(fn, app, key, arrival, trace_id, std::move(cb));
-}
-
-void HotCController::launch_cold(const engine::FunctionHandle& fn,
-                                 const engine::AppModel& app,
-                                 const spec::RuntimeKey& key,
-                                 TimePoint arrival, std::uint64_t trace_id,
-                                 Callback cb) {
-  engine_.launch(fn, [this, key, fn = &fn, app, arrival, trace_id,
-                      cb = std::move(cb)](Result<engine::LaunchReport> r) {
-    if (!r.ok()) {
-      emit_span(trace_id, obs::Stage::kColdStart, arrival,
-                sim_.now() - arrival, key.hash(),
-                obs::kSpanCold | obs::kSpanError);
-      end_busy(key);
-      cb(Result<RequestOutcome>(r.error()));
-      return;
-    }
-    stats_.cold_start_seconds += to_seconds(r.value().breakdown.total());
-    emit_span(trace_id, obs::Stage::kColdStart, arrival,
-              r.value().breakdown.total(), key.hash(), obs::kSpanCold);
-    pool::PoolEntry fresh;
-    fresh.id = r.value().container;
-    fresh.key = key;
-    fresh.created_at = sim_.now();
-    run_on(fresh, *fn, app, /*was_prewarmed=*/false,
-           r.value().breakdown.total(), arrival, trace_id, cb);
-  });
-}
-
-bool HotCController::try_donor(const engine::FunctionHandle& fn,
-                               const engine::AppModel& app,
-                               const spec::RuntimeKey& key,
-                               TimePoint arrival, std::uint64_t trace_id,
-                               Callback& cb) {
+bool HotCController::try_donor(std::uint32_t slot) {
+  InFlight& f = in_flight_[slot];
   const TimePoint lookup_start = sim_.now();
   ++stats_.donor_lookups;
   if (obs_.donor_lookups != nullptr) obs_.donor_lookups->inc();
@@ -288,12 +209,12 @@ bool HotCController::try_donor(const engine::FunctionHandle& fn,
   // missing layers a donor of another tag must fetch.  An unknown image
   // prices as an empty one; its zero cold estimate fails the gate anyway.
   const auto choice = share::choose_donor(
-      *donors_, pool_, engine_.cost_model(), fn, key,
-      engine_.estimate_startup(fn).total(),
-      engine_.image_store().missing_bytes(fn.image),
+      *donors_, pool_, engine_.cost_model(), *f.fn, f.key,
+      engine_.estimate_startup(*f.fn).total(),
+      engine_.image_store().missing_bytes(f.fn->image),
       options_.share_max_cost_ratio);
-  emit_span(trace_id, obs::Stage::kDonorLookup, lookup_start,
-            sim_.now() - lookup_start, key.hash(),
+  emit_span(f.trace_id, obs::Stage::kDonorLookup, lookup_start,
+            sim_.now() - lookup_start, f.key.hash(),
             choice.has_value() ? obs::kSpanHit : 0);
   if (!choice.has_value()) return false;
   if (!choice->viable) {
@@ -314,165 +235,206 @@ bool HotCController::try_donor(const engine::FunctionHandle& fn,
     return false;
   }
 
-  const TimePoint respec_start = sim_.now();
-  const pool::PoolEntry donor_entry = *donor;
-  engine_.respecialize(
-      donor_entry.id, fn,
-      [this, donor_entry, fn = &fn, app, key, arrival, respec_start, trace_id,
-       cb = std::move(cb)](Result<engine::RespecBreakdown> r) mutable {
-        if (!r.ok()) {
-          emit_span(trace_id, obs::Stage::kRespecialize, respec_start,
-                    sim_.now() - respec_start, key.hash(), obs::kSpanError);
-          // The donor is in an unknown state; drop it and fall back to an
-          // ordinary cold start for the request.
-          engine_.stop_and_remove(donor_entry.id, [](Result<bool>) {});
-          provision_cold(*fn, app, key, arrival, trace_id, std::move(cb));
-          return;
-        }
-        const Duration paid = r.value().total();
-        ++stats_.donor_hits;
-        stats_.donor_respec_seconds += to_seconds(paid);
-        if (obs_.donor_hits != nullptr) obs_.donor_hits->inc();
-        if (obs_.respec_duration_ms != nullptr) {
-          obs_.respec_duration_ms->observe(to_milliseconds(paid));
-        }
-        emit_span(trace_id, obs::Stage::kRespecialize, respec_start, paid,
-                  key.hash(), obs::kSpanHit);
-        pool::PoolEntry converted = donor_entry;
-        converted.key = key;
-        converted.respecialized = true;  // counted once at re-admission
-        converted.prewarmed = false;
-        converted.paused = false;
-        converted.app_tag = 0;  // the wipe discarded the donor's app state
-        donors_->record(key, *fn);
-        run_on(converted, *fn, app, /*was_prewarmed=*/false, paid, arrival,
-               trace_id, std::move(cb), /*was_resumed=*/false,
-               /*was_restored=*/false, /*was_respecialized=*/true);
-      });
+  f.started = sim_.now();
+  f.entry = *donor;
+  engine_.respecialize(donor->id, *f.fn,
+                       [this, slot](Result<engine::RespecBreakdown> r) {
+                         converted(slot, std::move(r));
+                       });
   return true;
 }
 
-void HotCController::run_on(const pool::PoolEntry& entry,
-                            const engine::FunctionHandle& fn,
-                            const engine::AppModel& app, bool was_prewarmed,
-                            Duration startup_paid, TimePoint arrival,
-                            std::uint64_t trace_id, Callback cb,
-                            bool was_resumed, bool was_restored,
-                            bool was_respecialized) {
-  if (entry.paused) {
+void HotCController::converted(std::uint32_t slot,
+                               Result<engine::RespecBreakdown> r) {
+  InFlight& f = in_flight_[slot];
+  if (!r.ok()) {
+    emit_span(f.trace_id, obs::Stage::kRespecialize, f.started,
+              sim_.now() - f.started, f.key.hash(), obs::kSpanError);
+    // The donor is in an unknown state; drop it and fall back to an
+    // ordinary cold start for the request.
+    engine_.stop_and_remove(f.entry.id, [](Result<bool>) {});
+    provision_cold(slot);
+    return;
+  }
+  const Duration paid = r.value().total();
+  ++stats_.donor_hits;
+  stats_.donor_respec_seconds += to_seconds(paid);
+  if (obs_.donor_hits != nullptr) obs_.donor_hits->inc();
+  if (obs_.respec_duration_ms != nullptr) {
+    obs_.respec_duration_ms->observe(to_milliseconds(paid));
+  }
+  emit_span(f.trace_id, obs::Stage::kRespecialize, f.started, paid,
+            f.key.hash(), obs::kSpanHit);
+  f.entry.key = f.key;
+  f.entry.respecialized = true;  // counted once at re-admission
+  f.entry.prewarmed = false;
+  f.entry.paused = false;
+  f.entry.app_tag = 0;  // the wipe discarded the donor's app state
+  donors_->record(f.key, *f.fn);
+  f.outcome.startup = paid;
+  run_on(slot);
+}
+
+void HotCController::provision_cold(std::uint32_t slot) {
+  InFlight& f = in_flight_[slot];
+  ++stats_.cold_starts;
+  if (const KeyState* state = keys_.find(f.key.id());
+      state != nullptr && state->cold_counter != nullptr) {
+    state->cold_counter->inc();
+  }
+  enforce_pressure();  // make room before allocating a new runtime
+
+  // Tiered warm state: a demoted runtime parked in the checkpoint store
+  // beats a full cold boot — the restore is consuming, so the conservation
+  // ledger sees demotes == restores + evictions + still-stored.
+  if (store_ != nullptr) {
+    const auto snap = store_->take(f.key.id(), sim_.now());
+    if (snap.has_value()) {
+      f.started = sim_.now();
+      engine_.restore_container(
+          snap->container, [this, slot](Result<engine::LaunchReport> r) {
+            restored(slot, std::move(r));
+          });
+      return;
+    }
+  }
+
+  launch_cold(slot);
+}
+
+void HotCController::restored(std::uint32_t slot,
+                              Result<engine::LaunchReport> r) {
+  InFlight& f = in_flight_[slot];
+  if (!r.ok()) {
+    // The parked container died out from under the store (the snapshot
+    // was already consumed); fall back to a plain launch — the cold start
+    // was counted above.
+    emit_span(f.trace_id, obs::Stage::kRestore, f.started,
+              sim_.now() - f.started, f.key.hash(),
+              obs::kSpanCold | obs::kSpanError);
+    launch_cold(slot);
+    return;
+  }
+  ++stats_.restores;
+  const Duration paid = r.value().breakdown.total();
+  stats_.cold_start_seconds += to_seconds(paid);
+  if (obs_.snapshot_restore_ms != nullptr) {
+    obs_.snapshot_restore_ms->observe(to_milliseconds(paid));
+  }
+  emit_span(f.trace_id, obs::Stage::kRestore, f.started, paid, f.key.hash(),
+            obs::kSpanCold);
+  f.entry = fresh_entry(r.value().container, f.key, sim_.now());
+  f.entry.restored = true;  // counted once at re-admission
+  f.outcome.startup = paid;
+  run_on(slot);
+}
+
+void HotCController::launch_cold(std::uint32_t slot) {
+  InFlight& f = in_flight_[slot];
+  f.started = f.arrival;  // a cold start's span covers the request's wait
+  engine_.launch(*f.fn, [this, slot](Result<engine::LaunchReport> r) {
+    launched(slot, std::move(r));
+  });
+}
+
+void HotCController::launched(std::uint32_t slot,
+                              Result<engine::LaunchReport> r) {
+  InFlight& f = in_flight_[slot];
+  if (!r.ok()) {
+    emit_span(f.trace_id, obs::Stage::kColdStart, f.started,
+              sim_.now() - f.started, f.key.hash(),
+              obs::kSpanCold | obs::kSpanError);
+    end_busy(f.key);
+    fail(slot, r.error());
+    return;
+  }
+  const Duration paid = r.value().breakdown.total();
+  // A relaunch after a failed thaw serves a request counted as a reuse,
+  // so its launch is not a counted cold start.
+  if (!f.outcome.reused) stats_.cold_start_seconds += to_seconds(paid);
+  emit_span(f.trace_id, obs::Stage::kColdStart, f.started, paid,
+            f.key.hash(), obs::kSpanCold);
+  f.entry = fresh_entry(r.value().container, f.key, sim_.now());
+  f.outcome.reused = false;
+  f.outcome.startup = paid;
+  run_on(slot);
+}
+
+void HotCController::run_on(std::uint32_t slot) {
+  InFlight& f = in_flight_[slot];
+  f.started = sim_.now();
+  if (f.entry.paused) {
     // The pooled runtime is frozen: thaw before execution.  The fault-in
     // latency lands on this request, still far below a cold start.
-    const TimePoint resume_start = sim_.now();
-    engine_.resume(entry.id, [this, entry, fn = &fn, app, was_prewarmed,
-                              startup_paid, arrival, resume_start, trace_id,
-                              was_respecialized,
-                              cb = std::move(cb)](Result<bool> r) mutable {
-      pool::PoolEntry thawed = entry;
-      thawed.paused = false;
-      if (!r.ok()) {
-        emit_span(trace_id, obs::Stage::kResume, resume_start,
-                  sim_.now() - resume_start, entry.key.hash(),
-                  obs::kSpanError);
-        // A runtime that cannot thaw is not trusted; replace it with a
-        // fresh cold start.
-        engine_.stop_and_remove(entry.id, [](Result<bool>) {});
-        const TimePoint relaunch_start = sim_.now();
-        engine_.launch(*fn, [this, fn, app, arrival, relaunch_start,
-                             trace_id, key = entry.key, cb = std::move(cb)](
-                                Result<engine::LaunchReport> launched) {
-          if (!launched.ok()) {
-            emit_span(trace_id, obs::Stage::kColdStart, relaunch_start,
-                      sim_.now() - relaunch_start, key.hash(),
-                      obs::kSpanCold | obs::kSpanError);
-            end_busy(key);
-            cb(Result<RequestOutcome>(launched.error()));
-            return;
-          }
-          emit_span(trace_id, obs::Stage::kColdStart, relaunch_start,
-                    launched.value().breakdown.total(), key.hash(),
-                    obs::kSpanCold);
-          pool::PoolEntry fresh;
-          fresh.id = launched.value().container;
-          fresh.key = key;
-          fresh.created_at = sim_.now();
-          run_on(fresh, *fn, app, false,
-                 launched.value().breakdown.total(), arrival, trace_id, cb);
-        });
-        return;
-      }
-      emit_span(trace_id, obs::Stage::kResume, resume_start,
-                sim_.now() - resume_start, entry.key.hash());
-      run_on(thawed, *fn, app, was_prewarmed, startup_paid, arrival,
-             trace_id, std::move(cb), /*was_resumed=*/true,
-             /*was_restored=*/false, was_respecialized);
+    engine_.resume(f.entry.id, [this, slot](Result<bool> r) {
+      thawed(slot, std::move(r));
     });
     return;
   }
-
-  const std::uint32_t slot = in_flight_.claim();
-  InFlight& f = in_flight_[slot];
-  f.entry = entry;
-  f.startup_paid = startup_paid;
-  f.arrival = arrival;
-  f.started = sim_.now();
-  f.trace_id = trace_id;
-  f.prewarmed = was_prewarmed;
-  f.resumed = was_resumed;
-  f.restored = was_restored;
-  f.respecialized = was_respecialized;
-  f.cb = std::move(cb);
+  f.outcome.prewarmed = f.entry.prewarmed;
+  f.outcome.restored = f.entry.restored;
+  f.outcome.respecialized = f.entry.respecialized;
+  f.outcome.container = f.entry.id;
   auto done = [this, slot](Result<engine::ExecReport> r) {
     exec_finished(slot, std::move(r));
   };
   if (options_.use_subset_key) {
     // Subset-key reuse: the pooled container may differ in re-applicable
     // fields; the engine applies the delta and charges it to this request.
-    engine_.exec_as(entry.id, app, fn, done);
+    engine_.exec_as(f.entry.id, f.app, *f.fn, done);
   } else {
-    engine_.exec(entry.id, app, done);
+    engine_.exec(f.entry.id, f.app, done);
   }
+}
+
+void HotCController::thawed(std::uint32_t slot, Result<bool> r) {
+  InFlight& f = in_flight_[slot];
+  if (!r.ok()) {
+    emit_span(f.trace_id, obs::Stage::kResume, f.started,
+              sim_.now() - f.started, f.key.hash(), obs::kSpanError);
+    // A runtime that cannot thaw is not trusted; replace it with a fresh
+    // cold start.
+    engine_.stop_and_remove(f.entry.id, [](Result<bool>) {});
+    f.started = sim_.now();
+    engine_.launch(*f.fn, [this, slot](Result<engine::LaunchReport> l) {
+      launched(slot, std::move(l));
+    });
+    return;
+  }
+  emit_span(f.trace_id, obs::Stage::kResume, f.started,
+            sim_.now() - f.started, f.key.hash());
+  f.entry.paused = false;
+  f.outcome.resumed = true;
+  run_on(slot);
 }
 
 void HotCController::exec_finished(std::uint32_t slot,
                                    Result<engine::ExecReport> r) {
   InFlight& f = in_flight_[slot];
-  const spec::RuntimeKey key = f.entry.key;
-  end_busy(key);
+  end_busy(f.key);
   const std::uint8_t cold_flag =
-      f.startup_paid == kZeroDuration ? obs::kSpanHit : obs::kSpanCold;
+      f.outcome.reused ? obs::kSpanHit : obs::kSpanCold;
   if (!r.ok()) {
     emit_span(f.trace_id, obs::Stage::kExec, f.started,
-              sim_.now() - f.started, key.hash(),
+              sim_.now() - f.started, f.key.hash(),
               cold_flag | obs::kSpanError);
     // A container that failed to execute is not trusted back into the
     // pool; tear it down.
-    const engine::ContainerId id = f.entry.id;
-    const Callback cb = std::exchange(f.cb, nullptr);
-    in_flight_.free(slot);
-    engine_.stop_and_remove(id, [](Result<bool>) {});
-    cb(Result<RequestOutcome>(r.error()));
+    engine_.stop_and_remove(f.entry.id, [](Result<bool>) {});
+    fail(slot, r.error());
     return;
   }
   emit_span(f.trace_id, obs::Stage::kExec, f.started, r.value().total(),
-            key.hash(), cold_flag);
-
-  RequestOutcome outcome;
-  outcome.reused = f.startup_paid == kZeroDuration;
-  outcome.prewarmed = f.prewarmed;
-  outcome.resumed = f.resumed;
-  outcome.restored = f.restored;
-  outcome.respecialized = f.respecialized;
-  outcome.startup = f.startup_paid;
-  outcome.exec_total = r.value().total();
-  outcome.total = sim_.now() - f.arrival;
-  outcome.container = f.entry.id;
+            f.key.hash(), cold_flag);
+  f.outcome.exec_total = r.value().total();
+  f.outcome.total = sim_.now() - f.arrival;
 
   // The response goes back to the client *now*; cleanup (Algorithm 2)
   // happens off the critical path and only then does the container
   // become Existing-Available again.  The record stays claimed until the
   // readmit, so a request the client submits from its callback takes
   // another slot (and records never move).
-  std::exchange(f.cb, nullptr)(outcome);
+  std::exchange(f.cb, nullptr)(f.outcome);
 
   f.started = sim_.now();
   engine_.clean(f.entry.id, [this, slot](Result<bool> wiped) {
@@ -499,6 +461,12 @@ void HotCController::cleaned(std::uint32_t slot, Result<bool> r) {
   emit_span(trace_id, obs::Stage::kReadmit, sim_.now(), kZeroDuration,
             e.key.hash());
   notify_pool_change(e.key);
+}
+
+void HotCController::fail(std::uint32_t slot, const Error& error) {
+  const Callback cb = std::exchange(in_flight_[slot].cb, nullptr);
+  in_flight_.free(slot);
+  cb(Result<RequestOutcome>(error));
 }
 
 void HotCController::enforce_pressure() {
@@ -562,7 +530,7 @@ void HotCController::retire_entry(const pool::PoolEntry& entry,
 
 std::optional<snapshot::SnapshotMeta> HotCController::demotion_plan(
     const pool::PoolEntry& entry) const {
-  const KeyState* state = find_state(entry.key);
+  const KeyState* state = keys_.find(entry.key.id());
   const engine::Container* c = engine_.find(entry.id);
   if (state == nullptr || c == nullptr) return std::nullopt;
   const engine::FunctionHandle& fn = *state->fn;
@@ -847,7 +815,7 @@ void HotCController::start_adaptive_loop(TimePoint until) {
 
 std::optional<double> HotCController::current_forecast(
     const spec::RuntimeKey& key) const {
-  const KeyState* state = find_state(key);
+  const KeyState* state = keys_.find(key.id());
   if (state == nullptr) return std::nullopt;
   return state->predictor->predict();
 }

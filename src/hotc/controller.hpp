@@ -13,14 +13,12 @@
 // with oldest-first eviction.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "core/annotations.hpp"
-#include "core/flat_map.hpp"
 #include "core/result.hpp"
 #include "core/slab.hpp"
 #include "engine/engine.hpp"
@@ -113,7 +111,8 @@ struct ControllerOptions {
   obs::DriftOptions drift;
 };
 
-/// Outcome of one request through HotC.
+/// Outcome of one request: HotC's, and every faas::Backend's answer to
+/// the gateway.
 struct RequestOutcome {
   bool reused = false;        // served from the pool (warm)
   bool prewarmed = false;     // the container came from a predictive warm-up
@@ -125,6 +124,11 @@ struct RequestOutcome {
   Duration exec_total = kZeroDuration;  // queueing+init+download+compute
   Duration total = kZeroDuration;       // request latency end to end
   engine::ContainerId container = 0;
+
+  /// Paid a full provisioning (a launch or a checkpoint restore).  A
+  /// donor conversion is cheaper than that and not a warm exact-match hit
+  /// either, so it counts as neither.
+  [[nodiscard]] bool cold() const { return !reused && !respecialized; }
 };
 
 struct ControllerStats {
@@ -253,9 +257,6 @@ class HotCController {
   /// registry) on its first request.
   KeyState& key_state(const spec::RuntimeKey& key,
                       const engine::FunctionHandle& fn);
-  /// The key's state, or nullptr if the key has had no request.
-  [[nodiscard]] KeyState* find_state(const spec::RuntimeKey& key);
-  [[nodiscard]] const KeyState* find_state(const spec::RuntimeKey& key) const;
   /// One fewer busy container of the key (a request ended or failed).
   void end_busy(const spec::RuntimeKey& key);
 
@@ -278,54 +279,56 @@ class HotCController {
   /// Launch a pre-warmed container for a key (Algorithm 3 scale-up).
   void prewarm(const KeyState& state);
 
-  void run_on(const pool::PoolEntry& entry, const engine::FunctionHandle& fn,
-              const engine::AppModel& app, bool was_prewarmed,
-              Duration startup_paid, TimePoint arrival,
-              std::uint64_t trace_id, Callback cb, bool was_resumed = false,
-              bool was_restored = false, bool was_respecialized = false);
-
-  /// One request from run_on's exec to its container's readmit: what the
-  /// exec and clean continuations need, so each captures only
-  /// {this, slot}.
+  /// One request from its arrival to its runtime's readmit, and its only
+  /// state meanwhile: every continuation of the request path captures
+  /// {this, slot} and nothing else.
   struct InFlight {
-    pool::PoolEntry entry;
-    Duration startup_paid = kZeroDuration;
+    const engine::FunctionHandle* fn = nullptr;
+    engine::AppModel app;
+    spec::RuntimeKey key;  // this controller's key (subset or full)
     TimePoint arrival = kZeroDuration;
-    TimePoint started = kZeroDuration;  // the exec's start, then the clean's
+    /// The start of the step in flight (conversion, restore, launch, thaw,
+    /// exec or clean), which its span reports.
+    TimePoint started = kZeroDuration;
     std::uint64_t trace_id = 0;
-    bool prewarmed = false;
-    bool resumed = false;
-    bool restored = false;
-    bool respecialized = false;
-    Callback cb;  // empty once the client is answered
+    /// The runtime serving the request; its prewarmed, restored and
+    /// respecialized marks say how it was obtained.
+    pool::PoolEntry entry;
+    RequestOutcome outcome;  // filled in as the path goes
+    Callback cb;             // empty once the client is answered
   };
-  /// run_on's continuations: the exec is over (answer the client, then
-  /// clean), the clean is over (readmit).
-  void exec_finished(std::uint32_t slot, Result<engine::ExecReport> r);
-  void cleaned(std::uint32_t slot, Result<bool> r);
+
+  /// Cross-key sharing on the miss path: choose an idle sibling donor
+  /// (share::choose_donor), lease it and convert it.  Returns false, with
+  /// nothing started, when no donor was leased; the caller cold-starts.
+  bool try_donor(std::uint32_t slot);
+  /// The conversion is over: serve on the converted donor, or drop it and
+  /// cold-start.
+  void converted(std::uint32_t slot, Result<engine::RespecBreakdown> r);
 
   /// The cold tail of the miss path: enforce pressure, then restore from
   /// the snapshot tier when possible, else launch.  Counts one true cold
   /// start.
-  void provision_cold(const engine::FunctionHandle& fn,
-                      const engine::AppModel& app,
-                      const spec::RuntimeKey& key, TimePoint arrival,
-                      std::uint64_t trace_id, Callback cb);
-
+  void provision_cold(std::uint32_t slot);
+  /// The restore is over: serve on the revived runtime, or launch.
+  void restored(std::uint32_t slot, Result<engine::LaunchReport> r);
   /// The launch tail of provision_cold (also the fallback when a
   /// snapshot-tier restore loses its container).  The caller has already
   /// counted the cold start.
-  void launch_cold(const engine::FunctionHandle& fn,
-                   const engine::AppModel& app, const spec::RuntimeKey& key,
-                   TimePoint arrival, std::uint64_t trace_id, Callback cb);
+  void launch_cold(std::uint32_t slot);
+  /// A launch is over: launch_cold's, or the relaunch after a failed thaw.
+  void launched(std::uint32_t slot, Result<engine::LaunchReport> r);
 
-  /// Cross-key sharing on the miss path: choose an idle sibling donor
-  /// (share::choose_donor), lease it and convert it.  Returns true if
-  /// the request was taken over (cb moved from); false leaves cb intact
-  /// and the caller cold-starts.
-  bool try_donor(const engine::FunctionHandle& fn,
-                 const engine::AppModel& app, const spec::RuntimeKey& key,
-                 TimePoint arrival, std::uint64_t trace_id, Callback& cb);
+  /// Run the request on its entry's runtime, thawing it first if frozen.
+  void run_on(std::uint32_t slot);
+  /// The thaw is over: run, or replace the runtime with a fresh launch.
+  void thawed(std::uint32_t slot, Result<bool> r);
+  /// The exec is over: answer the client, then clean.
+  void exec_finished(std::uint32_t slot, Result<engine::ExecReport> r);
+  /// The clean is over: readmit (Algorithm 2) and free the record.
+  void cleaned(std::uint32_t slot, Result<bool> r);
+  /// Free the record, then answer the client with the request's failure.
+  void fail(std::uint32_t slot, const Error& error);
 
   /// Record one span when a tracer is attached (no-op otherwise).
   void emit_span(std::uint64_t trace_id, obs::Stage stage, TimePoint start,
@@ -368,11 +371,10 @@ class HotCController {
   Rng rng_;
   ControllerStats stats_;
   Instruments obs_;
-  /// Per-key state in first-request order (a deque: a KeyState stays put
-  /// while later keys are added), found by KeyId through key_slots_.
-  std::deque<KeyState> keys_;
-  IdSlotMap key_slots_;
-  /// keys_ indices sorted by canonical key text (spec::InternTextLess):
+  /// Per-key state by KeyId, in slots claimed in first-request order (a
+  /// KeyState stays put while later keys are added).
+  IdSlab<KeyState> keys_;
+  /// keys_ slots sorted by canonical key text (spec::InternTextLess):
   /// adaptive ticks visit keys in this order, the historical one.  Kept
   /// sorted on insert, the only time it changes.
   std::vector<std::uint32_t> tick_order_;

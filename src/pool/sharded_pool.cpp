@@ -139,8 +139,8 @@ bool ShardedRuntimePool::mark_paused(const spec::RuntimeKey& key,
   return shard.pool.mark_paused(key, id);
 }
 
-ShardedRuntimePool::ShardLocks ShardedRuntimePool::lock_all() const {
-  ShardLocks locks;
+LockBatch ShardedRuntimePool::lock_all() const {
+  LockBatch locks;
   for (const auto& shard : shards_) {
     // Same-band shard locks are taken in ascending shard-index order,
     // which the runtime lock-rank auditor verifies on every batch.

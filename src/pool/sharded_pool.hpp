@@ -33,7 +33,6 @@
 // container — the same distribution the unsharded pool produces.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -59,7 +58,7 @@ class ShardedRuntimePool : public PoolView {
  public:
   /// Most shards a pool has: lock_all()'s batch is a fixed array of this
   /// many locks.
-  static constexpr std::size_t kMaxShards = 64;
+  static constexpr std::size_t kMaxShards = LockBatch::kCapacity;
 
   /// `shard_count` 0 picks std::thread::hardware_concurrency(); either
   /// count is clamped to [1, kMaxShards].  Limits apply to the pool as a
@@ -182,26 +181,12 @@ class ShardedRuntimePool : public PoolView {
     return *shards_[shard_index(key)];
   }
 
-  /// Held shard locks in a fixed array: taking a batch allocates nothing
-  /// (RealHotC's trim calls select_victim() on every readmit over
-  /// max_warm).
-  class ShardLocks {
-   public:
-    void emplace_back(RankedMutex& mu) {
-      HOTC_ASSERT(count_ < kMaxShards);
-      locks_[count_++] = RankedLock(mu);
-    }
-
-   private:
-    std::array<RankedLock, kMaxShards> locks_;
-    std::size_t count_ = 0;
-  };
-
-  /// Lock every shard in index order (deadlock-free total order).  The
-  /// returned unique_lock batch is invisible to clang's analysis; callers
-  /// carry HOTC_NO_THREAD_SAFETY_ANALYSIS and hotc_analyze tracks the
-  /// batch through its lock_all scope rule.
-  [[nodiscard]] ShardLocks lock_all() const HOTC_NO_THREAD_SAFETY_ANALYSIS;
+  /// Lock every shard in index order (deadlock-free total order), with no
+  /// allocation (RealHotC's trim calls select_victim() on every readmit
+  /// over max_warm).  The returned unique_lock batch is invisible to
+  /// clang's analysis; callers carry HOTC_NO_THREAD_SAFETY_ANALYSIS and
+  /// hotc_analyze tracks the batch through its lock_all scope rule.
+  [[nodiscard]] LockBatch lock_all() const HOTC_NO_THREAD_SAFETY_ANALYSIS;
 
   PoolLimits limits_;
   std::vector<std::unique_ptr<Shard>> shards_;

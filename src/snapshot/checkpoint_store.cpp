@@ -21,7 +21,8 @@ double score(const SnapshotMeta& meta) {
 CheckpointStore::CheckpointStore(Options options) : options_(options) {
   const std::size_t requested =
       options_.stripe_count == 0 ? kDefaultStripes : options_.stripe_count;
-  const std::size_t count = std::bit_ceil(requested);
+  const std::size_t count =
+      std::bit_ceil(std::min(requested, LockBatch::kCapacity));
   stripe_mask_ = count - 1;
   stripes_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -30,9 +31,8 @@ CheckpointStore::CheckpointStore(Options options) : options_(options) {
   }
 }
 
-std::vector<RankedLock> CheckpointStore::lock_all() const {
-  std::vector<RankedLock> locks;
-  locks.reserve(stripes_.size());
+LockBatch CheckpointStore::lock_all() const {
+  LockBatch locks;
   for (const auto& stripe : stripes_) {
     // hotc-analyze: allow(lock-order): ascending stripe-index order
     locks.emplace_back(stripe->mu);

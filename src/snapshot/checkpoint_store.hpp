@@ -64,7 +64,8 @@ class CheckpointStore {
     Bytes per_key_bytes = 0;
     /// Per-tenant (image family) byte quota; 0 = bounded by capacity only.
     Bytes per_tenant_bytes = 0;
-    /// Lock stripes (rounded up to a power of two); 0 picks the default.
+    /// Lock stripes (rounded up to a power of two, at most
+    /// LockBatch::kCapacity); 0 picks the default.
     std::size_t stripe_count = 0;
   };
 
@@ -197,8 +198,9 @@ class CheckpointStore {
       HOTC_NO_THREAD_SAFETY_ANALYSIS;
 
   /// All stripe locks in index order (the in-band increasing-sequence
-  /// rule, same pattern as ShardedRuntimePool::lock_all).
-  [[nodiscard]] std::vector<RankedLock> lock_all() const;
+  /// rule, same pattern as ShardedRuntimePool::lock_all), with no
+  /// allocation.
+  [[nodiscard]] LockBatch lock_all() const;
 
   void publish_gauges();
 

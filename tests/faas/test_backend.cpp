@@ -31,10 +31,10 @@ TEST_F(BackendTest, ColdStartBackendAlwaysCold) {
   const auto app = engine::apps::qr_encoder();
   int cold = 0;
   for (int i = 0; i < 3; ++i) {
-    backend.dispatch(python_spec(), app, [&](Result<DispatchReport> r) {
+    backend.dispatch(python_spec(), app, [&](Result<RequestOutcome> r) {
       ASSERT_TRUE(r.ok());
-      if (r.value().cold) ++cold;
-      EXPECT_GT(r.value().provision, kZeroDuration);
+      if (r.value().cold()) ++cold;
+      EXPECT_GT(r.value().startup, kZeroDuration);
     });
     sim_.run();
   }
@@ -47,20 +47,20 @@ TEST_F(BackendTest, ColdStartBackendAlwaysCold) {
 TEST_F(BackendTest, KeepAliveReusesWithinWindow) {
   KeepAliveBackend backend(engine_, minutes(15));
   const auto app = engine::apps::qr_encoder();
-  std::optional<DispatchReport> first;
-  std::optional<DispatchReport> second;
+  std::optional<RequestOutcome> first;
+  std::optional<RequestOutcome> second;
   backend.dispatch(python_spec(), app,
-                   [&](Result<DispatchReport> r) { first = r.value(); });
+                   [&](Result<RequestOutcome> r) { first = r.value(); });
   // run_until, not run(): run() would also drain the keep-alive expiry
   // timer, destroying exactly the state under test.
   sim_.run_until(sim_.now() + minutes(1));
   backend.dispatch(python_spec(), app,
-                   [&](Result<DispatchReport> r) { second = r.value(); });
+                   [&](Result<RequestOutcome> r) { second = r.value(); });
   sim_.run_until(sim_.now() + minutes(1));
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(second.has_value());
-  EXPECT_TRUE(first->cold);
-  EXPECT_FALSE(second->cold);
+  EXPECT_TRUE(first->cold());
+  EXPECT_FALSE(second->cold());
   EXPECT_EQ(second->container, first->container);
   EXPECT_EQ(backend.cold_starts(), 1u);
 }
@@ -68,7 +68,7 @@ TEST_F(BackendTest, KeepAliveReusesWithinWindow) {
 TEST_F(BackendTest, KeepAliveExpiresAfterWindow) {
   KeepAliveBackend backend(engine_, minutes(15));
   const auto app = engine::apps::qr_encoder();
-  backend.dispatch(python_spec(), app, [](Result<DispatchReport>) {});
+  backend.dispatch(python_spec(), app, [](Result<RequestOutcome>) {});
   sim_.run_until(sim_.now() + minutes(1));
   EXPECT_EQ(backend.idle_containers(), 1u);
   // Let the keep-alive timer fire.
@@ -76,22 +76,22 @@ TEST_F(BackendTest, KeepAliveExpiresAfterWindow) {
   EXPECT_EQ(backend.idle_containers(), 0u);
   EXPECT_EQ(engine_.live_count(), 0u);
 
-  std::optional<DispatchReport> later;
+  std::optional<RequestOutcome> later;
   backend.dispatch(python_spec(), app,
-                   [&](Result<DispatchReport> r) { later = r.value(); });
+                   [&](Result<RequestOutcome> r) { later = r.value(); });
   sim_.run_until(sim_.now() + minutes(1));
   ASSERT_TRUE(later.has_value());
-  EXPECT_TRUE(later->cold);  // periodic cold start, as the paper criticises
+  EXPECT_TRUE(later->cold());  // periodic cold start, as the paper criticises
   EXPECT_EQ(backend.cold_starts(), 2u);
 }
 
 TEST_F(BackendTest, KeepAliveTimerResetsOnReuse) {
   KeepAliveBackend backend(engine_, minutes(10));
   const auto app = engine::apps::qr_encoder();
-  backend.dispatch(python_spec(), app, [](Result<DispatchReport>) {});
+  backend.dispatch(python_spec(), app, [](Result<RequestOutcome>) {});
   // Touch the container at minute 8, then check it survives to minute 15.
   sim_.run_until(sim_.now() + minutes(8));
-  backend.dispatch(python_spec(), app, [](Result<DispatchReport>) {});
+  backend.dispatch(python_spec(), app, [](Result<RequestOutcome>) {});
   sim_.run_until(sim_.now() + minutes(7));
   EXPECT_EQ(backend.idle_containers(), 1u);
   EXPECT_EQ(backend.cold_starts(), 1u);
@@ -100,7 +100,7 @@ TEST_F(BackendTest, KeepAliveTimerResetsOnReuse) {
 TEST_F(BackendTest, KeepAliveAccumulatesIdleSeconds) {
   KeepAliveBackend backend(engine_, minutes(15));
   backend.dispatch(python_spec(), engine::apps::qr_encoder(),
-                   [](Result<DispatchReport>) {});
+                   [](Result<RequestOutcome>) {});
   sim_.run_until(sim_.now() + minutes(30));
   EXPECT_NEAR(backend.idle_container_seconds(), 15.0 * 60.0, 5.0);
 }
@@ -109,16 +109,16 @@ TEST_F(BackendTest, HotCBackendReusesImmediately) {
   ControllerOptions opt;
   HotCBackend backend(engine_, opt);
   const auto app = engine::apps::qr_encoder();
-  std::optional<DispatchReport> first;
-  std::optional<DispatchReport> second;
+  std::optional<RequestOutcome> first;
+  std::optional<RequestOutcome> second;
   backend.dispatch(python_spec(), app,
-                   [&](Result<DispatchReport> r) { first = r.value(); });
+                   [&](Result<RequestOutcome> r) { first = r.value(); });
   sim_.run();
   backend.dispatch(python_spec(), app,
-                   [&](Result<DispatchReport> r) { second = r.value(); });
+                   [&](Result<RequestOutcome> r) { second = r.value(); });
   sim_.run();
-  EXPECT_TRUE(first->cold);
-  EXPECT_FALSE(second->cold);
+  EXPECT_TRUE(first->cold());
+  EXPECT_FALSE(second->cold());
   EXPECT_EQ(backend.cold_starts(), 1u);
 }
 
@@ -130,12 +130,12 @@ TEST_F(BackendTest, PeriodicWarmupKeepsInstanceWarm) {
   // After 40+ minutes of only pings, a real request between two ping
   // instants should be warm.
   sim_.run_until(minutes(42));
-  std::optional<DispatchReport> real;
+  std::optional<RequestOutcome> real;
   backend.dispatch(python_spec(), app,
-                   [&](Result<DispatchReport> r) { real = r.value(); });
+                   [&](Result<RequestOutcome> r) { real = r.value(); });
   sim_.run_until(sim_.now() + minutes(1));
   ASSERT_TRUE(real.has_value());
-  EXPECT_FALSE(real->cold);
+  EXPECT_FALSE(real->cold());
   EXPECT_GE(backend.warmup_pings(), 7u);
   // The pings themselves cost container time — that is the waste the
   // paper attributes to this strategy.

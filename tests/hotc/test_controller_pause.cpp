@@ -140,5 +140,35 @@ TEST_F(ControllerPauseTest, RecoversAfterTransientCrashes) {
   EXPECT_EQ(engine_.idle_count(), ctl.runtime_pool().total_available());
 }
 
+TEST_F(ControllerPauseTest, FailedColdLaunchFailsItsRequestOnly) {
+  engine::FaultModel faults;
+  faults.launch_failure_rate = 1.0;
+  engine_.set_fault_model(faults);
+  HotCController ctl(engine_, ControllerOptions{});
+  std::optional<Error> error;
+  ctl.handle(python_spec(), engine::apps::qr_encoder(),
+             [&](Result<RequestOutcome> r) {
+               if (!r.ok()) error = r.error();
+             });
+  sim_.run();
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->code, "engine.launch_failed");
+
+  // With the fault gone, the next request cold-starts and is served.
+  engine_.set_fault_model(engine::FaultModel{});
+  std::optional<RequestOutcome> served;
+  ctl.handle(python_spec(), engine::apps::qr_encoder(),
+             [&](Result<RequestOutcome> r) {
+               if (r.ok()) served = r.value();
+             });
+  sim_.run();
+  ASSERT_TRUE(served.has_value());
+  EXPECT_TRUE(served->cold());
+  EXPECT_EQ(ctl.stats().requests, 2u);
+  EXPECT_EQ(ctl.stats().cold_starts, 2u);
+  EXPECT_EQ(ctl.runtime_pool().total_available(), 1u);
+  EXPECT_EQ(engine_.live_count(), 1u);
+}
+
 }  // namespace
 }  // namespace hotc

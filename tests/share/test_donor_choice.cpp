@@ -132,9 +132,9 @@ TEST_F(DonorChoiceTest, ConversionRekeysAtThePricedCost) {
   const engine::Container* c = engine_.find(id);
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->state, engine::ContainerState::kIdle);
-  EXPECT_EQ(c->spec, target);
-  EXPECT_EQ(c->key, spec::RuntimeKey::from_spec(target));
-  EXPECT_NE(c->key, spec::RuntimeKey::from_spec(donor_spec));
+  EXPECT_EQ(c->fn->spec, target);
+  EXPECT_EQ(c->fn->key, spec::RuntimeKey::from_spec(target));
+  EXPECT_NE(c->fn->key, spec::RuntimeKey::from_spec(donor_spec));
   EXPECT_TRUE(c->warm_app.empty());  // donor's app state is gone
 }
 
