@@ -49,23 +49,6 @@ namespace {
 
 // --- scenario workloads -----------------------------------------------------
 
-/// `level(r)` requests land together one second into round r, so the
-/// controller's interval peak *is* the level — a clean square demand
-/// signal for the predictor and the drift detector.
-workload::ArrivalList square_arrivals(std::size_t low_rounds,
-                                      std::size_t low,
-                                      std::size_t high_rounds,
-                                      std::size_t high, Duration period) {
-  workload::ArrivalList out;
-  for (std::size_t r = 0; r < low_rounds + high_rounds; ++r) {
-    const std::size_t level = r < low_rounds ? low : high;
-    const TimePoint at =
-        period * static_cast<std::int64_t>(r) + seconds(1);
-    for (std::size_t i = 0; i < level; ++i) out.push_back({at, 0});
-  }
-  return out;
-}
-
 struct DiagRun {
   ControllerStats stats;
   metrics::LatencySummary summary;
@@ -227,8 +210,11 @@ int main() {
   const std::size_t low_rounds = 30;
   const std::size_t high_rounds = 30;
   const auto mix = workload::ConfigMix::sibling_functions(1, 1);
-  const auto step = square_arrivals(low_rounds, 4, high_rounds, 16, period);
-  const auto steady = square_arrivals(40, 6, 0, 0, period);
+  // A square demand's interval peak *is* its level: a clean signal for
+  // the predictor and the drift detector.
+  const auto step =
+      workload::square_wave(low_rounds, 4, high_rounds, 16, period);
+  const auto steady = workload::square_wave(40, 6, 0, 0, period);
 
   // ---- (a) drift injection --------------------------------------------------
   const DiagRun off =

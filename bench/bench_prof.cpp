@@ -133,18 +133,6 @@ void run_contention(const ContentionScenario& sc) {
   control.join();
 }
 
-// --- (c) stage ordering over a traced platform run ---------------------------
-
-workload::ArrivalList square_arrivals(std::size_t rounds, std::size_t level,
-                                      Duration period) {
-  workload::ArrivalList out;
-  for (std::size_t r = 0; r < rounds; ++r) {
-    const TimePoint at = period * static_cast<std::int64_t>(r) + seconds(1);
-    for (std::size_t i = 0; i < level; ++i) out.push_back({at, i % 4});
-  }
-  return out;
-}
-
 }  // namespace
 
 int main() {
@@ -233,7 +221,7 @@ int main() {
   opt.registry = &registry;
   opt.tracer = &tracer;
   faas::FaasPlatform platform(opt);
-  platform.run(square_arrivals(40, 6, seconds(30)),
+  platform.run(workload::square_wave(40, 6, 0, 0, seconds(30), 4),
                workload::ConfigMix::sibling_functions(4, 2));
   const obs::ProfSnapshot full = profiler.snapshot();
   profiler.stop();

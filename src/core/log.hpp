@@ -46,8 +46,13 @@ class LogLine {
 };
 }  // namespace detail
 
-#define HOTC_LOG(level, component)                                   \
-  ::hotc::detail::LogLine(::hotc::LogLevel::level, (component))
+/// A disabled level builds no LogLine and evaluates none of the streamed
+/// operands.  The empty if-branch keeps `HOTC_DEBUG(..) << ..;` one
+/// statement, so an else after it still pairs with the caller's own if.
+#define HOTC_LOG(severity, component)                                    \
+  if (::hotc::LogLevel::severity < ::hotc::Logger::instance().level()) { \
+  } else                                                                 \
+    ::hotc::detail::LogLine(::hotc::LogLevel::severity, (component))
 
 #define HOTC_DEBUG(component) HOTC_LOG(kDebug, component)
 #define HOTC_INFO(component) HOTC_LOG(kInfo, component)

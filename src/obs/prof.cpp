@@ -69,9 +69,7 @@ struct ProfState {
   std::array<std::atomic<std::uint64_t>, kStageCount + 1> stage_samples{};
   std::atomic<std::uint64_t> sampler_polls{0};
   std::atomic<std::uint64_t> lost_threads{0};
-  std::atomic<bool> contention_on{false};
-  std::atomic<bool> scheduler_on{false};
-  std::atomic<bool> enabled{false};  // any collector live (StageScope)
+  std::atomic<bool> enabled{false};  // collectors live (hooks, StageScope)
   std::atomic<bool> active{false};   // one-profiler-at-a-time latch
 };
 
@@ -147,7 +145,7 @@ const char* stage_frame_name(int idx) {
 void Profiler::on_lock_wait(std::uint32_t band, const char* site,
                             std::uint64_t wait_ns) {
   ProfState& st = state();
-  if (!st.contention_on.load(std::memory_order_relaxed)) return;
+  if (!st.enabled.load(std::memory_order_relaxed)) return;
   ThreadRec* rec = my_rec();
   if (rec == nullptr) return;  // all slots busy: counted in lost_threads
   const std::uint32_t meta = (band << 8) | t_stage;
@@ -180,7 +178,7 @@ void Profiler::on_lock_wait(std::uint32_t band, const char* site,
 
 void Profiler::on_seqlock_retry(std::uint32_t retries) {
   ProfState& st = state();
-  if (!st.contention_on.load(std::memory_order_relaxed)) return;
+  if (!st.enabled.load(std::memory_order_relaxed)) return;
   ThreadRec* rec = my_rec();
   if (rec == nullptr) return;
   rec->seqlock_retries.fetch_add(retries, std::memory_order_relaxed);
@@ -189,7 +187,7 @@ void Profiler::on_seqlock_retry(std::uint32_t retries) {
 void Profiler::on_task(const char* tag, std::uint64_t queue_ns,
                        std::uint64_t run_ns) {
   ProfState& st = state();
-  if (!st.scheduler_on.load(std::memory_order_relaxed)) return;
+  if (!st.enabled.load(std::memory_order_relaxed)) return;
   ThreadRec* rec = my_rec();
   if (rec == nullptr) return;
   for (TaskCell& cell : rec->tasks) {
@@ -272,8 +270,6 @@ bool Profiler::start() {
                                          std::memory_order_acq_rel)) {
     return false;
   }
-  st.contention_on.store(options_.contention, std::memory_order_relaxed);
-  st.scheduler_on.store(options_.scheduler, std::memory_order_relaxed);
   st.enabled.store(true, std::memory_order_release);
   // The table must have static storage duration: a slow path that read
   // the pointer just before a future uninstall still calls valid code.
@@ -293,8 +289,6 @@ void Profiler::stop() {
   if (!running_) return;
   prof::uninstall_hooks();
   ProfState& st = state();
-  st.contention_on.store(false, std::memory_order_relaxed);
-  st.scheduler_on.store(false, std::memory_order_relaxed);
   st.enabled.store(false, std::memory_order_release);
   if (sampler_.joinable()) {
     stop_requested_ = true;

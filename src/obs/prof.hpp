@@ -51,9 +51,9 @@
 
 namespace hotc::obs {
 
+/// The contention and scheduler collectors are on whenever the profiler
+/// runs.
 struct ProfOptions {
-  bool contention = true;   ///< lock-wait + seqlock-retry collector
-  bool scheduler = true;    ///< thread-pool queue-delay collector
   bool sampler = true;      ///< background stage sampler thread
   /// Stage-sampler period.  2 ms = 500 Hz: the stages worth sampling
   /// (cold start, respecialize, exec) are millisecond-scale, and the

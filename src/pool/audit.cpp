@@ -9,9 +9,6 @@
 
 namespace hotc::audit {
 
-// hot-path-alloc: allow-begin — conservation-failure messages are built
-// on the audit and pre-abort paths only; a balanced ledger allocates
-// nothing.
 namespace {
 
 [[nodiscard]] Result<bool> exceeds(const char* part, std::uint64_t sub,
@@ -73,6 +70,5 @@ void enforce(const Result<bool>& verdict, const char* what) {
   crash::notify_pre_abort("pool.audit", detail.c_str());
   std::abort();
 }
-// hot-path-alloc: allow-end
 
 }  // namespace hotc::audit

@@ -361,8 +361,6 @@ PoolFlows RuntimePool::flows() const {
 
 // hotc-analyze: cold-path (diagnostic invariant sweep; audit builds + tests)
 Result<bool> RuntimePool::check_conservation() const {
-  // hot-path-alloc: allow-begin — audit/diagnostic path, runs off the hot
-  // path (HOTC_AUDIT builds and tests); the error strings are the point.
   Result<bool> ledger = audit::verify(flows());
   if (!ledger.ok()) return ledger;
   const std::size_t live = total_available();
@@ -431,7 +429,6 @@ Result<bool> RuntimePool::check_conservation() const {
                             "eviction heap lost a live residency");
   }
   return true;
-  // hot-path-alloc: allow-end
 }
 
 }  // namespace hotc::pool

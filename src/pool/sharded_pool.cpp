@@ -22,12 +22,10 @@ ShardedRuntimePool::ShardedRuntimePool(PoolLimits limits,
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
     shards_.push_back(
-        // hot-path-alloc: allow (construction, once per pool)
         std::make_unique<Shard>(limits, static_cast<std::uint32_t>(i)));
   }
 }
 
-// hot-path-alloc: allow-begin (metric registration, once per pool)
 void ShardedRuntimePool::attach_metrics(obs::Registry& registry) {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const std::string label = "shard=\"" + std::to_string(i) + "\"";
@@ -56,7 +54,6 @@ void ShardedRuntimePool::attach_metrics(obs::Registry& registry) {
         std::memory_order_release);
   }
 }
-// hot-path-alloc: allow-end
 
 std::optional<PoolEntry> ShardedRuntimePool::acquire(
     const spec::RuntimeKey& key, TimePoint now) {
@@ -278,7 +275,6 @@ void ShardedRuntimePool::clear() {
   }
 }
 
-// hot-path-alloc: allow-begin (audit/reporting path, locks all shards)
 // hotc-analyze: cold-path (diagnostic invariant sweep; audit builds + tests)
 Result<bool> ShardedRuntimePool::check_conservation() const {
   const auto locks = lock_all();
@@ -303,6 +299,5 @@ Result<bool> ShardedRuntimePool::check_conservation() const {
   }
   return true;
 }
-// hot-path-alloc: allow-end
 
 }  // namespace hotc::pool

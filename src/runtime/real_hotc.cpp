@@ -78,12 +78,11 @@ bool RealHotC::demote_victim(const pool::PoolEntry& victim) {
   return true;
 }
 
+// hotc-analyze: hot-path-root
 std::future<RealOutcome> RealHotC::submit(const engine::FunctionHandle& fn,
                                           const engine::AppModel& app,
                                           Handler handler,
-                                          // hot-path-alloc: allow — caller
-                                          std::string argument) {  // hands
-                                          // off payload ownership by value.
+                                          std::string argument) {
   // Trim and sharing look a pooled key's handle up in this table.
   HOTC_ASSERT_MSG(functions_.find(fn.key.id()) == &fn,
                   "submit() takes a handle this instance prepared");
@@ -109,6 +108,7 @@ void RealHotC::run(Request& request) {
   }
 }
 
+// hotc-analyze: hot-path-root
 RealOutcome RealHotC::serve(const Request& request) {
   const auto start = std::chrono::steady_clock::now();
   const engine::FunctionHandle& fn = *request.fn;

@@ -104,6 +104,7 @@ class RealHotC {
                                   const engine::AppModel& app,
                                   Handler handler, std::string argument);
   /// RunSpec form: the key derivation plus one lock-free load, then submit.
+  // hotc-analyze: hot-path-root
   std::future<RealOutcome> submit(const spec::RunSpec& spec,
                                   const engine::AppModel& app,
                                   Handler handler, std::string argument) {

@@ -182,19 +182,18 @@ ThreadPool<Task>::ThreadPool(std::size_t threads, Runner run, const char* tag)
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  // hot-path-alloc: allow-begin — construction
   idle_ = std::make_unique<std::atomic<bool>[]>(threads);
   lanes_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     lanes_.push_back(std::make_unique<Lane>(static_cast<std::uint32_t>(i)));
   }
-  // hot-path-alloc: allow-end
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i]() { worker_loop(i); });
   }
 }
 
+// hotc-analyze: hot-path-root
 template <typename Task>
 bool ThreadPool<Task>::post(Task& task) {
   // A per-thread cursor spreads claims and round-robin without a counter

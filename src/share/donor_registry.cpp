@@ -42,17 +42,6 @@ void DonorRegistry::set_flags(const spec::CompatClass& cls,
   mit->second.muted = muted;
 }
 
-void DonorRegistry::forget(const spec::RuntimeKey& key,
-                           const engine::FunctionHandle& fn) {
-  const spec::CompatClass cls = fn.compat();
-  Stripe& stripe = stripe_for(cls);
-  const RankedGuard lock(stripe.mu);
-  const auto cit = stripe.classes.find(cls);
-  if (cit == stripe.classes.end()) return;
-  cit->second.erase(key);
-  if (cit->second.empty()) stripe.classes.erase(cit);
-}
-
 std::optional<DonorCandidate> DonorRegistry::find_donor(
     const engine::FunctionHandle& request, const spec::RuntimeKey& exclude,
     const pool::PoolView& view) const {

@@ -77,9 +77,6 @@ class DonorRegistry {
   void set_flags(const spec::CompatClass& cls, const spec::RuntimeKey& key,
                  bool nominated, bool muted);
 
-  /// Drop a key from the index (its function was retired).
-  void forget(const spec::RuntimeKey& key, const engine::FunctionHandle& fn);
-
   /// Find an idle donor for `request`: a recorded sibling key in the
   /// request's compatibility class, not `exclude` (the request's own key),
   /// with `view.num_available(key) > 0` right now.  Nominated keys win over

@@ -26,7 +26,7 @@ CheckpointStore::CheckpointStore(Options options) : options_(options) {
   stripe_mask_ = count - 1;
   stripes_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    stripes_.push_back(  // hot-path-alloc: allow (construction, per store)
+    stripes_.push_back(
         std::make_unique<Stripe>(static_cast<std::uint32_t>(i)));
   }
 }
@@ -311,7 +311,6 @@ CheckpointStore::tenant_occupancy() const {
 }
 
 void CheckpointStore::attach_metrics(obs::Registry& registry) {
-  // hot-path-alloc: allow-begin (metric registration, once per store)
   bytes_gauge_.store(
       &registry.gauge("hotc_snapshot_store_bytes",
                       "Disk bytes held by the checkpoint store"),
@@ -336,7 +335,6 @@ void CheckpointStore::attach_metrics(obs::Registry& registry) {
       &registry.counter("hotc_snapshot_rejected_total",
                         "Snapshot admissions rejected by quota or budget"),
       std::memory_order_release);
-  // hot-path-alloc: allow-end
   publish_gauges();
 }
 

@@ -1,8 +1,8 @@
 #include "spec/compat.hpp"
 
 #include <algorithm>
+#include <charconv>
 
-#include "core/arena.hpp"
 #include "spec/dockerfile.hpp"
 #include "spec/network_mode.hpp"
 #include "spec/runtime_key.hpp"
@@ -18,32 +18,35 @@ CompatClass CompatClass::from_spec(const RunSpec& spec) {
   // the sandbox-shaping fields.  The tag is deliberately absent (it is a
   // costed delta); the category is redundant given the name but kept in
   // the text so the never-across-categories guarantee is visible in dumps.
-  // Built in thread-local arena scratch and interned: steady state is
+  // Built in a thread-local scratch string and interned: steady state is
   // allocation-free, and the "cls|" prefix keeps class texts disjoint
   // from runtime-key texts inside the shared interner.
-  Arena& scratch = scratch_arena();
-  scratch.reset();
-  ArenaWriter w(scratch, 128);
-  w.append("cls|img=");
-  w.append(spec.image.name);
-  w.append("|cat=");
-  w.append(to_string(classify_base_image(spec.image.name)));
-  w.append("|net=");
-  w.append(to_string(spec.network));
-  w.append("|uts=");
-  w.append(to_string(spec.uts));
-  w.append("|ipc=");
-  w.append(to_string(spec.ipc));
-  w.append("|pid=");
-  w.append(to_string(spec.pid));
-  w.append("|ro=");
-  w.append(spec.read_only_rootfs ? '1' : '0');
-  w.append("|priv=");
-  w.append(spec.privileged ? '1' : '0');
-  w.append("|vols=");
-  w.append_u64(spec.volumes.size());
-  const std::uint64_t hash = fnv1a(w.view());
-  return CompatClass(KeyInterner::global().intern(w.view(), hash), hash);
+  // hot-path-alloc: allow(per-thread scratch; clear() keeps its capacity)
+  thread_local std::string text;
+  text.clear();
+  text += "cls|img=";
+  text += spec.image.name;
+  text += "|cat=";
+  text += to_string(classify_base_image(spec.image.name));
+  text += "|net=";
+  text += to_string(spec.network);
+  text += "|uts=";
+  text += to_string(spec.uts);
+  text += "|ipc=";
+  text += to_string(spec.ipc);
+  text += "|pid=";
+  text += to_string(spec.pid);
+  text += "|ro=";
+  text += spec.read_only_rootfs ? '1' : '0';
+  text += "|priv=";
+  text += spec.privileged ? '1' : '0';
+  text += "|vols=";
+  char digits[24];
+  text.append(digits,
+              std::to_chars(digits, digits + sizeof(digits),
+                            spec.volumes.size()).ptr);
+  const std::uint64_t hash = fnv1a(text);
+  return CompatClass(KeyInterner::global().intern(text, hash), hash);
 }
 
 bool compatible(const RunSpec& a, const RunSpec& b) {

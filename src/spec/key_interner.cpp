@@ -79,6 +79,7 @@ void KeyInterner::insert_slot(Table& table, KeyId id, std::uint64_t hash) {
 
 void KeyInterner::grow_table_locked() {
   Table* old = table_.load(std::memory_order_relaxed);
+  // hot-path-alloc: allow(table doubling, at each power-of-two key count)
   auto grown = std::make_unique<Table>((old->mask + 1) * 2);
   const std::uint32_t published = count_.load(std::memory_order_relaxed);
   for (KeyId id = 1; id <= published; ++id) {
@@ -119,7 +120,7 @@ KeyId KeyInterner::intern(std::string_view text, std::uint64_t hash) {
   // 1. Construct the entry in stable chunk storage.
   Entry* chunk = chunks_[index >> kChunkShift].load(std::memory_order_relaxed);
   if (chunk == nullptr) {
-    chunk = new Entry[kChunkSize];
+    chunk = new Entry[kChunkSize];  // hot-path-alloc: allow(per 1024 keys)
     chunks_[index >> kChunkShift].store(chunk, std::memory_order_release);
   }
   Entry& entry = chunk[index & (kChunkSize - 1)];

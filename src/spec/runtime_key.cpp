@@ -1,54 +1,50 @@
 #include "spec/runtime_key.hpp"
 
+#include <charconv>
 #include <cstdio>
-
-#include "core/arena.hpp"
+#include <cstdlib>
 
 namespace hotc::spec {
 
 namespace {
 
-void append_i64(ArenaWriter& w, std::int64_t v) {
-  if (v < 0) {
-    w.append('-');
-    // Negate in unsigned space so INT64_MIN is well-defined.
-    w.append_u64(~static_cast<std::uint64_t>(v) + 1);
-  } else {
-    w.append_u64(static_cast<std::uint64_t>(v));
-  }
-}
-
-/// Matches the historical `ostream << double` default formatting (%g,
-/// precision 6) so canonical texts are byte-identical to the pre-interner
-/// layout.
-void append_double(ArenaWriter& w, double v) {
+/// The historical `ostream << double` default formatting (%g, precision
+/// 6) whenever its text reads back as the same double, so canonical texts
+/// stay byte-identical to the pre-interner layout; otherwise %.17g, so
+/// values that differ past six significant digits get distinct keys.
+void append_double(std::string& out, double v) {
   char buf[32];
-  const int n = std::snprintf(buf, sizeof(buf), "%g", v);
-  w.append(std::string_view(buf, n > 0 ? static_cast<std::size_t>(n) : 0));
+  int n = std::snprintf(buf, sizeof(buf), "%g", v);
+  if (std::strtod(buf, nullptr) != v) {
+    n = std::snprintf(buf, sizeof(buf), "%.17g", v);
+  }
+  out.append(buf, n > 0 ? static_cast<std::size_t>(n) : 0);
 }
 
 /// The fields every key variant shares, in the historical order.
-void append_runtime_fields(ArenaWriter& w, const RunSpec& spec) {
-  w.append("img=");
-  w.append(spec.image.name);
-  w.append(':');
-  w.append(spec.image.tag);
-  w.append("|net=");
-  w.append(to_string(spec.network));
-  w.append("|uts=");
-  w.append(to_string(spec.uts));
-  w.append("|ipc=");
-  w.append(to_string(spec.ipc));
-  w.append("|pid=");
-  w.append(to_string(spec.pid));
-  w.append("|mem=");
-  append_i64(w, spec.memory_limit);
-  w.append("|cpu=");
-  append_double(w, spec.cpu_limit);
-  w.append("|ro=");
-  w.append(spec.read_only_rootfs ? '1' : '0');
-  w.append("|priv=");
-  w.append(spec.privileged ? '1' : '0');
+void append_runtime_fields(std::string& out, const RunSpec& spec) {
+  out += "img=";
+  out += spec.image.name;
+  out += ':';
+  out += spec.image.tag;
+  out += "|net=";
+  out += to_string(spec.network);
+  out += "|uts=";
+  out += to_string(spec.uts);
+  out += "|ipc=";
+  out += to_string(spec.ipc);
+  out += "|pid=";
+  out += to_string(spec.pid);
+  out += "|mem=";
+  char digits[24];
+  out.append(digits, std::to_chars(digits, digits + sizeof(digits),
+                                   spec.memory_limit).ptr);
+  out += "|cpu=";
+  append_double(out, spec.cpu_limit);
+  out += "|ro=";
+  out += spec.read_only_rootfs ? '1' : '0';
+  out += "|priv=";
+  out += spec.privileged ? '1' : '0';
 }
 
 RuntimeKey intern_view(std::string_view text) {
@@ -65,31 +61,31 @@ RuntimeKey RuntimeKey::from_id(KeyId id) {
 }
 
 RuntimeKey RuntimeKey::from_spec(const RunSpec& spec) {
-  Arena& scratch = scratch_arena();
-  scratch.reset();
-  ArenaWriter w(scratch, 256);
-  append_runtime_fields(w, spec);
-  w.append("|env=");
+  // hot-path-alloc: allow(per-thread scratch; clear() keeps its capacity)
+  thread_local std::string text;
+  text.clear();
+  append_runtime_fields(text, spec);
+  text += "|env=";
   for (const auto& [k, v] : spec.env) {
-    w.append(k);
-    w.append('=');
-    w.append(v);
-    w.append(';');
+    text += k;
+    text += '=';
+    text += v;
+    text += ';';
   }
-  w.append("|vol=");
+  text += "|vol=";
   for (const auto& v : spec.volumes) {
-    w.append(v);
-    w.append(';');
+    text += v;
+    text += ';';
   }
-  return intern_view(w.view());
+  return intern_view(text);
 }
 
 RuntimeKey RuntimeKey::subset_from_spec(const RunSpec& spec) {
-  Arena& scratch = scratch_arena();
-  scratch.reset();
-  ArenaWriter w(scratch, 256);
-  append_runtime_fields(w, spec);
-  return intern_view(w.view());
+  // hot-path-alloc: allow(per-thread scratch; clear() keeps its capacity)
+  thread_local std::string text;
+  text.clear();
+  append_runtime_fields(text, spec);
+  return intern_view(text);
 }
 
 }  // namespace hotc::spec

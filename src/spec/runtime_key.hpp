@@ -6,7 +6,7 @@
 // RunSpec fields that shape the runtime environment (image, network, UTS,
 // IPC, PID, env, volumes, limits) into a stable string + 64-bit hash.
 //
-// The canonical text is built once, in per-thread arena scratch, and
+// The canonical text is built in a per-thread scratch string and
 // interned (spec::KeyInterner): a RuntimeKey is a trivially-copyable
 // {KeyId, hash} pair.  Equality is an integer compare, hashing is a load,
 // copying allocates nothing — the properties the pool hot path needs.

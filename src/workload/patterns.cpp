@@ -133,6 +133,20 @@ ArrivalList burst(std::size_t base, double burst_factor,
   return out;
 }
 
+ArrivalList square_wave(std::size_t low_rounds, std::size_t low,
+                        std::size_t high_rounds, std::size_t high,
+                        Duration period, std::size_t configs) {
+  ArrivalList out;
+  for (std::size_t r = 0; r < low_rounds + high_rounds; ++r) {
+    const std::size_t level = r < low_rounds ? low : high;
+    const TimePoint at = period * static_cast<std::int64_t>(r) + seconds(1);
+    for (std::size_t i = 0; i < level; ++i) {
+      out.push_back(Arrival{at, configs > 1 ? i % configs : 0});
+    }
+  }
+  return out;
+}
+
 ArrivalList poisson(double rate, Duration duration, Rng& rng,
                     std::size_t configs, double config_zipf) {
   HOTC_ASSERT(rate > 0.0);

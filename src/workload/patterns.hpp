@@ -57,6 +57,14 @@ ArrivalList burst(std::size_t base, double burst_factor,
                   std::size_t rounds, Duration period,
                   std::size_t configs = 1);
 
+/// Square demand: `low` requests per round for `low_rounds` rounds, then
+/// `high` for `high_rounds`.  A round's requests land together one second
+/// into it, so an interval's peak is its level; request i of a round
+/// wants config i % configs.
+ArrivalList square_wave(std::size_t low_rounds, std::size_t low,
+                        std::size_t high_rounds, std::size_t high,
+                        Duration period, std::size_t configs = 1);
+
 /// Poisson arrivals at `rate` (requests/second) over `duration`.
 ArrivalList poisson(double rate, Duration duration, Rng& rng,
                     std::size_t configs = 1, double config_zipf = 0.9);

@@ -31,5 +31,34 @@ TEST(Logger, StreamsArbitraryTypes) {
   SUCCEED();
 }
 
+TEST(Logger, DisabledLevelSkipsItsOperands) {
+  Logger& logger = Logger::instance();
+  const LogLevel original = logger.level();
+  logger.set_level(LogLevel::kWarn);
+  int evaluated = 0;
+  const auto operand = [&evaluated] {
+    ++evaluated;
+    return "side-effect operand";
+  };
+  HOTC_DEBUG("test") << operand();
+  EXPECT_EQ(evaluated, 0);
+
+  testing::internal::CaptureStderr();
+  HOTC_WARN("test") << operand();
+  const std::string written = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(evaluated, 1);
+  EXPECT_NE(written.find("side-effect operand"), std::string::npos);
+
+  // Unbraced: the else pairs with this if, not with the macro's own.
+  bool took_else = false;
+  if (evaluated == 0)
+    HOTC_DEBUG("test") << operand();
+  else
+    took_else = true;
+  EXPECT_TRUE(took_else);
+  EXPECT_EQ(evaluated, 1);
+  logger.set_level(original);
+}
+
 }  // namespace
 }  // namespace hotc

@@ -102,6 +102,28 @@ TEST(FunctionTable, SpecsDifferingOnlyInCommandShareAHandle) {
   EXPECT_EQ(table.size(), 1u);
 }
 
+TEST(FunctionTable, CpuLimitsDifferingPastSixDigitsGetTheirOwnHandles) {
+  const Registry registry;
+  const CostModel cost(HostProfile::server());
+  FunctionTable table(registry, cost);
+  spec::RunSpec a;
+  a.image = spec::ImageRef{"python", "3.8"};
+  a.cpu_limit = 0.1234561;
+  spec::RunSpec b = a;
+  b.cpu_limit = 0.1234564;
+  const FunctionHandle& first = table.prepare(a);
+  const FunctionHandle& second = table.prepare(b);
+  EXPECT_NE(first.key.id(), second.key.id());
+  EXPECT_NE(&first, &second);
+  EXPECT_EQ(second.spec.cpu_limit, b.cpu_limit);
+
+  // A limit %g writes exactly keeps its historical text.
+  spec::RunSpec half = a;
+  half.cpu_limit = 0.5;
+  EXPECT_NE(table.prepare(half).key.text().find("|cpu=0.5|"),
+            std::string::npos);
+}
+
 TEST(FunctionTable, UnknownImageKeepsTheRegistryError) {
   Registry registry;
   registry.set_synthesize_unknown(false);

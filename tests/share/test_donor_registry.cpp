@@ -149,21 +149,6 @@ TEST_F(DonorRegistryTest, NeverCrossesCompatibilityClasses) {
                    .has_value());
 }
 
-TEST_F(DonorRegistryTest, ForgetDropsTheKey) {
-  const auto req = function_spec("python", "alpha");
-  const auto sib = function_spec("python", "beta");
-  const auto sib_key = spec::RuntimeKey::from_spec(sib);
-  const spec::CompatClass sib_cls = registry_.record(sib_key, fn(sib));
-  registry_.set_flags(sib_cls, sib_key, /*nominated=*/true, /*muted=*/false);
-  add_idle(sib_key, 1);
-  EXPECT_EQ(registry_.known_keys(), 1u);
-  registry_.forget(sib_key, fn(sib));
-  EXPECT_EQ(registry_.known_keys(), 0u);
-  EXPECT_FALSE(registry_
-                   .find_donor(fn(req), spec::RuntimeKey::from_spec(req), pool_)
-                   .has_value());
-}
-
 // The tsan centerpiece: registry reads (find_donor probing PoolView) and
 // writes (record/set_flags) race against pool lease/donate/return traffic.
 // Afterwards, at quiescence, the pool's conservation audit must close

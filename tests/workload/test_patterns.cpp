@@ -65,6 +65,20 @@ TEST(Patterns, BurstRoundsMultiplied) {
   EXPECT_EQ(counts[9], 8);
 }
 
+TEST(Patterns, SquareWaveLandsEachLevelOneSecondIntoItsRound) {
+  const auto list = square_wave(2, 3, 1, 5, seconds(30), 4);
+  EXPECT_EQ(counts_per_interval(list, seconds(30), 3),
+            (std::vector<double>{3, 3, 5}));
+  EXPECT_TRUE(is_sorted_by_time(list));
+  EXPECT_EQ(list.front().at, seconds(1));
+  EXPECT_EQ(list.back().at, seconds(61));
+  EXPECT_EQ(list[2].config_index, 2u);
+  EXPECT_EQ(list.back().config_index, 0u);  // request 4 of the round
+  for (const auto& a : square_wave(1, 3, 0, 0, seconds(30))) {
+    EXPECT_EQ(a.config_index, 0u);
+  }
+}
+
 TEST(Patterns, PoissonApproximatesRate) {
   Rng rng(3);
   const auto list = poisson(5.0, minutes(10), rng);

@@ -142,6 +142,19 @@ std::size_t skip_angles(const std::vector<Token>& toks, std::size_t i) {
   return j;
 }
 
+/// Index of the '<' matching the '>' (or ">>") at `close`, scanning back
+/// no further than `floor`; `floor` when none matches.
+std::size_t match_angle_back(const std::vector<Token>& toks,
+                             std::size_t close, std::size_t floor) {
+  int depth = 0;
+  for (std::size_t j = close + 1; j-- > floor;) {
+    const std::string& t = toks[j].text;
+    if (t == ">" || t == ">>") depth += (t == ">>") ? 2 : 1;
+    else if (t == "<" && --depth == 0) return j;
+  }
+  return floor;
+}
+
 std::size_t Extractor::handle_enum(std::size_t i) {
   const auto& toks = file.tokens;
   std::size_t j = i + 1;  // past "enum"
@@ -643,10 +656,18 @@ void Extractor::harvest_function(std::size_t stmt_begin,
       dtor = true;
       --k;
     }
-    while (k >= 2 && toks[k - 1].text == "::" &&
-           toks[k - 2].kind == TokKind::kIdent) {
-      chain.insert(chain.begin(), toks[k - 2].text);
-      k -= 2;
+    while (k >= 2 && toks[k - 1].text == "::") {
+      std::size_t q = k - 2;
+      // `ThreadPool<Task>::post`: the class is the name before the
+      // template arguments.
+      if (toks[q].text == ">" || toks[q].text == ">>") {
+        q = match_angle_back(toks, q, stmt_begin);
+        if (q == stmt_begin) break;
+        --q;
+      }
+      if (toks[q].kind != TokKind::kIdent) break;
+      chain.insert(chain.begin(), toks[q].text);
+      k = q;
     }
     fn.is_dtor = dtor;
   }
@@ -772,6 +793,9 @@ void Extractor::walk_body(Function& fn, std::size_t begin, std::size_t end) {
       if (k >= 2 && (toks[k - 1].text == "." || toks[k - 1].text == "->") &&
           toks[k - 2].kind == TokKind::kIdent)
         c.receiver = toks[k - 2].text;
+      if (k >= 2 && toks[k - 1].text == "::" &&
+          toks[k - 2].kind == TokKind::kIdent)
+        c.qualifier = toks[k - 2].text;
       if (t == "lock_all") {
         Acquisition a;
         a.expr = "lock_all";
@@ -852,7 +876,20 @@ std::vector<std::size_t> Model::resolve_call(const Function& caller,
   auto it = by_name.find(call.callee);
   if (it == by_name.end()) return {};
   const auto& cands = it->second;
-  if (cands.size() == 1) return {cands[0]};
+  // One function, or one class's overloads: nothing to choose between.
+  if (std::all_of(cands.begin(), cands.end(), [&](std::size_t idx) {
+        return functions[idx].cls == functions[cands[0]].cls;
+      }))
+    return cands;
+  std::vector<std::size_t> out;
+  // Class::method(...): that class's methods.  A namespace qualifier
+  // matches no class and falls through to the free-call rules below.
+  if (!call.qualifier.empty()) {
+    for (std::size_t idx : cands)
+      if (last_component(functions[idx].cls) == call.qualifier)
+        out.push_back(idx);
+    if (!out.empty()) return out;
+  }
 
   // Receiver-typed resolution.
   std::string rtype;
@@ -873,7 +910,6 @@ std::vector<std::size_t> Model::resolve_call(const Function& caller,
       }
     }
   }
-  std::vector<std::size_t> out;
   if (!rtype.empty()) {
     for (std::size_t idx : cands)
       if (last_component(functions[idx].cls) == rtype) out.push_back(idx);

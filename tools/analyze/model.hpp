@@ -68,6 +68,7 @@ struct Acquisition {
 struct CallSite {
   std::string callee;    // bare name ("submit", "intern")
   std::string receiver;  // last receiver identifier, "" for free calls
+  std::string qualifier;  // "RuntimeKey" in RuntimeKey::from_spec(...)
   int line = 0;
   int depth = 0;
   std::size_t tok = 0;  // token index in the owning file

@@ -29,11 +29,14 @@ struct RuleOptions {
   /// Hot-path traversal scope: directory fragments a file's rel path must
   /// contain to be walked (barrier otherwise).  Ignored when
   /// `all_in_scope` (explicit file lists, i.e. fixtures).  The obs
-  /// headers hold the SeqRing publish path and the record codecs it calls.
+  /// headers hold the SeqRing publish path and the record codecs it calls;
+  /// the function table holds the handle every RealHotC::submit(spec)
+  /// looks up.
   std::vector<std::string> scope_dirs = {
-      "pool/",    "runtime/",  "core/",         "spec/",
-      "obs/prof", "snapshot/", "obs/seq_ring",  "obs/trace.hpp",
-      "obs/journal.hpp"};
+      "pool/",        "runtime/",      "core/",
+      "spec/",        "obs/prof",      "snapshot/",
+      "obs/seq_ring", "obs/trace.hpp", "obs/journal.hpp",
+      "engine/function_table"};
   bool all_in_scope = false;
 };
 

@@ -19,12 +19,17 @@ bool is_atomic_write_method(const std::string& t) {
 bool is_alloc_ident(const std::vector<Token>& toks, std::size_t k) {
   const std::string& t = toks[k].text;
   if (t == "new" || t == "make_unique" || t == "make_shared" ||
-      t == "to_string" || t == "stringstream" || t == "ostringstream")
+      t == "stringstream" || t == "ostringstream" || t == "istringstream")
     return true;
-  if (t == "string" && k + 1 < toks.size() &&
-      (toks[k + 1].text == "(" || toks[k + 1].text == "{"))
-    return true;
-  return false;
+  // std:: only: the spec enums' to_string overloads return static text.
+  if (t == "to_string")
+    return k >= 2 && toks[k - 1].text == "::" && toks[k - 2].text == "std";
+  if (t != "string" || k + 1 >= toks.size()) return false;
+  // A temporary, `std::string(...)`, or a by-value local, `std::string s
+  // = ...;` (a const& or a string_view is a different token sequence).
+  const Token& next = toks[k + 1];
+  return next.text == "(" || next.text == "{" ||
+         (next.kind == TokKind::kIdent && next.text != "const");
 }
 
 bool is_assign_op(const std::string& t) {

@@ -29,19 +29,6 @@ Rules (each one enforces a convention the compiler cannot):
                    HELP verbatim, so a scrape is only as greppable as the
                    registration site.  Calls passing a variable are
                    skipped (not statically checkable).
-  hot-path-alloc   No heap allocation on the pool / dispatch hot path:
-                   src/pool/, src/snapshot/, the RealHotC dispatch body
-                   (runtime/real_hotc.cpp) and its worker lanes
-                   (runtime/thread_pool.hpp) must not construct std::string,
-                   call std::to_string, build a stringstream, or reach for
-                   new / make_unique / make_shared.  Hot-path identity is
-                   the interned KeyId, storage is the flat slab tables,
-                   and scratch text goes through core::Arena.  Cold paths
-                   (construction, audits, pre-abort diagnostics) opt out
-                   with a `hot-path-alloc: allow` comment on the same or
-                   previous line, or an `allow-begin` / `allow-end`
-                   region.  const std::string& / string_view parameters
-                   don't allocate and are not flagged.
   share-pool-seam  src/share/ may observe pools only through the read-only
                    PoolView seam.  Naming a concrete pool class
                    (RuntimePool / ShardedRuntimePool) or calling a pool
@@ -110,29 +97,6 @@ METRIC_REG_RE = re.compile(
 
 METRIC_NAME_RE = re.compile(r"hotc_[a-z0-9_]+\Z")
 
-# Allocation spellings banned on the hot path.  `\bnew\b` doesn't match
-# new_block/renewed (word chars on either side); `std::string\s+ident` and
-# `std::string(`/`{` catch by-value declarations and temporaries while
-# leaving const std::string& / std::string* / std::string_view alone.
-HOT_PATH_ALLOC_RE = re.compile(
-    r"\bnew\b|"
-    r"\b(?:std::)?make_(?:unique|shared)\b|"
-    r"\bstd::to_string\s*\(|"
-    r"\b(?:std::)?[io]?stringstream\b|"
-    r"\bstd::string\s+[A-Za-z_]|"
-    r"\bstd::string\s*[({]")
-
-# Files the hot-path-alloc rule covers: the whole pool layer, the snapshot
-# tier (its take()/peek() lookups sit on the request miss path) plus the
-# RealHotC dispatch implementation, the worker lanes every request passes
-# through (real_hotc.hpp only declares API types) and the function table
-# every RealHotC::submit(spec) looks its handle up in.
-HOT_PATH_ALLOC_SCOPE = ("pool/", "snapshot/")
-HOT_PATH_ALLOC_FILES = {"runtime/real_hotc.cpp", "runtime/thread_pool.hpp",
-                        "engine/function_table.cpp"}
-
-ALLOC_ALLOW = "hot-path-alloc: allow"
-
 # Concrete pool types share/ must never name (PoolView is the only seam).
 SHARE_POOL_TYPE_RE = re.compile(r"\b(ShardedRuntimePool|RuntimePool)\b")
 
@@ -149,9 +113,8 @@ def norm_rel(rel: str) -> str:
     Those sets are written relative to src/ ("pool/", "core/log.cpp").  When
     the lint runs with --root pointing at the repo root instead of src/,
     every rel gains a leading "src/" segment and, before this existed, the
-    path-scoped rules (hot-path-alloc most damagingly) matched nothing and
-    silently passed.  Stripping the one well-known prefix makes both
-    invocations equivalent."""
+    path-scoped rules matched nothing and silently passed.  Stripping the
+    one well-known prefix makes both invocations equivalent."""
     r = rel.replace("\\", "/")
     return r[len("src/"):] if r.startswith("src/") else r
 
@@ -277,41 +240,6 @@ def check_share_seam(path: pathlib.Path, rel: str, lines: list[str]) -> list:
     return findings
 
 
-def check_hot_path_alloc(path: pathlib.Path, rel: str, lines: list[str],
-                         raw_lines: list[str]) -> list:
-    """`lines` are comment-stripped (so prose mentioning `new` is inert);
-    `raw_lines` keep comments because the allow markers live in them."""
-    r = norm_rel(rel)
-    if not (r.startswith(HOT_PATH_ALLOC_SCOPE)
-            or r in HOT_PATH_ALLOC_FILES):
-        return []
-    findings = []
-    in_allowed_region = False
-    for idx, line in enumerate(lines, 1):
-        raw = raw_lines[idx - 1] if idx - 1 < len(raw_lines) else ""
-        if ALLOC_ALLOW + "-begin" in raw:
-            in_allowed_region = True
-            continue
-        if ALLOC_ALLOW + "-end" in raw:
-            in_allowed_region = False
-            continue
-        if in_allowed_region:
-            continue
-        m = HOT_PATH_ALLOC_RE.search(line)
-        if not m:
-            continue
-        prev_raw = raw_lines[idx - 2] if idx >= 2 else ""
-        if ALLOC_ALLOW in raw or ALLOC_ALLOW in prev_raw:
-            continue
-        findings.append(Finding(
-            "hot-path-alloc", str(path), idx,
-            f"heap allocation ({m.group(0).strip()}) on the pool/dispatch "
-            "hot path — key on the interned KeyId, store in the flat slab "
-            "tables, or build scratch text in core::Arena; a cold path "
-            "opts out with a 'hot-path-alloc: allow' comment"))
-    return findings
-
-
 def check_metric_naming(path: pathlib.Path, text: str) -> list:
     """`text` must have comments stripped but string literals PRESERVED —
     the rule inspects the registered name/help literals themselves."""
@@ -427,11 +355,9 @@ def lint_tree(root: pathlib.Path) -> list:
         raw = p.read_text(errors="replace")
         text = strip_comments(raw)
         lines = text.split("\n")
-        raw_lines = raw.split("\n")
         findings.extend(check_raw_mutex(p, rel, lines))
         findings.extend(check_direct_io(p, rel, lines))
         findings.extend(check_share_seam(p, rel, lines))
-        findings.extend(check_hot_path_alloc(p, rel, lines, raw_lines))
         findings.extend(check_nodiscard_result(p, lines))
         findings.extend(check_switch_default(p, text))
         findings.extend(check_metric_naming(
@@ -541,85 +467,6 @@ SELF_TEST_CASES = {
         "obs/ok_metric_var.cpp",
         "void f(R& r, const std::string& n) { r.counter(n, n); }\n",
         None),
-    "hot-path-alloc fires on new": (
-        "pool/bad_new.cpp",
-        "void f() { auto* p = new int(3); (void)p; }\n",
-        "hot-path-alloc"),
-    "hot-path-alloc fires on make_unique": (
-        "pool/bad_make_unique.cpp",
-        "#include <memory>\nauto p = std::make_unique<int>(3);\n",
-        "hot-path-alloc"),
-    "hot-path-alloc fires on std::string construction": (
-        "pool/bad_string.cpp",
-        "#include <string>\nvoid f() { std::string label = \"x\"; }\n",
-        "hot-path-alloc"),
-    "hot-path-alloc fires on to_string in dispatch": (
-        "runtime/real_hotc.cpp",
-        "#include <string>\nauto s = std::to_string(42);\n",
-        "hot-path-alloc"),
-    "hot-path-alloc fires on stringstream": (
-        "pool/bad_stream.cpp",
-        "#include <sstream>\nstd::ostringstream oss;\n",
-        "hot-path-alloc"),
-    "hot-path-alloc exempts out-of-scope files": (
-        "engine/ok_alloc.cpp",
-        "#include <string>\nauto s = std::to_string(42);\n",
-        None),
-    "hot-path-alloc fires in the worker lanes": (
-        "runtime/thread_pool.hpp",
-        "#pragma once\n#include <memory>\n"
-        "template <typename T> void post(T& t) "
-        "{ auto s = std::make_unique<T>(t); }\n",
-        "hot-path-alloc"),
-    "hot-path-alloc fires in the function table": (
-        "engine/function_table.cpp",
-        "#include <memory>\nauto p = std::make_unique<int>(3);\n",
-        "hot-path-alloc"),
-    "hot-path-alloc exempts the dispatch header": (
-        "runtime/real_hotc.hpp",
-        "#pragma once\n#include <string>\nstruct R "
-        "{ std::string payload; };\n",
-        None),
-    "hot-path-alloc allows const-ref and view params": (
-        "pool/ok_ref.cpp",
-        "#include <string>\n"
-        "void f(const std::string& a, std::string_view b);\n",
-        None),
-    "hot-path-alloc ignores new_block identifiers": (
-        "pool/ok_new_block.cpp",
-        "void f() { auto* b = new_block(); (void)b; }\n",
-        None),
-    "hot-path-alloc honours same-line allow": (
-        "pool/ok_allow_same.cpp",
-        "void f() {\n"
-        "  auto* p = new int(3);  // hot-path-alloc: allow (cold ctor)\n"
-        "  (void)p;\n}\n",
-        None),
-    "hot-path-alloc honours previous-line allow": (
-        "pool/ok_allow_prev.cpp",
-        "void f() {\n  // hot-path-alloc: allow (cold ctor)\n"
-        "  auto* p = new int(3);\n  (void)p;\n}\n",
-        None),
-    "hot-path-alloc honours allow regions": (
-        "pool/ok_allow_region.cpp",
-        "#include <string>\n"
-        "// hot-path-alloc: allow-begin — pre-abort audit text\n"
-        "void f() { std::string msg = std::to_string(1); }\n"
-        "// hot-path-alloc: allow-end\n"
-        "void g() { int x = 0; (void)x; }\n",
-        None),
-    "hot-path-alloc scope is repo-root-relative": (
-        "src/pool/bad_rooted.cpp",
-        "void f() { auto* p = new int(3); (void)p; }\n",
-        "hot-path-alloc"),
-    "hot-path-alloc repo-root dispatch file": (
-        "src/runtime/real_hotc.cpp",
-        "#include <string>\nauto s = std::to_string(42);\n",
-        "hot-path-alloc"),
-    "hot-path-alloc repo-root out-of-scope stays exempt": (
-        "src/engine/ok_rooted.cpp",
-        "#include <string>\nauto s = std::to_string(42);\n",
-        None),
     "direct-io exemption is repo-root-relative": (
         "src/core/log.cpp",
         "#include <cstdio>\nvoid f() { std::fprintf(stderr, \"x\"); }\n",
@@ -640,16 +487,6 @@ SELF_TEST_CASES = {
         "share/ok_view.cpp",
         "bool idle(const V& view, const K& k) "
         "{ return view.num_available(k) > 0; }\n",
-        None),
-    "hot-path-alloc fires in the snapshot tier": (
-        "snapshot/bad_take.cpp",
-        "#include <string>\nauto s = std::to_string(42);\n",
-        "hot-path-alloc"),
-    "hot-path-alloc snapshot allow survives": (
-        "snapshot/ok_growth.cpp",
-        "void f() {\n"
-        "  // hot-path-alloc: allow — table growth, once per distinct key\n"
-        "  auto* p = new int(3);\n  (void)p;\n}\n",
         None),
     "metric-naming fires on unprefixed snapshot series": (
         "snapshot/bad_metric.cpp",

@@ -32,24 +32,6 @@
 
 using namespace hotc;
 
-namespace {
-
-workload::ArrivalList square_arrivals(std::size_t low_rounds,
-                                      std::size_t low,
-                                      std::size_t high_rounds,
-                                      std::size_t high, Duration period) {
-  workload::ArrivalList out;
-  for (std::size_t r = 0; r < low_rounds + high_rounds; ++r) {
-    const std::size_t level = r < low_rounds ? low : high;
-    const TimePoint at =
-        period * static_cast<std::int64_t>(r) + seconds(1);
-    for (std::size_t i = 0; i < level; ++i) out.push_back({at, i % 4});
-  }
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const std::string scenario = argc > 1 ? argv[1] : "steady";
   if (scenario != "steady" && scenario != "step") {
@@ -59,9 +41,10 @@ int main(int argc, char** argv) {
 
   const Duration period = seconds(30);
   const auto mix = workload::ConfigMix::sibling_functions(4, 2);
-  const auto arrivals = scenario == "step"
-                            ? square_arrivals(30, 4, 30, 16, period)
-                            : square_arrivals(40, 6, 0, 0, period);
+  const auto arrivals =
+      scenario == "step"
+          ? workload::square_wave(30, 4, 30, 16, period, mix.size())
+          : workload::square_wave(40, 6, 0, 0, period, mix.size());
 
   obs::Registry registry;
   // Ring sized above the span volume of either scenario, so the report

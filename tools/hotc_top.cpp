@@ -50,24 +50,6 @@ using namespace hotc;
 
 namespace {
 
-/// level(r) requests land together one second into round r (square
-/// demand; same generator shape as bench_diagnosis).
-workload::ArrivalList square_arrivals(std::size_t low_rounds,
-                                      std::size_t low,
-                                      std::size_t high_rounds,
-                                      std::size_t high, Duration period) {
-  workload::ArrivalList out;
-  for (std::size_t r = 0; r < low_rounds + high_rounds; ++r) {
-    const std::size_t level = r < low_rounds ? low : high;
-    const TimePoint at =
-        period * static_cast<std::int64_t>(r) + seconds(1);
-    // Round-robin over the mix so every sibling function gets a row in
-    // the health table.
-    for (std::size_t i = 0; i < level; ++i) out.push_back({at, i % 4});
-  }
-  return out;
-}
-
 /// `_.-~=+*#` ramp scaled to the series max; empty history renders "-".
 std::string sparkline(const std::vector<double>& values) {
   static const char kRamp[] = "_.-~=+*#";
@@ -131,9 +113,12 @@ int main(int argc, char** argv) {
   // ---- drive the scenario ---------------------------------------------------
   const Duration period = seconds(30);
   const auto mix = workload::ConfigMix::sibling_functions(4, 2);
-  const auto arrivals = scenario == "step"
-                            ? square_arrivals(30, 4, 30, 16, period)
-                            : square_arrivals(40, 6, 0, 0, period);
+  // Round-robin over the mix so every sibling function gets a row in the
+  // health table.
+  const auto arrivals =
+      scenario == "step"
+          ? workload::square_wave(30, 4, 30, 16, period, mix.size())
+          : workload::square_wave(40, 6, 0, 0, period, mix.size());
 
   obs::Registry registry;
   obs::Tracer tracer(8192, &registry);
