@@ -71,9 +71,9 @@ spec::RunSpec keyed_spec(std::size_t i) {
 /// time-series store attached.  Everything lives behind stable pointers
 /// because the controller keeps raw references to the hooks.
 struct TickHarness {
+  obs::Registry registry;  // first: outlives every owner it collects from
   sim::Simulator sim;
   engine::ContainerEngine engine{sim, engine::HostProfile::server()};
-  obs::Registry registry;
   obs::Tracer tracer{8192, &registry};
   obs::DecisionJournal journal{4096};
   obs::SloEngine slo{registry, obs::default_slos()};
@@ -82,6 +82,7 @@ struct TickHarness {
 
   explicit TickHarness(bool with_tsdb) {
     engine.preload_image(spec::ImageRef{"python", "3.8"});
+    engine.attach_metrics(registry);
     if (with_tsdb) {
       tsdb = std::make_unique<obs::TimeSeriesStore>(registry, obs::TsdbOptions{},
                                                     &slo);

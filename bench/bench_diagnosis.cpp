@@ -171,7 +171,6 @@ ExemplarOverhead measure_exemplar_overhead(int pairs, int reps) {
   obs::Registry registry;
   obs::Tracer tracer(4096, &registry);
   pool::ShardedRuntimePool pool(pool::PoolLimits{}, 16);
-  pool.attach_metrics(registry);
   tracer.set_enabled(true);
 
   const auto keys = bench::pair_keys();

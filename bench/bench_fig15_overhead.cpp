@@ -26,7 +26,6 @@
 #include "core/json.hpp"
 #include "engine/engine.hpp"
 #include "engine/monitor.hpp"
-#include "hotc/telemetry.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -73,7 +72,6 @@ TracingOverhead measure_tracing_overhead(int pairs, int reps) {
   obs::Registry registry;
   obs::Tracer tracer(4096, &registry);
   pool::ShardedRuntimePool pool(pool::PoolLimits{}, 16);
-  pool.attach_metrics(registry);
 
   const auto keys = bench::pair_keys();
   bench::prepopulate(pool, keys);
@@ -201,8 +199,7 @@ int main() {
   platform.run(arrivals, mix);
 
   const std::string dir = hotc::bench::output_dir();
-  const std::string prom = export_prometheus(
-      platform.engine(), platform.hotc_controller(), &registry);
+  const std::string prom = obs::to_prometheus(registry, "instance=\"hotc\"");
   const auto spans = tracer.recorder().snapshot();
   const bool wrote_prom =
       hotc::bench::write_file(dir + "/OBS_metrics.prom", prom);

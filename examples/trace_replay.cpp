@@ -4,12 +4,12 @@
 //
 //   $ ./trace_replay
 #include <cmath>
-#include <sstream>
 #include <iostream>
+#include <sstream>
 
 #include "core/table.hpp"
 #include "faas/platform.hpp"
-#include "hotc/telemetry.hpp"
+#include "obs/export.hpp"
 #include "workload/mix.hpp"
 #include "workload/patterns.hpp"
 #include "workload/trace.hpp"
@@ -32,9 +32,11 @@ int main() {
   std::cout << arrivals.size() << " requests over " << window.size()
             << " minutes (5 runtime types)\n\n";
 
+  obs::Registry registry;
   faas::PlatformOptions opt;
   opt.policy = faas::PolicyKind::kHotC;
   opt.hotc.adaptive_interval = minutes(1);
+  opt.registry = &registry;
   faas::FaasPlatform platform(opt);
   const auto recorder = platform.run(arrivals, mix);
 
@@ -60,16 +62,21 @@ int main() {
             << " retirements, " << controller->stats().evicted
             << " pressure evictions\n\n";
 
-  // What a monitoring stack would scrape from this instance right now.
-  std::cout << "Prometheus snapshot (first lines):\n";
+  // What a monitoring stack would scrape from this instance right now:
+  // the engine's occupancy, resources and totals.
+  const std::string shown[] = {
+      "hotc_engine_containers_live",   "hotc_engine_containers_idle",
+      "hotc_engine_containers_busy",   "hotc_engine_memory_used_bytes",
+      "hotc_engine_swap_used_bytes",   "hotc_engine_cpu_utilization",
+      "hotc_engine_launches_total",    "hotc_engine_execs_total",
+      "hotc_engine_launch_failures_total"};
+  std::cout << "Prometheus snapshot (engine lines):\n";
   std::istringstream metrics_text(
-      export_prometheus(platform.engine(), controller));
+      obs::to_prometheus(registry, "instance=\"hotc\""));
   std::string line;
-  int shown = 0;
-  while (std::getline(metrics_text, line) && shown < 9) {
-    if (line[0] != '#') {
-      std::cout << "  " << line << "\n";
-      ++shown;
+  while (std::getline(metrics_text, line)) {
+    for (const std::string& name : shown) {
+      if (line.rfind(name + "{", 0) == 0) std::cout << "  " << line << "\n";
     }
   }
   return 0;

@@ -25,6 +25,9 @@ ClusterHotC::ClusterHotC(ClusterOptions options)
     Node node;
     node.engine =
         std::make_unique<engine::ContainerEngine>(sim_, options_.host);
+    if (options_.controller.registry != nullptr) {
+      node.engine->attach_metrics(*options_.controller.registry);
+    }
     node.controller = std::make_unique<HotCController>(*node.engine,
                                                        options_.controller);
     // Keep the warm directory fresh: every pool change on node i publishes
@@ -34,20 +37,23 @@ ClusterHotC::ClusterHotC(ClusterOptions options)
     nodes_.push_back(std::move(node));
   }
   if (options_.registry != nullptr) {
-    obs::Registry& reg = *options_.registry;
-    obs_.routed.reserve(options_.nodes);
-    for (std::size_t i = 0; i < options_.nodes; ++i) {
-      obs_.routed.push_back(
-          &reg.counter("hotc_cluster_routed_total",
-                       "Requests routed to each node",
-                       "node=\"" + std::to_string(i) + "\""));
-    }
-    obs_.warm_hits = &reg.counter(
-        "hotc_cluster_warm_routed_total",
-        "Requests routed to a node advertising a warm runtime of the key");
-    obs_.warm_fallbacks = &reg.counter(
-        "hotc_cluster_warm_fallback_total",
-        "Warm-aware routes that fell back to least-loaded (nobody warm)");
+    collection_ = options_.registry->collect([this](obs::MetricSink& out) {
+      const RankedGuard lock(mu_);
+      for (std::size_t i = 0; i < routed_.size(); ++i) {
+        out.counter("hotc_cluster_routed_total",
+                    "Requests routed to each node",
+                    static_cast<double>(routed_[i]),
+                    "node=\"" + std::to_string(i) + "\"");
+      }
+      out.counter(
+          "hotc_cluster_warm_routed_total",
+          "Requests routed to a node advertising a warm runtime of the key",
+          static_cast<double>(warm_hits_));
+      out.counter(
+          "hotc_cluster_warm_fallback_total",
+          "Warm-aware routes that fell back to least-loaded (nobody warm)",
+          static_cast<double>(warm_fallbacks_));
+    });
   }
 }
 
@@ -95,14 +101,14 @@ NodeId ClusterHotC::route(const spec::RuntimeKey& key) {
       // gateway in this model); staleness is part of the experiment.
       const auto warm = directory_.nodes_with_warm(0, key);
       if (!warm.empty()) {
-        if (obs_.warm_hits != nullptr) obs_.warm_hits->inc();
+        ++warm_hits_;
         NodeId best = warm.front();
         for (const NodeId n : warm) {
           if (nodes_[n].inflight < nodes_[best].inflight) best = n;
         }
         return best;
       }
-      if (obs_.warm_fallbacks != nullptr) obs_.warm_fallbacks->inc();
+      ++warm_fallbacks_;
       NodeId best = 0;
       for (NodeId n = 1; n < nodes_.size(); ++n) {
         if (nodes_[n].inflight < nodes_[best].inflight) best = n;
@@ -127,7 +133,6 @@ void ClusterHotC::submit(const spec::RunSpec& spec,
     node = route(key);
     ++routed_[node];
     ++nodes_[node].inflight;
-    if (!obs_.routed.empty()) obs_.routed[node]->inc();
   }
   // The span's shard field carries the chosen node id.
   if (options_.controller.tracer != nullptr) {

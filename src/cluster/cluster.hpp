@@ -33,13 +33,14 @@ struct ClusterOptions {
   std::size_t nodes = 4;
   engine::HostProfile host = engine::HostProfile::server();
   /// Per-node controller options.  A tracer/registry set here is shared
-  /// by every node's controller (per-node engine counters merge into
+  /// by every node's controller and engine (the nodes' values merge into
   /// cluster-wide totals under the same metric names).
   ControllerOptions controller;
   RoutingPolicy routing = RoutingPolicy::kWarmAware;
   Duration directory_lag = milliseconds(5);
-  /// Optional routing metrics: per-node routed counts plus warm-aware
-  /// hit/fallback counters.  Must outlive the cluster.
+  /// Optional routing metrics, collected at each snapshot: per-node
+  /// routed counts plus warm-aware hit/fallback counts.  Must outlive the
+  /// cluster.
   obs::Registry* registry = nullptr;
 };
 
@@ -88,13 +89,6 @@ class ClusterHotC {
     std::uint64_t inflight = 0;
   };
 
-  /// Cached routing instruments; empty/null without a registry.
-  struct RoutingMetrics {
-    std::vector<obs::Counter*> routed;       // per node
-    obs::Counter* warm_hits = nullptr;       // warm-aware directory hit
-    obs::Counter* warm_fallbacks = nullptr;  // nobody warm; least-loaded
-  };
-
   /// Pick a node for the key.  Caller must hold mu_.
   [[nodiscard]] NodeId route(const spec::RuntimeKey& key) HOTC_REQUIRES(mu_);
   void publish_node(NodeId node, const spec::RuntimeKey& key);
@@ -103,13 +97,16 @@ class ClusterHotC {
   sim::Simulator sim_;
   WarmDirectory directory_;
   std::vector<Node> nodes_;
-  /// Guards routing state (routed_, rr_next_, Node::inflight) only; the
-  /// outermost rank band — released before descending into a node's
-  /// controller, so controller/pool/log locks always nest inside it.
+  /// Guards routing state (routed_, the warm-route counts, rr_next_,
+  /// Node::inflight) only; the outermost rank band — released before
+  /// descending into a node's controller, so controller/pool/log locks
+  /// always nest inside it.
   mutable RankedMutex mu_{LockRank::kClusterRouter, 0, "cluster.router"};
   std::vector<std::uint64_t> routed_ HOTC_GUARDED_BY(mu_);
-  RoutingMetrics obs_;
+  std::uint64_t warm_hits_ HOTC_GUARDED_BY(mu_) = 0;  // directory hit
+  std::uint64_t warm_fallbacks_ HOTC_GUARDED_BY(mu_) = 0;  // nobody warm
   NodeId rr_next_ HOTC_GUARDED_BY(mu_) = 0;
+  obs::Registry::Collection collection_;  // last: unregisters first
 };
 
 }  // namespace hotc::cluster

@@ -40,19 +40,19 @@
 //                                        anomaly detector may push into
 //                                        the SLO alert ring (70) — and
 //                                        below the registry (80) so it
-//                                        may lazily register its own
-//                                        hotc_tsdb_* instruments — while
-//                                        holding its sampling lock
+//                                        may read the registry's
+//                                        collector epoch — while holding
+//                                        its sampling lock
 //    70   obs diagnosis state            0 — SLO engine windows + alert
-//                                        ring.  Strictly below the
-//                                        registry band so the engine may
-//                                        lazily register hotc_slo_*
-//                                        gauges while holding its own
-//                                        state lock
+//                                        ring
 //    80   obs metrics registry index     0 — any subsystem may register
 //                                        an instrument while holding its
 //                                        own locks; increments are
-//                                        lock-free and never touch this
+//                                        lock-free and never touch this,
+//                                        and snapshot() releases it
+//                                        before running the collectors,
+//                                        which take their owners' locks
+//                                        of any lower band
 //    85   spec key interner writer       0 — append-only interner growth;
 //                                        a cold-path key parse may intern
 //                                        while the caller holds registry,

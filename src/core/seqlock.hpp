@@ -7,7 +7,7 @@
 // re-load the sequence: if both loads return the same even value, no
 // writer overlapped the read and the snapshot is consistent; otherwise the
 // reader retries.  Readers never block writers and never take the mutex —
-// exactly the property PoolView consumers (controller ticks, telemetry
+// exactly the property PoolView consumers (controller ticks, metrics
 // scrapes, donor-registry liveness probes) need on the hot path.
 //
 // TSan-cleanliness: the classic seqlock protects *plain* fields with

@@ -41,9 +41,7 @@ void ContainerEngine::set_state(Container& c, ContainerState next) {
   ++state_counts_[state_index(next)];
   c.state = next;
   audit_counts();
-  if (obs::Counter* counter = transition_counters_[state_index(next)]) {
-    counter->inc();
-  }
+  ++transitions_[state_index(next)];
 }
 
 void ContainerEngine::add_container(Container c) {
@@ -76,16 +74,44 @@ void ContainerEngine::audit_counts() const {
 }
 
 void ContainerEngine::attach_metrics(obs::Registry& registry) {
-  for (std::size_t s = 0; s < kContainerStateCount; ++s) {
-    const auto state = static_cast<ContainerState>(s);
-    transition_counters_[s] = &registry.counter(
-        "hotc_engine_state_transitions_total",
-        "Container FSM transitions, by destination state",
-        std::string("to=\"") + to_string(state) + "\"");
-  }
+  HOTC_ASSERT_MSG(clean_duration_ms_ == nullptr,
+                  "engine metrics attached twice");
   clean_duration_ms_ = &registry.histogram(
       "hotc_engine_clean_duration_ms",
       "Algorithm 2 volume wipe + remount duration (milliseconds)");
+  collection_ = registry.collect([this](obs::MetricSink& out) {
+    out.gauge("hotc_engine_containers_live",
+              "Containers in any non-removed state",
+              static_cast<double>(live_count()));
+    out.gauge("hotc_engine_containers_idle", "Existing-Available containers",
+              static_cast<double>(idle_count()));
+    out.gauge("hotc_engine_containers_busy",
+              "Containers executing or cleaning",
+              static_cast<double>(busy_count()));
+    out.gauge("hotc_engine_memory_used_bytes", "Host memory in use",
+              static_cast<double>(memory_used()));
+    out.gauge("hotc_engine_swap_used_bytes", "Host swap in use",
+              static_cast<double>(swap_used()));
+    out.gauge("hotc_engine_cpu_utilization",
+              "Fraction of host cores busy plus idle-container overhead",
+              cpu_utilization());
+    out.counter("hotc_engine_launches_total", "Containers ever launched",
+                static_cast<double>(launches_));
+    out.counter("hotc_engine_execs_total", "Function executions ever run",
+                static_cast<double>(execs_));
+    out.counter("hotc_engine_launch_failures_total",
+                "Injected/real launch failures",
+                static_cast<double>(launch_failures_));
+    out.counter("hotc_engine_exec_crashes_total", "Function crashes",
+                static_cast<double>(exec_crashes_));
+    for (std::size_t s = 0; s < kContainerStateCount; ++s) {
+      out.counter("hotc_engine_state_transitions_total",
+                  "Container FSM transitions, by destination state",
+                  static_cast<double>(transitions_[s]),
+                  std::string("to=\"") +
+                      to_string(static_cast<ContainerState>(s)) + "\"");
+    }
+  });
 }
 
 bool ContainerEngine::reserve_or_swap(Bytes amount) {

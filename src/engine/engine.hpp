@@ -217,10 +217,12 @@ class ContainerEngine {
   [[nodiscard]] std::uint64_t launches() const { return launches_; }
   [[nodiscard]] std::uint64_t execs() const { return execs_; }
 
-  /// Register the FSM transition counters
-  /// (`hotc_engine_state_transitions_total{to="..."}`) and the Algorithm 2
-  /// clean-duration histogram with the registry and start feeding them.
-  /// The registry must outlive the engine.
+  /// Export the engine to `registry`: a collector reads its occupancy,
+  /// memory, CPU, launch/exec/failure totals and FSM transitions per
+  /// destination state (`hotc_engine_state_transitions_total{to="..."}`)
+  /// at each snapshot, and the Algorithm 2 clean durations feed a
+  /// histogram.  Called once, by the engine's owner; the registry must
+  /// outlive the engine.
   void attach_metrics(obs::Registry& registry);
 
  private:
@@ -290,9 +292,9 @@ class ContainerEngine {
   std::uint64_t launches_ = 0;
   std::uint64_t execs_ = 0;
 
-  /// Cached instrument handles, written once by attach_metrics; null until
-  /// then, so the un-instrumented engine pays one branch per transition.
-  std::array<obs::Counter*, kContainerStateCount> transition_counters_{};
+  /// Transitions into each ContainerState, counted by set_state().
+  std::array<std::uint64_t, kContainerStateCount> transitions_{};
+  /// Written once by attach_metrics; null until then.
   obs::LogHistogram* clean_duration_ms_ = nullptr;
 
   FaultModel faults_;
@@ -306,6 +308,8 @@ class ContainerEngine {
   bool routing_created_ = false;
   /// Hidden bridge endpoint that container-mode launches join.
   EndpointId proxy_endpoint_ = 0;
+
+  obs::Registry::Collection collection_;  // last: unregisters first
 };
 
 }  // namespace hotc::engine

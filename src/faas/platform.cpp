@@ -22,9 +22,6 @@ FaasPlatform::FaasPlatform(PlatformOptions options)
     : options_(std::move(options)), engine_(sim_, options_.host) {
   if (options_.registry != nullptr) {
     options_.hotc.registry = options_.registry;
-    // Non-HotC policies never construct a controller, so attach the
-    // engine here; for kHotC the controller re-attaches the same
-    // instruments (find-or-create is idempotent).
     engine_.attach_metrics(*options_.registry);
   }
   if (options_.tracer != nullptr) {

@@ -46,8 +46,8 @@ struct PlatformOptions {
   Duration trailing_slack = minutes(2);
   /// Sample engine resources during the run (Fig. 15).
   std::optional<Duration> monitor_period;
-  /// Observability, both optional: the registry receives engine /
-  /// controller / pool metrics, the tracer receives the full request
+  /// Observability, both optional: the registry exports the engine's and
+  /// the controller's metrics, the tracer receives the full request
   /// lifecycle (gateway hops through clean + readmit).  Setting them here
   /// wires every layer; they are also forwarded into `hotc` and
   /// `gateway`, overriding whatever those carried.  Must outlive the

@@ -48,16 +48,15 @@ HotCController::HotCController(engine::ContainerEngine& engine,
     store_ = std::make_unique<snapshot::CheckpointStore>(
         options_.tiering.store);
   }
+  // The tick tail hands both one cut of the controller's registry.
+  HOTC_ASSERT_MSG(options_.slo == nullptr ||
+                      &options_.slo->registry() == options_.registry,
+                  "the SLO engine reads the controller's registry");
+  HOTC_ASSERT_MSG(options_.tsdb == nullptr ||
+                      &options_.tsdb->registry() == options_.registry,
+                  "the time-series store reads the controller's registry");
   if (options_.registry != nullptr) {
     obs::Registry& reg = *options_.registry;
-    obs_.prewarms = &reg.counter("hotc_controller_prewarm_total",
-                                 "Algorithm 3 predictive warm-up launches");
-    obs_.retires = &reg.counter(
-        "hotc_controller_retire_total",
-        "Pooled runtimes retired by the adaptive loop (no pressure)");
-    obs_.evictions = &reg.counter(
-        "hotc_controller_evict_total",
-        "Pooled runtimes evicted under capacity/memory pressure");
     obs_.prediction_samples = &reg.counter(
         "hotc_controller_prediction_samples_total",
         "Forecasts scored against the demand they predicted");
@@ -67,36 +66,102 @@ HotCController::HotCController(engine::ContainerEngine& engine,
     obs_.predicted_containers = &reg.gauge(
         "hotc_controller_predicted_containers",
         "Sum of per-key forecast targets at the last adaptive tick");
-    obs_.live_containers = &reg.gauge(
-        "hotc_controller_live_containers",
-        "Live containers at the last adaptive tick");
-    obs_.pooled_containers = &reg.gauge(
-        "hotc_controller_pooled_containers",
-        "Existing-Available containers at the last adaptive tick");
-    obs_.donor_lookups = &reg.counter(
-        "hotc_share_donor_lookups_total",
-        "Cross-key donor searches on the miss path");
-    obs_.donor_hits = &reg.counter(
-        "hotc_share_donor_hits_total",
-        "Requests served by a re-specialized sibling container");
-    obs_.respec_rejected = &reg.counter(
-        "hotc_share_respec_rejected_total",
-        "Donors rejected by the re-specialization cost gate");
     obs_.respec_duration_ms = &reg.histogram(
         "hotc_share_respec_duration_ms",
         "Donor conversion duration (milliseconds)");
-    obs_.drift_restarts = &reg.counter(
-        "hotc_drift_restarts_total",
-        "Predictor restarts forced by the forecast-drift detector");
     obs_.snapshot_checkpoint_ms = &reg.histogram(
         "hotc_snapshot_checkpoint_duration_ms",
         "Demotion dump duration (milliseconds)");
     obs_.snapshot_restore_ms = &reg.histogram(
         "hotc_snapshot_restore_duration_ms",
         "Checkpoint-restore duration on the miss path (milliseconds)");
-    if (donors_ != nullptr) donors_->attach_metrics(reg);
-    if (store_ != nullptr) store_->attach_metrics(reg);
-    engine_.attach_metrics(reg);
+    collection_ =
+        reg.collect([this](obs::MetricSink& out) { collect(out); });
+  }
+}
+
+void HotCController::collect(obs::MetricSink& out) const {
+  const auto num = [](std::uint64_t v) { return static_cast<double>(v); };
+  const ControllerStats& s = stats_;
+  out.counter("hotc_requests_total", "Requests handled by the controller",
+              num(s.requests));
+  out.counter("hotc_cold_starts_total",
+              "Requests that required a new runtime", num(s.cold_starts));
+  out.counter("hotc_reuses_total", "Requests served from the pool",
+              num(s.reuses));
+  out.counter("hotc_share_donor_lookups_total",
+              "Cross-key donor searches on the miss path",
+              num(s.donor_lookups));
+  out.counter("hotc_share_donor_hits_total",
+              "Requests served by a re-specialized sibling container",
+              num(s.donor_hits));
+  out.counter("hotc_share_respec_rejected_total",
+              "Donors rejected by the re-specialization cost gate",
+              num(s.respec_rejected));
+  // Fractional totals are gauges: the time-series store encodes counters
+  // as integers.
+  out.gauge("hotc_share_respec_seconds",
+            "Conversion time paid across donor hits (seconds)",
+            s.donor_respec_seconds);
+  out.gauge("hotc_cold_start_seconds",
+            "Startup time paid across true cold starts (seconds)",
+            s.cold_start_seconds);
+  out.counter("hotc_restores_total",
+              "Cold misses served by a checkpoint restore", num(s.restores));
+  out.counter("hotc_checkpoints_total",
+              "Demotion dumps taken instead of stops", num(s.checkpoints));
+  out.counter("hotc_controller_prewarm_total",
+              "Algorithm 3 predictive warm-up launches",
+              num(s.prewarm_launches));
+  out.counter("hotc_controller_retire_total",
+              "Pooled runtimes retired by the adaptive loop (no pressure)",
+              num(s.retired));
+  out.counter("hotc_controller_evict_total",
+              "Pooled runtimes evicted under capacity/memory pressure",
+              num(s.evicted));
+  out.counter("hotc_drift_restarts_total",
+              "Predictor restarts forced by the forecast-drift detector",
+              num(s.drift_restarts));
+  out.gauge("hotc_pool_idle_container_seconds",
+            "Accumulated idle container-seconds (cost proxy)",
+            s.idle_container_seconds);
+  out.gauge("hotc_pool_available", "Existing-Available pooled containers",
+            num(pool_.total_available()));
+  out.gauge("hotc_pool_paused", "Frozen pooled containers",
+            num(pool_.paused_count()));
+  keys_.for_each([&out, &num](const KeyState& state) {
+    const std::string label = key_label(state.key);
+    out.counter("hotc_key_requests_total",
+                "Requests handled, per runtime key", num(state.requests),
+                label);
+    out.counter("hotc_key_cold_total",
+                "True cold starts paid, per runtime key",
+                num(state.cold_starts), label);
+  });
+  if (store_ != nullptr) {
+    out.counter("hotc_snapshot_demotes_total",
+                "Runtimes demoted into the checkpoint store",
+                num(store_->demotes()));
+    out.counter("hotc_snapshot_restores_total",
+                "Runtimes restored from the checkpoint store",
+                num(store_->restores()));
+    out.counter("hotc_snapshot_evictions_total",
+                "Snapshots evicted from the checkpoint store",
+                num(store_->evictions()));
+    out.counter("hotc_snapshot_rejected_total",
+                "Snapshot admissions rejected by quota or budget",
+                num(store_->rejected()));
+    out.gauge("hotc_snapshot_store_bytes",
+              "Disk bytes held by the checkpoint store",
+              num(store_->total_bytes()));
+    out.gauge("hotc_snapshot_store_entries",
+              "Snapshots resident in the checkpoint store",
+              num(store_->entries()));
+  }
+  if (donors_ != nullptr) {
+    out.counter("hotc_share_registry_found_total",
+                "Donor lookups that located an idle sibling",
+                num(donors_->found()));
   }
 }
 
@@ -146,18 +211,8 @@ void HotCController::handle_traced(const engine::FunctionHandle& fn,
   const spec::RuntimeKey key =
       options_.use_subset_key ? fn.subset_key() : fn.key;
   KeyState& state = key_state(key, fn);
-  if (options_.registry != nullptr) {
-    if (state.req_counter == nullptr) {
-      state.req_counter = &options_.registry->counter(
-          "hotc_key_requests_total", "Requests handled, per runtime key",
-          key_label(key));
-      state.cold_counter = &options_.registry->counter(
-          "hotc_key_cold_total", "True cold starts paid, per runtime key",
-          key_label(key));
-    }
-    state.req_counter->inc();
-  }
   ++stats_.requests;
+  ++state.requests;
   ++state.busy_now;
   state.interval_peak = std::max(state.interval_peak, state.busy_now);
   ++state.interval_requests;
@@ -204,7 +259,6 @@ bool HotCController::try_donor(std::uint32_t slot) {
   InFlight& f = in_flight_[slot];
   const TimePoint lookup_start = sim_.now();
   ++stats_.donor_lookups;
-  if (obs_.donor_lookups != nullptr) obs_.donor_lookups->inc();
   // The request's side of the price: its cold start and its image, whose
   // missing layers a donor of another tag must fetch.  An unknown image
   // prices as an empty one; its zero cold estimate fails the gate anyway.
@@ -219,7 +273,6 @@ bool HotCController::try_donor(std::uint32_t slot) {
   if (!choice.has_value()) return false;
   if (!choice->viable) {
     ++stats_.respec_rejected;
-    if (obs_.respec_rejected != nullptr) obs_.respec_rejected->inc();
     return false;
   }
 
@@ -259,7 +312,6 @@ void HotCController::converted(std::uint32_t slot,
   const Duration paid = r.value().total();
   ++stats_.donor_hits;
   stats_.donor_respec_seconds += to_seconds(paid);
-  if (obs_.donor_hits != nullptr) obs_.donor_hits->inc();
   if (obs_.respec_duration_ms != nullptr) {
     obs_.respec_duration_ms->observe(to_milliseconds(paid));
   }
@@ -278,10 +330,7 @@ void HotCController::converted(std::uint32_t slot,
 void HotCController::provision_cold(std::uint32_t slot) {
   InFlight& f = in_flight_[slot];
   ++stats_.cold_starts;
-  if (const KeyState* state = keys_.find(f.key.id());
-      state != nullptr && state->cold_counter != nullptr) {
-    state->cold_counter->inc();
-  }
+  if (KeyState* state = keys_.find(f.key.id())) ++state->cold_starts;
   enforce_pressure();  // make room before allocating a new runtime
 
   // Tiered warm state: a demoted runtime parked in the checkpoint store
@@ -517,9 +566,6 @@ void HotCController::retire_entry(const pool::PoolEntry& entry,
     emit_span(0, obs::Stage::kEvict, sim_.now(), kZeroDuration,
               entry.key.hash());
   }
-  if (obs_.retires != nullptr) {
-    (pressure ? obs_.evictions : obs_.retires)->inc();
-  }
   notify_pool_change(entry.key);
   if (plan.has_value()) {
     demote(entry, *plan);
@@ -578,7 +624,6 @@ void HotCController::demote(const pool::PoolEntry& entry,
 
 void HotCController::prewarm(const KeyState& state) {
   ++stats_.prewarm_launches;
-  if (obs_.prewarms != nullptr) obs_.prewarms->inc();
   const TimePoint launch_start = sim_.now();
   engine_.launch(*state.fn, [this, key = state.key,
                              launch_start](Result<engine::LaunchReport> r) {
@@ -651,7 +696,6 @@ void HotCController::adaptive_tick() {
         state.predictor->restart_smoothing();
         state.donation_muted_until = tick_ + options_.drift.cooldown_ticks;
         ++stats_.drift_restarts;
-        if (obs_.drift_restarts != nullptr) obs_.drift_restarts->inc();
         emit_span(0, obs::Stage::kDriftRestart, now, kZeroDuration,
                   key.hash());
       }
@@ -730,9 +774,6 @@ void HotCController::adaptive_tick() {
 
   if (obs_.predicted_containers != nullptr) {
     obs_.predicted_containers->set(static_cast<double>(target_sum));
-    obs_.live_containers->set(static_cast<double>(engine_.live_count()));
-    obs_.pooled_containers->set(
-        static_cast<double>(pool_.total_available()));
   }
 
   if (options_.pause_idle_after > kZeroDuration) pause_stale_entries(now);
@@ -766,19 +807,12 @@ void HotCController::adaptive_tick() {
     options_.journal->append(sum);
   }
 
-  // Ring totals feed the trace_drop_ratio SLO, so sync them just before
-  // the engine evaluates its windows.
-  if (options_.tracer != nullptr) options_.tracer->sync_trace_counters();
-  if (options_.slo != nullptr && options_.tsdb != nullptr) {
-    // One consistent cut shared by the SLO engine and the time-series
-    // store: both see the exact same instrument values, and the tick
-    // tail pays for a single Registry read.
-    const obs::RegistrySnapshot cut = options_.tsdb->registry().snapshot();
-    options_.slo->evaluate_snapshot(tick_, cut);
-    options_.tsdb->sample_snapshot(tick_, cut);
-  } else {
-    if (options_.slo != nullptr) options_.slo->evaluate(tick_);
-    if (options_.tsdb != nullptr) options_.tsdb->sample(tick_);
+  if (options_.slo != nullptr || options_.tsdb != nullptr) {
+    // One registry cut per tick, shared by the SLO engine and the
+    // time-series store: the tick tail's only read of the registry.
+    const obs::RegistrySnapshot cut = options_.registry->snapshot();
+    if (options_.slo != nullptr) options_.slo->evaluate_snapshot(tick_, cut);
+    if (options_.tsdb != nullptr) options_.tsdb->sample_snapshot(tick_, cut);
   }
   if (options_.blackbox != nullptr) {
     options_.blackbox->note_tick(tick_);

@@ -84,15 +84,17 @@ struct ControllerOptions {
   std::uint64_t rng_seed = 1234;
   /// Observability hooks, both optional.  The tracer receives lifecycle
   /// spans (parse, pool lookup, cold start vs reuse, exec, clean,
-  /// readmit...); the registry receives controller metrics (prediction
-  /// error, prewarm/retire/evict counts, pool-size gauges).  Both must
-  /// outlive the controller.
+  /// readmit...); the registry collects the controller's ledgers
+  /// (ControllerStats, per-key counts, pool, checkpoint store and donor
+  /// index) at each snapshot and receives its histograms and prediction
+  /// gauges.  Both must outlive the controller.
   obs::Tracer* tracer = nullptr;
   obs::Registry* registry = nullptr;
   /// Diagnosis layer (all optional, must outlive the controller).  The
   /// journal receives one DecisionRecord per key per adaptive tick plus a
   /// per-tick summary; the SLO engine is evaluated once per tick after
-  /// the decisions land.
+  /// the decisions land, over one snapshot of `registry` (which the SLO
+  /// engine and the time-series store must both read).
   obs::DecisionJournal* journal = nullptr;
   obs::SloEngine* slo = nullptr;
   /// Retained metric history (obs/tsdb.hpp): sampled once per adaptive
@@ -135,7 +137,7 @@ struct ControllerStats {
   std::uint64_t requests = 0;
   /// True cold starts only: a full launch (or checkpoint restore) was paid.
   /// Donor conversions are *not* cold starts — they are attributed to
-  /// donor_hits so the telemetry split stays honest.
+  /// donor_hits so the exported split stays honest.
   std::uint64_t cold_starts = 0;
   std::uint64_t reuses = 0;
   std::uint64_t donor_lookups = 0;    // miss-path cross-key searches
@@ -196,8 +198,8 @@ class HotCController {
   // --- introspection ----------------------------------------------------
   [[nodiscard]] const pool::RuntimePool& runtime_pool() const { return pool_; }
   /// Implementation-agnostic view of the pool — the seam observers
-  /// (telemetry, cluster directory, benches) should prefer, so the sim
-  /// and real paths report through one interface.
+  /// (cluster directory, benches) should prefer, so the sim and real
+  /// paths report through one interface.
   [[nodiscard]] const pool::PoolView& pool_view() const { return pool_; }
   [[nodiscard]] const ControllerStats& stats() const { return stats_; }
   /// Adaptive ticks run so far (the journal's tick ordinal domain).
@@ -234,6 +236,10 @@ class HotCController {
     std::size_t busy_now = 0;       // currently executing containers
     std::size_t interval_peak = 0;  // max busy within the current interval
     std::uint64_t interval_requests = 0;
+    /// All-time requests and true cold starts (hotc_key_requests_total /
+    /// hotc_key_cold_total, the cold-start-ratio SLO's series).
+    std::uint64_t requests = 0;
+    std::uint64_t cold_starts = 0;
     /// Previous tick's forecast, so the next tick can score it against the
     /// demand it was predicting (negative = no forecast made yet).
     double last_forecast = -1.0;
@@ -246,11 +252,6 @@ class HotCController {
     /// Donation nomination stays muted through this tick ordinal after a
     /// drift restart (0 = not muted).
     std::uint64_t donation_muted_until = 0;
-    /// Per-key SLO attribution counters, registered lazily (null when no
-    /// registry is attached): hotc_key_requests_total / hotc_key_cold_total
-    /// feed the cold-start-ratio SLO series.
-    obs::Counter* req_counter = nullptr;
-    obs::Counter* cold_counter = nullptr;
   };
 
   /// The key's state, created (and filed in the tick order and the donor
@@ -342,22 +343,16 @@ class HotCController {
     if (pool_listener_) pool_listener_(key);
   }
 
-  /// Cached instrument handles; all null until a registry is attached via
-  /// ControllerOptions::registry (un-instrumented runs pay one branch).
+  /// The registry collector: every ledger value under its one name.
+  void collect(obs::MetricSink& out) const;
+
+  /// Pushed instruments: histograms and the values no ledger keeps.  All
+  /// null until a registry is attached via ControllerOptions::registry.
   struct Instruments {
-    obs::Counter* prewarms = nullptr;
-    obs::Counter* retires = nullptr;
-    obs::Counter* evictions = nullptr;
     obs::Counter* prediction_samples = nullptr;
     obs::Gauge* prediction_error_sum = nullptr;
     obs::Gauge* predicted_containers = nullptr;
-    obs::Gauge* live_containers = nullptr;
-    obs::Gauge* pooled_containers = nullptr;
-    obs::Counter* donor_lookups = nullptr;
-    obs::Counter* donor_hits = nullptr;
-    obs::Counter* respec_rejected = nullptr;
     obs::LogHistogram* respec_duration_ms = nullptr;
-    obs::Counter* drift_restarts = nullptr;
     obs::LogHistogram* snapshot_checkpoint_ms = nullptr;
     obs::LogHistogram* snapshot_restore_ms = nullptr;
   };
@@ -390,6 +385,7 @@ class HotCController {
   std::uint64_t tick_ = 0;
   /// Donor hits as of the previous tick's summary record.
   std::uint64_t summary_donor_hits_ = 0;
+  obs::Registry::Collection collection_;  // last: unregisters first
 };
 
 }  // namespace hotc

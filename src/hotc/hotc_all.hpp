@@ -14,7 +14,7 @@
 #include "engine/monitor.hpp"        // resource sampling
 #include "faas/platform.hpp"         // gateway + policies + experiment driver
 #include "hotc/controller.hpp"       // the HotC middleware (Algorithms 1-3)
-#include "hotc/telemetry.hpp"        // Prometheus export
+#include "obs/export.hpp"            // Prometheus text + span exports
 #include "predict/baselines.hpp"     // predictor zoo
 #include "predict/holt.hpp"
 #include "predict/hybrid.hpp"

@@ -140,8 +140,54 @@ LogHistogram& Registry::histogram(const std::string& name,
                         labels);
 }
 
+void MetricSink::add(MetricKind kind, std::string name, std::string help,
+                     double value, std::string labels) {
+  MetricSample s;
+  s.name = std::move(name);
+  s.help = std::move(help);
+  s.kind = kind;
+  s.labels = std::move(labels);
+  s.value = value;
+  out_.push_back(std::move(s));
+}
+
+void Registry::Collection::reset() {
+  if (registry_ == nullptr) return;
+  {
+    const RankedGuard lock(registry_->mu_);
+    auto& fns = registry_->collectors_;
+    fns.erase(std::find_if(fns.begin(), fns.end(),
+                           [this](const auto& c) { return c.first == id_; }));
+    ++registry_->collector_epoch_;
+  }
+  registry_ = nullptr;
+}
+
+Registry::~Registry() {
+  const RankedGuard lock(mu_);
+  HOTC_ASSERT_MSG(collectors_.empty(),
+                  "registry destroyed before a collector's owner");
+}
+
+Registry::Collection Registry::collect(Collector fn) {
+  HOTC_ASSERT(fn != nullptr);
+  std::uint64_t id = 0;
+  {
+    const RankedGuard lock(mu_);
+    id = ++collector_epoch_;
+    collectors_.emplace_back(id, std::move(fn));
+  }
+  return Collection(this, id);
+}
+
+std::uint64_t Registry::collector_epoch() const {
+  const RankedGuard lock(mu_);
+  return collector_epoch_;
+}
+
 RegistrySnapshot Registry::snapshot() const {
   RegistrySnapshot out;
+  std::vector<Collector> collectors;
   {
     const RankedGuard lock(mu_);
     out.reserve(entries_.size());
@@ -166,12 +212,33 @@ RegistrySnapshot Registry::snapshot() const {
       }
       out.push_back(std::move(s));
     }
+    collectors.reserve(collectors_.size());
+    for (const auto& c : collectors_) collectors.push_back(c.second);
   }
-  std::sort(out.begin(), out.end(),
-            [](const MetricSample& a, const MetricSample& b) {
-              return a.name != b.name ? a.name < b.name
-                                      : a.labels < b.labels;
-            });
+  // Outside mu_: a collector may take its owner's locks, all of which
+  // rank below the registry's.
+  MetricSink sink(out);
+  for (const Collector& fn : collectors) fn(sink);
+  // Stable: a merged sample keeps the help text of the first registered.
+  std::stable_sort(out.begin(), out.end(),
+                   [](const MetricSample& a, const MetricSample& b) {
+                     return a.name != b.name ? a.name < b.name
+                                             : a.labels < b.labels;
+                   });
+  std::size_t kept = 0;
+  for (MetricSample& s : out) {
+    if (kept > 0 && out[kept - 1].name == s.name &&
+        out[kept - 1].labels == s.labels) {
+      MetricSample& into = out[kept - 1];
+      HOTC_ASSERT_MSG(into.kind == s.kind && s.kind != MetricKind::kHistogram,
+                      "metric collected with a different kind");
+      into.value += s.value;
+      continue;
+    }
+    if (&out[kept] != &s) out[kept] = std::move(s);
+    ++kept;
+  }
+  out.resize(kept);
   return out;
 }
 

@@ -20,18 +20,24 @@
 // lock again.  Handles are stable: instruments live in deques and are
 // never destroyed or moved.
 //
-// snapshot() reads every instrument into plain structs *before* any
-// rendering happens — exporters format from the snapshot, never from live
-// atomics, which is the "single consistent cut" guarantee
-// hotc::export_prometheus documents.
+// A value a module already counts is not mirrored into an instrument:
+// the module registers a collector (collect()) that reads its own ledger
+// into a MetricSink when the registry is snapshotted.  Pushed instruments
+// are for histograms and for values no module keeps.
+//
+// snapshot() reads every instrument and runs every collector into plain
+// structs *before* any rendering happens — exporters format from the
+// snapshot, never from live state.
 #pragma once
 
 #include <atomic>
 #include <bit>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/annotations.hpp"
@@ -178,15 +184,74 @@ struct MetricSample {
   HistogramSnapshot histogram;   // kHistogram only
 };
 
-/// Point-in-time copy of every instrument in a Registry, ordered by
-/// (name, labels).  Everything an exporter needs; no atomics inside.
+/// Point-in-time copy of every instrument and collected value in a
+/// Registry, ordered by (name, labels).  Everything an exporter needs; no
+/// atomics inside.
 using RegistrySnapshot = std::vector<MetricSample>;
+
+/// What a collector appends its values to: one call per value, read from
+/// the owner's own ledger.  Labels are pre-rendered, as for instruments.
+class MetricSink {
+ public:
+  void counter(std::string name, std::string help, double value,
+               std::string labels = "") {
+    add(MetricKind::kCounter, std::move(name), std::move(help), value,
+        std::move(labels));
+  }
+  void gauge(std::string name, std::string help, double value,
+             std::string labels = "") {
+    add(MetricKind::kGauge, std::move(name), std::move(help), value,
+        std::move(labels));
+  }
+
+ private:
+  friend class Registry;
+  explicit MetricSink(RegistrySnapshot& out) : out_(out) {}
+  void add(MetricKind kind, std::string name, std::string help, double value,
+           std::string labels);
+
+  RegistrySnapshot& out_;
+};
 
 class Registry {
  public:
+  using Collector = std::function<void(MetricSink&)>;
+
+  /// A registered collector; destroying the handle (or assigning over
+  /// it) unregisters it.  Move-only.
+  class Collection {
+   public:
+    Collection() = default;
+    Collection(Collection&& other) noexcept
+        : registry_(std::exchange(other.registry_, nullptr)),
+          id_(other.id_) {}
+    Collection& operator=(Collection&& other) noexcept {
+      if (this != &other) {
+        reset();
+        registry_ = std::exchange(other.registry_, nullptr);
+        id_ = other.id_;
+      }
+      return *this;
+    }
+    Collection(const Collection&) = delete;
+    Collection& operator=(const Collection&) = delete;
+    ~Collection() { reset(); }
+
+   private:
+    friend class Registry;
+    Collection(Registry* registry, std::uint64_t id)
+        : registry_(registry), id_(id) {}
+    void reset();
+
+    Registry* registry_ = nullptr;
+    std::uint64_t id_ = 0;
+  };
+
   Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
+  /// Asserts that every collector's handle is gone (see collect()).
+  ~Registry();
 
   /// Find-or-create.  The returned reference is valid for the Registry's
   /// lifetime; callers cache it and increment without further lookups.
@@ -198,11 +263,31 @@ class Registry {
   LogHistogram& histogram(const std::string& name, const std::string& help,
                           const std::string& labels = "");
 
-  /// Read every instrument once, before any formatting: the consistent
-  /// cut that exporters render from.
+  /// Register `fn` to append its owner's values at every snapshot().
+  ///
+  /// Lifetime: the registry outlives every owner, and an owner's handle
+  /// goes before the owner does (keep it as the owner's last member).
+  /// Threads: snapshot() runs collectors on the caller's thread, without
+  /// the registry lock held, so a collector may take its owner's locks of
+  /// any rank; a collector that reads plain fields needs its snapshots
+  /// taken on the thread that writes them (the simulator thread), and a
+  /// handle must not be destroyed while another thread snapshots.
+  [[nodiscard]] Collection collect(Collector fn);
+
+  /// Read every instrument, then run every collector, before any
+  /// formatting: the cut that exporters render from.  Samples that share
+  /// (name, labels) are summed, so several owners' values of one family
+  /// (a cluster's nodes) merge into one total; their kinds must agree.
   [[nodiscard]] RegistrySnapshot snapshot() const;
 
+  /// Pushed instruments registered so far (collected values not counted).
   [[nodiscard]] std::size_t size() const;
+
+  /// Bumped whenever a collector is registered or unregistered: with the
+  /// pushed instruments append-only and each collector's samples only
+  /// growing, an unchanged epoch and sample count mean an unchanged
+  /// snapshot layout.
+  [[nodiscard]] std::uint64_t collector_epoch() const;
 
  private:
   struct Entry {
@@ -230,6 +315,10 @@ class Registry {
   std::deque<Counter> counters_ HOTC_GUARDED_BY(mu_);
   std::deque<Gauge> gauges_ HOTC_GUARDED_BY(mu_);
   std::deque<LogHistogram> histograms_ HOTC_GUARDED_BY(mu_);
+  /// By id; an id is the epoch its registration started.
+  std::vector<std::pair<std::uint64_t, Collector>> collectors_
+      HOTC_GUARDED_BY(mu_);
+  std::uint64_t collector_epoch_ HOTC_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace hotc::obs

@@ -244,22 +244,7 @@ StageScope::~StageScope() {
 
 // ---- Profiler lifecycle --------------------------------------------
 
-struct Profiler::Published {
-  std::map<std::string, std::uint64_t> last;
-  // Delta-publish a monotone total into a registry counter.
-  void push(Registry& registry, const std::string& name,
-            const std::string& help, const std::string& labels,
-            std::uint64_t total) {
-    std::uint64_t& prev = last[name + "{" + labels + "}"];
-    if (total > prev) {
-      registry.counter(name, help, labels).inc(total - prev);
-      prev = total;
-    }
-  }
-};
-
-Profiler::Profiler(ProfOptions options)
-    : options_(options), published_(std::make_unique<Published>()) {}
+Profiler::Profiler(ProfOptions options) : options_(options) {}
 
 Profiler::~Profiler() { stop(); }
 
@@ -444,44 +429,6 @@ double ProfSnapshot::band_wait_share(std::uint32_t band) const {
 }
 
 // ---- renderers ------------------------------------------------------
-
-void Profiler::publish(Registry& registry, const ProfSnapshot& snap) {
-  Published& pub = *published_;
-  for (const ContentionEntry& entry : snap.contention) {
-    char labels[160];
-    std::snprintf(labels, sizeof(labels),
-                  "band=\"%u\",site=\"%s\",stage=\"%s\"", entry.band,
-                  entry.site, stage_frame_name(entry.stage));
-    pub.push(registry, "hotc_prof_lock_waits_total",
-             "Contended ranked-mutex acquisitions", labels, entry.count);
-    pub.push(registry, "hotc_prof_lock_wait_ns_total",
-             "Time blocked on contended ranked mutexes (ns)", labels,
-             entry.wait_ns);
-  }
-  for (const TaskEntry& entry : snap.tasks) {
-    char labels[96];
-    std::snprintf(labels, sizeof(labels), "tag=\"%s\"", entry.tag);
-    pub.push(registry, "hotc_prof_tasks_total",
-             "Thread-pool tasks profiled", labels, entry.count);
-    pub.push(registry, "hotc_prof_task_queue_ns_total",
-             "Thread-pool queue delay (ns)", labels, entry.queue_ns);
-    pub.push(registry, "hotc_prof_task_run_ns_total",
-             "Thread-pool task run time (ns)", labels, entry.run_ns);
-  }
-  pub.push(registry, "hotc_prof_seqlock_retries_total",
-           "SeqLock read retries observed by the profiler", "",
-           snap.seqlock_retries);
-  pub.push(registry, "hotc_prof_sampler_polls_total",
-           "Stage-sampler sweep count", "", snap.sampler_polls);
-  for (std::size_t s = 0; s < snap.stage_samples.size(); ++s) {
-    char labels[64];
-    std::snprintf(labels, sizeof(labels), "stage=\"%s\"",
-                  stage_frame_name(static_cast<int>(s)));
-    pub.push(registry, "hotc_prof_stage_samples_total",
-             "Stage-sampler hits per lifecycle stage", labels,
-             snap.stage_samples[s]);
-  }
-}
 
 std::string Profiler::to_folded(const ProfSnapshot& snap) {
   std::string out;

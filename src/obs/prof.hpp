@@ -41,12 +41,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace hotc::obs {
@@ -109,7 +107,7 @@ struct ProfSnapshot {
 
 /// The profiler facade.  Collector state is process-global (static in
 /// prof.cpp) so hooks stay valid across instance lifetimes; the
-/// instance owns options, the sampler thread, and publish bookkeeping.
+/// instance owns options and the sampler thread.
 /// One profiler may run at a time (start() on a second instance while
 /// another runs is a no-op returning false).
 class Profiler {
@@ -135,10 +133,6 @@ class Profiler {
 
   [[nodiscard]] ProfSnapshot snapshot() const;
 
-  /// Mirror a snapshot into `registry` as hotc_prof_* counters
-  /// (delta-published: safe to call repeatedly from one thread).
-  void publish(Registry& registry, const ProfSnapshot& snap);
-
   /// Collapsed-stack rendering: "frame;frame;frame value" lines, values
   /// in estimated microseconds (sampler hits × period; waits rounded
   /// up to ≥1 µs so rare-but-real contention survives integer floors).
@@ -160,9 +154,6 @@ class Profiler {
   std::thread sampler_;
   std::atomic<bool> stop_requested_{false};
   bool running_ = false;
-  // publish() delta bookkeeping: last value pushed per metric key.
-  struct Published;
-  std::unique_ptr<Published> published_;
 };
 
 /// Scoped stage marker for the sampler + contention attribution.  Keeps

@@ -17,12 +17,27 @@ std::string series_labels(const std::string& slo, const std::string& labels) {
 
 SloEngine::SloEngine(Registry& registry, std::vector<SloSpec> specs,
                      SloEngineOptions options)
-    : registry_(registry),
-      specs_(std::move(specs)),
-      options_(options),
-      alerts_total_(registry.counter(
-          "hotc_slo_alerts_total",
-          "Burn-rate alerts fired (fast AND slow window over budget)")) {}
+    : registry_(registry), specs_(std::move(specs)), options_(options) {
+  collection_ = registry_.collect([this](MetricSink& out) {
+    const RankedGuard lock(mu_);
+    out.counter("hotc_slo_alerts_total",
+                "Burn-rate alerts fired (fast AND slow window over budget)",
+                static_cast<double>(alerts_));
+    for (const auto& entry : series_) {
+      const SloStatus& st = entry.second.last;
+      const std::string base = series_labels(st.slo, st.labels);
+      out.gauge("hotc_slo_value", "Windowed SLO value (ratio or quantile)",
+                st.value, base);
+      out.gauge("hotc_slo_burn_rate", "Error-budget burn rate", st.fast_burn,
+                base + ",window=\"fast\"");
+      out.gauge("hotc_slo_burn_rate", "Error-budget burn rate", st.slow_burn,
+                base + ",window=\"slow\"");
+      out.gauge("hotc_slo_firing",
+                "1 while the burn-rate alert condition holds",
+                st.firing ? 1.0 : 0.0, base);
+    }
+  });
+}
 
 void SloEngine::evaluate(std::uint64_t tick) {
   evaluate_snapshot(tick, registry_.snapshot());
@@ -96,23 +111,6 @@ void SloEngine::evaluate_series(std::uint64_t tick, const SloSpec& spec,
   const std::size_t spec_idx =
       static_cast<std::size_t>(&spec - specs_.data());
   Series& series = series_[{spec_idx, labels}];
-  if (series.value_gauge == nullptr) {
-    // Lazy registration: legal while holding mu_ because kObsDiagnosis
-    // sits below kObsRegistry in the lock order.
-    const std::string base = series_labels(spec.name, labels);
-    series.value_gauge = &registry_.gauge(
-        "hotc_slo_value", "Windowed SLO value (ratio or quantile)", base);
-    series.fast_gauge =
-        &registry_.gauge("hotc_slo_burn_rate", "Error-budget burn rate",
-                         base + ",window=\"fast\"");
-    series.slow_gauge =
-        &registry_.gauge("hotc_slo_burn_rate", "Error-budget burn rate",
-                         base + ",window=\"slow\"");
-    series.firing_gauge = &registry_.gauge(
-        "hotc_slo_firing", "1 while the burn-rate alert condition holds",
-        base);
-  }
-
   series.ring.push_back(std::move(current));
   while (series.ring.size() > options_.slow_window + 1) {
     series.ring.pop_front();
@@ -140,15 +138,10 @@ void SloEngine::evaluate_series(std::uint64_t tick, const SloSpec& spec,
   series.last.firing = firing;
   series.last.ticks = series.ticks;
 
-  series.value_gauge->set(value);
-  series.fast_gauge->set(fast);
-  series.slow_gauge->set(slow);
-  series.firing_gauge->set(firing ? 1.0 : 0.0);
-
   // Alert on the firing *edge* only — a sustained violation is one page,
   // not one per tick.
   if (firing && !was_firing) {
-    alerts_total_.inc();
+    ++alerts_;
     alert_ring_.push_back(SloAlert{tick, spec.name, labels, fast, slow});
     while (alert_ring_.size() > options_.alert_capacity) {
       alert_ring_.pop_front();
@@ -160,7 +153,7 @@ void SloEngine::raise_anomaly(std::uint64_t tick, const std::string& series,
                               const std::string& labels, double zscore,
                               double delta) {
   const RankedGuard lock(mu_);
-  alerts_total_.inc();
+  ++alerts_;
   alert_ring_.push_back(
       SloAlert{tick, series, labels, zscore, delta, AlertKind::kAnomaly});
   while (alert_ring_.size() > options_.alert_capacity) {
@@ -182,7 +175,8 @@ std::vector<SloAlert> SloEngine::alerts() const {
 }
 
 std::uint64_t SloEngine::alerts_fired() const {
-  return alerts_total_.value();
+  const RankedGuard lock(mu_);
+  return alerts_;
 }
 
 std::vector<SloSpec> default_slos(double cold_ratio_objective, double p99_ms,

@@ -9,11 +9,12 @@
 //   kQuantile  histogram quantile (p99, p999, ...) must stay below
 //              `objective` — e.g. end-to-end request latency.
 //
-// Each adaptive tick, SloEngine::evaluate() takes one Registry snapshot
-// (the exporter's consistent cut) and appends the cumulative counts to a
-// per-series ring.  Burn rate is the windowed value over the objective —
-// burn 1.0 exactly consumes the error budget, burn >= fire_factor means
-// the budget drains fire_factor times too fast.  Two windows are kept:
+// Each adaptive tick the controller hands evaluate_snapshot() the tick's
+// one Registry snapshot (evaluate() takes its own), and the engine
+// appends the cumulative counts to a per-series ring.  Burn rate is the
+// windowed value over the objective — burn 1.0 exactly consumes the
+// error budget, burn >= fire_factor means the budget drains fire_factor
+// times too fast.  Two windows are kept:
 //   fast  (default 5 ticks)   catches a current, ongoing violation;
 //   slow  (default 60 ticks)  requires the violation to be sustained.
 // An alert fires only when BOTH windows burn at >= fire_factor AND the
@@ -22,11 +23,11 @@
 // keeps warm-up cold starts (100 % cold ratio on tick one, by design)
 // from firing before the denominator means anything.
 //
-// Results are exported as hotc_slo_* gauges through the same Registry and
-// mirrored in a bounded alert ring for hotc_top.  Engine state lives
-// under LockRank::kObsDiagnosis — numerically below the registry band, so
-// evaluate() may lazily register per-series gauges (band kObsRegistry)
-// while holding its own lock.
+// Results are kept per series and in a bounded alert ring for hotc_top;
+// the engine's registry collector exports them as hotc_slo_* gauges (and
+// the alert count) at each snapshot.  Engine state lives under
+// LockRank::kObsDiagnosis, which the collector takes during a snapshot —
+// numerically below the registry band, which a snapshot releases first.
 #pragma once
 
 #include <cstdint>
@@ -121,6 +122,7 @@ class SloEngine {
   [[nodiscard]] std::vector<SloAlert> alerts() const;
   [[nodiscard]] std::uint64_t alerts_fired() const;
   [[nodiscard]] const std::vector<SloSpec>& specs() const { return specs_; }
+  [[nodiscard]] Registry& registry() const { return registry_; }
 
  private:
   struct Sample {  // one tick's cumulative reading for one series
@@ -133,10 +135,6 @@ class SloEngine {
     std::deque<Sample> ring;  // newest at back; slow_window + 1 entries
     std::uint64_t ticks = 0;
     SloStatus last;
-    Gauge* value_gauge = nullptr;
-    Gauge* fast_gauge = nullptr;
-    Gauge* slow_gauge = nullptr;
-    Gauge* firing_gauge = nullptr;
   };
 
   void evaluate_series(std::uint64_t tick, const SloSpec& spec,
@@ -149,12 +147,13 @@ class SloEngine {
   Registry& registry_;
   std::vector<SloSpec> specs_;
   SloEngineOptions options_;
-  Counter& alerts_total_;
 
   mutable RankedMutex mu_{LockRank::kObsDiagnosis, 0, "obs.slo"};
   std::map<std::pair<std::size_t, std::string>, Series> series_
       HOTC_GUARDED_BY(mu_);
   std::deque<SloAlert> alert_ring_ HOTC_GUARDED_BY(mu_);
+  std::uint64_t alerts_ HOTC_GUARDED_BY(mu_) = 0;  // alerts_fired()
+  Registry::Collection collection_;  // last: unregisters first
 };
 
 /// The stock HotC objectives (ISSUE 5): per-key cold-start ratio,

@@ -50,25 +50,16 @@ Tracer::Tracer(std::size_t ring_capacity, Registry* registry)
           std::string("stage=\"") + to_string(static_cast<Stage>(s)) +
               "\"");
     }
-    recorded_counter_ = &registry_->counter(
-        "hotc_trace_recorded_total", "Spans published to the flight ring");
-    dropped_counter_ = &registry_->counter(
-        "hotc_trace_dropped_total",
-        "Spans dropped because a writer of another ring cycle held their slot");
-  }
-}
-
-void Tracer::sync_trace_counters() {
-  if (recorded_counter_ == nullptr) return;
-  const std::uint64_t recorded = ring_.recorded();
-  const std::uint64_t dropped = ring_.dropped();
-  if (recorded > recorded_synced_) {
-    recorded_counter_->inc(recorded - recorded_synced_);
-    recorded_synced_ = recorded;
-  }
-  if (dropped > dropped_synced_) {
-    dropped_counter_->inc(dropped - dropped_synced_);
-    dropped_synced_ = dropped;
+    collection_ = registry_->collect([this](MetricSink& out) {
+      out.counter("hotc_trace_recorded_total",
+                  "Spans published to the flight ring",
+                  static_cast<double>(ring_.recorded()));
+      out.counter(
+          "hotc_trace_dropped_total",
+          "Spans dropped because a writer of another ring cycle held their "
+          "slot",
+          static_cast<double>(ring_.dropped()));
+    });
   }
 }
 

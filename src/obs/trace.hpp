@@ -9,7 +9,8 @@
 //     last N spans, so the recent past is inspectable post-mortem (JSONL
 //     or chrome://tracing dumps) at near-zero steady-state cost;
 //   * per-stage LogHistograms in the metrics Registry (when one is
-//     attached), so Prometheus scrapes see stage latency distributions.
+//     attached), so Prometheus scrapes see stage latency distributions;
+//     the registry also collects the ring's recorded and dropped totals.
 //
 // The ring is obs::SeqRing (obs/seq_ring.hpp): multi-writer safe
 // without locks, readable while written, decodable from a crash dump.
@@ -98,7 +99,8 @@ using FlightRecorder = SeqRing<SpanRecord>;
 class Tracer {
  public:
   /// `registry` may be null (ring only).  When given, each recorded span
-  /// also feeds `hotc_stage_duration_ms{stage="..."}`.
+  /// also feeds `hotc_stage_duration_ms{stage="..."}`, and snapshots read
+  /// the ring's totals as hotc_trace_{recorded,dropped}_total.
   explicit Tracer(std::size_t ring_capacity = 4096,
                   Registry* registry = nullptr);
 
@@ -159,24 +161,14 @@ class Tracer {
   [[nodiscard]] const FlightRecorder& recorder() const { return ring_; }
   [[nodiscard]] Registry* registry() const { return registry_; }
 
-  /// Delta-sync the ring's recorded()/dropped() totals into
-  /// hotc_trace_recorded_total / hotc_trace_dropped_total.  Called once
-  /// per adaptive tick (never per span: the span hot path stays inside
-  /// the Fig. 15 tracing budget).  Safe from one caller at a time — the
-  /// controller tick is the single stock caller.
-  void sync_trace_counters();
-
  private:
   FlightRecorder ring_;
   Registry* registry_;
   LogHistogram* stage_hist_[kStageCount] = {};
-  Counter* recorded_counter_ = nullptr;
-  Counter* dropped_counter_ = nullptr;
-  std::uint64_t recorded_synced_ = 0;
-  std::uint64_t dropped_synced_ = 0;
   std::atomic<bool> enabled_{true};
   std::atomic<bool> exemplars_{true};
   std::atomic<std::uint64_t> next_id_{0};
+  Registry::Collection collection_;  // last: unregisters first
 };
 
 }  // namespace hotc::obs

@@ -99,29 +99,33 @@ TimeSeriesStore::TimeSeriesStore(Registry& registry, TsdbOptions options,
                                  SloEngine* slo)
     : registry_(registry),
       options_(options),
-      slo_(slo),
-      samples_total_(registry.counter(
-          "hotc_tsdb_samples_total",
-          "Registry snapshots appended to the time-series store")),
-      evicted_total_(registry.counter(
-          "hotc_tsdb_frames_evicted_total",
-          "Frames evicted to stay inside the byte/frame budget")),
-      anomaly_checks_total_(registry.counter(
-          "hotc_anomaly_checks_total",
-          "Per-series per-tick MAD/z-score evaluations")),
-      anomaly_events_total_(registry.counter(
-          "hotc_anomaly_events_total",
-          "Metric anomalies fired into the SLO alert ring")),
-      frames_gauge_(registry.gauge("hotc_tsdb_frames",
-                                   "Frames currently retained")),
-      bytes_gauge_(registry.gauge("hotc_tsdb_bytes",
-                                  "Payload ring bytes currently in use")),
-      series_gauge_(registry.gauge("hotc_tsdb_series",
-                                   "Series registered in the flat table")) {
+      slo_(slo) {
   options_.frame_capacity = std::max<std::size_t>(options_.frame_capacity, 2);
   options_.ring_bytes = std::max<std::size_t>(options_.ring_bytes, 4096);
   options_.max_series = std::max<std::size_t>(options_.max_series, 16);
   options_.anomaly_window = std::max<std::size_t>(options_.anomaly_window, 4);
+  collection_ = registry_.collect([this](MetricSink& out) {
+    const RankedGuard lock(mu_);
+    const auto num = [](std::uint64_t v) { return static_cast<double>(v); };
+    out.counter("hotc_tsdb_samples_total",
+                "Registry snapshots appended to the time-series store",
+                num(meta_.samples));
+    out.counter("hotc_tsdb_frames_evicted_total",
+                "Frames evicted to stay inside the byte/frame budget",
+                num(meta_.frames_evicted));
+    out.counter("hotc_anomaly_checks_total",
+                "Per-series per-tick MAD/z-score evaluations",
+                num(anomaly_checks_));
+    out.counter("hotc_anomaly_events_total",
+                "Metric anomalies fired into the SLO alert ring",
+                num(anomaly_events_));
+    out.gauge("hotc_tsdb_frames", "Frames currently retained",
+              num(meta_.frame_count));
+    out.gauge("hotc_tsdb_bytes", "Payload ring bytes currently in use",
+              num(meta_.ring_used));
+    out.gauge("hotc_tsdb_series", "Series registered in the flat table",
+              num(meta_.series_count));
+  });
   const RankedGuard lock(mu_);
   // Sized once, never resized: the BlackBox dumper captures raw pointers
   // into these buffers at attach time.
@@ -177,11 +181,14 @@ void TimeSeriesStore::sample_snapshot(std::uint64_t tick,
                                       const RegistrySnapshot& snap) {
   const RankedGuard lock(mu_);
   std::uint8_t var[10];
-  // Resolve snapshot positions to series ids only when the registry
-  // grew: it is append-only and the snapshot sorted by (name, labels),
-  // so an unchanged count means an unchanged order, and the steady-state
-  // tick pays zero string lookups.
-  if (snap.size() != snap_sids_.size()) {
+  // Resolve snapshot positions to series ids only when the layout may
+  // have changed: pushed instruments are append-only, a collector's
+  // samples only grow and the snapshot is sorted by (name, labels), so an
+  // unchanged count and collector epoch mean an unchanged order, and the
+  // steady-state tick pays zero string lookups.
+  const std::uint64_t epoch = registry_.collector_epoch();
+  if (snap.size() != snap_sids_.size() || epoch != snap_epoch_) {
+    snap_epoch_ = epoch;
     snap_sids_.clear();
     snap_sids_.reserve(snap.size());
     for (const MetricSample& s : snap) {
@@ -305,14 +312,6 @@ void TimeSeriesStore::sample_snapshot(std::uint64_t tick,
   append_frame(tick, encoded);
   meta_.last_tick = tick;
   ++meta_.samples;
-  if (checks_batch_ != 0) {
-    anomaly_checks_total_.inc(checks_batch_);
-    checks_batch_ = 0;
-  }
-  samples_total_.inc();
-  frames_gauge_.set(static_cast<double>(meta_.frame_count));
-  bytes_gauge_.set(static_cast<double>(meta_.ring_used));
-  series_gauge_.set(static_cast<double>(meta_.series_count));
 }
 
 void TimeSeriesStore::append_frame(std::uint64_t tick,
@@ -360,7 +359,6 @@ void TimeSeriesStore::evict_oldest_frame() {
   meta_.frame_head = (meta_.frame_head + 1) % options_.frame_capacity;
   --meta_.frame_count;
   ++meta_.frames_evicted;
-  evicted_total_.inc();
 }
 
 void TimeSeriesStore::observe_delta(std::size_t sid, std::uint64_t tick,
@@ -372,9 +370,7 @@ void TimeSeriesStore::observe_delta(std::size_t sid, std::uint64_t tick,
     st.seeded = true;
     return;
   }
-  // Batched into one atomic add per frame by sample_snapshot: a per-series
-  // fetch_add would cost more than the whole quiet-path check it counts.
-  ++checks_batch_;
+  ++anomaly_checks_;
   // Idle-series exit: a zero delta into a saturated all-zero window can
   // neither fire nor change any estimate — most of a steady registry
   // takes this branch every tick.
@@ -402,7 +398,7 @@ void TimeSeriesStore::observe_delta(std::size_t sid, std::uint64_t tick,
     if (z >= options_.anomaly_threshold &&
         std::abs(delta - median) >= anomaly_floor(options_, median)) {
       st.cooldown_until = tick + options_.anomaly_cooldown;
-      anomaly_events_total_.inc();
+      ++anomaly_events_;
       AnomalyEvent ev;
       ev.tick = tick;
       ev.series = st.name;

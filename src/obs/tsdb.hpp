@@ -1,8 +1,8 @@
 // Retained metric history: a fixed-footprint in-memory time-series store.
 //
 // Once per adaptive tick the controller hands the store the same
-// consistent Registry cut the SLO engine evaluates (one snapshot feeds
-// both — the tick tail pays for a single read of every instrument).  The
+// Registry cut the SLO engine evaluates (one snapshot feeds both — the
+// tick tail pays for a single read of every instrument and collector).  The
 // store appends one *frame* per tick into a byte ring:
 //
 //   counters       delta-of-delta, zigzag varint.  Steady traffic has
@@ -39,8 +39,9 @@
 //
 // Locking: one RankedMutex in the new kObsTsdb band (65) — below
 // kObsDiagnosis (70) so the detector may push alerts while sampling, and
-// below kObsRegistry (80) so construction may register the hotc_tsdb_*
-// instruments.  Queries take the same lock; the sampler is
+// below kObsRegistry (80) so a sample may read the registry's collector
+// epoch.  The store's own totals (hotc_tsdb_*, hotc_anomaly_*) are read
+// under it by the store's registry collector.  Queries take the same lock; the sampler is
 // single-writer by contract (the controller tick), queries may race it
 // freely.
 #pragma once
@@ -313,15 +314,6 @@ class TimeSeriesStore {
   TsdbOptions options_;
   SloEngine* slo_;
 
-  // Cached instruments (registered once at construction).
-  Counter& samples_total_;
-  Counter& evicted_total_;
-  Counter& anomaly_checks_total_;
-  Counter& anomaly_events_total_;
-  Gauge& frames_gauge_;
-  Gauge& bytes_gauge_;
-  Gauge& series_gauge_;
-
   mutable RankedMutex mu_{LockRank::kObsTsdb, 0, "obs.tsdb"};
   // Fixed buffers (never resized after construction: the BlackBox holds
   // raw pointers into them).
@@ -337,18 +329,19 @@ class TimeSeriesStore {
   // reuse lookup_'s capacity instead of building a pair of string copies.
   std::map<std::string, std::size_t> index_ HOTC_GUARDED_BY(mu_);
   std::string lookup_ HOTC_GUARDED_BY(mu_);
-  // Snapshot-position -> sid cache.  The registry is append-only and
-  // RegistrySnapshot is sorted by (name, labels), so an unchanged
-  // sample count means an unchanged order; the per-tick loop then skips
-  // every string lookup.  Rebuilt whenever the count changes.
+  // Snapshot-position -> sid cache (see sample_snapshot): the per-tick
+  // loop skips every string lookup.  Rebuilt whenever the sample count or
+  // the registry's collector epoch changes.
   std::vector<std::size_t> snap_sids_ HOTC_GUARDED_BY(mu_);
-  // Anomaly checks since the last frame flush; folded into
-  // anomaly_checks_total_ with one atomic add per sample_snapshot.
-  std::uint64_t checks_batch_ HOTC_GUARDED_BY(mu_) = 0;
+  std::uint64_t snap_epoch_ HOTC_GUARDED_BY(mu_) = 0;
+  // Per-series anomaly judgements and fired anomalies, all time.
+  std::uint64_t anomaly_checks_ HOTC_GUARDED_BY(mu_) = 0;
+  std::uint64_t anomaly_events_ HOTC_GUARDED_BY(mu_) = 0;
   // Reused encode scratch: per-series body, assembled frame payload.
   std::vector<std::uint8_t> scratch_ HOTC_GUARDED_BY(mu_);
   std::vector<std::uint8_t> payload_ HOTC_GUARDED_BY(mu_);
   std::deque<AnomalyEvent> anomaly_ring_ HOTC_GUARDED_BY(mu_);
+  Registry::Collection collection_;  // last: unregisters first
 };
 
 }  // namespace hotc::obs

@@ -1,5 +1,5 @@
 // Read-only pool interface: the seam between pool implementations and
-// their observers (controller introspection, telemetry export, the cluster
+// their observers (controller introspection, metrics collectors, the cluster
 // warm directory, benches, the conservation audit).
 //
 // Both the single-threaded RuntimePool (HotCController's pool) and the

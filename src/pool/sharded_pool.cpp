@@ -26,35 +26,6 @@ ShardedRuntimePool::ShardedRuntimePool(PoolLimits limits,
   }
 }
 
-void ShardedRuntimePool::attach_metrics(obs::Registry& registry) {
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const std::string label = "shard=\"" + std::to_string(i) + "\"";
-    ShardMetrics& m = shards_[i]->metrics;
-    // Release stores: the lock-free fast-miss path may observe these from
-    // another thread mid-registration; each pointer is independently valid.
-    m.hits.store(&registry.counter("hotc_pool_shard_hits_total",
-                                   "Pool acquires served warm, per shard",
-                                   label),
-                 std::memory_order_release);
-    m.misses.store(&registry.counter("hotc_pool_shard_misses_total",
-                                     "Pool acquires that found nothing, "
-                                     "per shard",
-                                     label),
-                   std::memory_order_release);
-    m.evictions.store(
-        &registry.counter(
-            "hotc_pool_shard_evictions_total",
-            "Pooled runtimes removed outside the acquire path, per shard",
-            label),
-        std::memory_order_release);
-    m.steals.store(
-        &registry.counter(
-            "hotc_pool_shard_steals_total",
-            "Victims taken from this shard by cross-shard selection", label),
-        std::memory_order_release);
-  }
-}
-
 std::optional<PoolEntry> ShardedRuntimePool::acquire(
     const spec::RuntimeKey& key, TimePoint now) {
   Shard& shard = shard_for(key);
@@ -65,22 +36,11 @@ std::optional<PoolEntry> ShardedRuntimePool::acquire(
   // (avail == 0 iff the locked path would miss).
   if (shard.pool.num_available(key) == 0) {
     shard.fast_misses.fetch_add(1, std::memory_order_relaxed);
-    obs::Counter* misses =
-        shard.metrics.misses.load(std::memory_order_acquire);
-    if (misses != nullptr) misses->inc();
     return std::nullopt;
   }
   const RankedGuard lock(shard.mu);
-  std::optional<PoolEntry> out;
-  {
-    const SeqLock::WriteGuard guard(shard.seq);
-    out = shard.pool.acquire(key, now);
-  }
-  obs::Counter* counter =
-      (out.has_value() ? shard.metrics.hits : shard.metrics.misses)
-          .load(std::memory_order_acquire);
-  if (counter != nullptr) counter->inc();
-  return out;
+  const SeqLock::WriteGuard guard(shard.seq);
+  return shard.pool.acquire(key, now);
 }
 
 std::optional<PoolEntry> ShardedRuntimePool::acquire_for_donation(
@@ -107,17 +67,8 @@ bool ShardedRuntimePool::remove(const spec::RuntimeKey& key,
                                 engine::ContainerId id) {
   Shard& shard = shard_for(key);
   const RankedGuard lock(shard.mu);
-  bool out = false;
-  {
-    const SeqLock::WriteGuard guard(shard.seq);
-    out = shard.pool.remove(key, id);
-  }
-  if (out) {
-    obs::Counter* evictions =
-        shard.metrics.evictions.load(std::memory_order_acquire);
-    if (evictions != nullptr) evictions->inc();
-  }
-  return out;
+  const SeqLock::WriteGuard guard(shard.seq);
+  return shard.pool.remove(key, id);
 }
 
 bool ShardedRuntimePool::remove_for_checkpoint(const spec::RuntimeKey& key,
@@ -161,40 +112,22 @@ std::optional<PoolEntry> ShardedRuntimePool::select_victim(
     std::size_t target = rng->index(total);
     for (const auto& shard : shards_) {
       const std::size_t n = shard->pool.total_available();
-      if (target < n) {
-        auto out = shard->pool.entry_at(target);
-        obs::Counter* steals =
-            shard->metrics.steals.load(std::memory_order_acquire);
-        if (out.has_value() && steals != nullptr) steals->inc();
-        return out;
-      }
+      if (target < n) return shard->pool.entry_at(target);
       target -= n;
     }
     return std::nullopt;  // unreachable
   }
 
   std::optional<PoolEntry> best;
-  const Shard* best_shard = nullptr;
   for (const auto& shard : shards_) {
     auto candidate = shard->pool.select_victim(policy);
     if (!candidate.has_value()) continue;
-    if (!best.has_value()) {
-      best = std::move(candidate);
-      best_shard = shard.get();
-      continue;
-    }
-    const bool older = policy == EvictionPolicy::kOldestFirst
-                           ? candidate->created_at < best->created_at
-                           : candidate->returned_at < best->returned_at;
-    if (older) {
-      best = std::move(candidate);
-      best_shard = shard.get();
-    }
-  }
-  if (best_shard != nullptr) {
-    obs::Counter* steals =
-        best_shard->metrics.steals.load(std::memory_order_acquire);
-    if (steals != nullptr) steals->inc();
+    const bool older =
+        !best.has_value() ||
+        (policy == EvictionPolicy::kOldestFirst
+             ? candidate->created_at < best->created_at
+             : candidate->returned_at < best->returned_at);
+    if (older) best = std::move(candidate);
   }
   return best;
 }

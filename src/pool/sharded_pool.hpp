@@ -47,7 +47,6 @@
 #include "core/seqlock.hpp"
 #include "core/time.hpp"
 #include "engine/container.hpp"
-#include "obs/metrics.hpp"
 #include "pool/eviction.hpp"
 #include "pool/pool.hpp"
 #include "spec/runtime_key.hpp"
@@ -129,32 +128,9 @@ class ShardedRuntimePool : public PoolView {
                : static_cast<std::size_t>(h % shards_.size());
   }
 
-  /// Register per-shard hit/miss/evict/steal counters
-  /// (`hotc_pool_shard_*_total{shard="i"}`) with the registry and start
-  /// feeding them.  The hot path pays one relaxed increment per op; with
-  /// no registry attached (the default) it pays one null check.  The
-  /// registry must outlive the pool.
-  void attach_metrics(obs::Registry& registry);
-
   void clear() HOTC_NO_THREAD_SAFETY_ANALYSIS;  // holds the lock_all() batch
 
  private:
-  /// Cached instrument handles for one shard; written once by
-  /// attach_metrics, read by every mutation — no registry lookups on the
-  /// hot path.  Atomic pointers because the fast-miss path reads them
-  /// without the shard lock (obs::Counter::inc is itself a relaxed
-  /// fetch_add, safe from any thread).
-  struct ShardMetrics {
-    std::atomic<obs::Counter*> hits{nullptr};
-    std::atomic<obs::Counter*> misses{nullptr};
-    std::atomic<obs::Counter*> evictions{nullptr};  // removals
-    std::atomic<obs::Counter*> steals{nullptr};  // victims taken by
-                                                 // cross-shard
-                                                 // select_victim (global
-                                                 // pressure, not this
-                                                 // shard's own traffic)
-  };
-
   // Padded so neighbouring shard locks never share a cache line.  The
   // shard mutexes share the kPoolShard rank band with the shard index as
   // the intra-band sequence: lock_all()'s fixed index order is therefore
@@ -170,7 +146,6 @@ class ShardedRuntimePool : public PoolView {
     /// the PoolView queries) goes through the pool's release-published
     /// atomics and this shard's seqlock — see the header comment.
     RuntimePool pool HOTC_WRITE_GUARDED_BY(mu);
-    ShardMetrics metrics;
     /// Misses short-circuited by the lock-free empty-key probe; the
     /// pool's own miss counter never sees them, so stats_snapshot() adds
     /// them back.  Monotonic, relaxed (ordering carried by seq reads).

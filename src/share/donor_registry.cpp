@@ -46,9 +46,6 @@ std::optional<DonorCandidate> DonorRegistry::find_donor(
     const engine::FunctionHandle& request, const spec::RuntimeKey& exclude,
     const pool::PoolView& view) const {
   lookups_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::Counter* c = lookup_counter_.load(std::memory_order_relaxed)) {
-    c->inc();
-  }
 
   const spec::CompatClass cls = request.compat();
   Stripe& stripe = stripe_for(cls);
@@ -75,9 +72,6 @@ std::optional<DonorCandidate> DonorRegistry::find_donor(
   }
   if (best.has_value()) {
     found_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::Counter* c = found_counter_.load(std::memory_order_relaxed)) {
-      c->inc();
-    }
   }
   return best;
 }
@@ -92,17 +86,6 @@ std::size_t DonorRegistry::known_keys() const {
     }
   }
   return total;
-}
-
-void DonorRegistry::attach_metrics(obs::Registry& registry) {
-  lookup_counter_.store(
-      &registry.counter("hotc_share_registry_lookups_total",
-                        "Cross-key donor lookups on the miss path"),
-      std::memory_order_relaxed);
-  found_counter_.store(
-      &registry.counter("hotc_share_registry_found_total",
-                        "Donor lookups that located an idle sibling"),
-      std::memory_order_relaxed);
 }
 
 }  // namespace hotc::share

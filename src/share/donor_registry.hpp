@@ -34,7 +34,6 @@
 #include "core/annotations.hpp"
 #include "core/ranked_mutex.hpp"
 #include "engine/function_table.hpp"
-#include "obs/metrics.hpp"
 #include "pool/pool_view.hpp"
 #include "spec/compat.hpp"
 #include "spec/runtime_key.hpp"
@@ -97,10 +96,6 @@ class DonorRegistry {
   [[nodiscard]] std::size_t known_keys() const;
   [[nodiscard]] std::size_t stripe_count() const { return stripes_.size(); }
 
-  /// Register `hotc_share_registry_*` counters with the registry and start
-  /// feeding them.  The registry must outlive this index.
-  void attach_metrics(obs::Registry& registry);
-
  private:
   struct Member {
     const engine::FunctionHandle* fn = nullptr;
@@ -124,8 +119,6 @@ class DonorRegistry {
   std::vector<std::unique_ptr<Stripe>> stripes_;
   mutable std::atomic<std::uint64_t> lookups_{0};
   mutable std::atomic<std::uint64_t> found_{0};
-  std::atomic<obs::Counter*> lookup_counter_{nullptr};
-  std::atomic<obs::Counter*> found_counter_{nullptr};
 };
 
 }  // namespace hotc::share

@@ -135,9 +135,6 @@ CheckpointStore::AdmitResult CheckpointStore::admit(const SnapshotMeta& meta,
        meta.bytes > options_.per_tenant_bytes);
   if (oversized || meta.key == spec::kNoKeyId) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
-    if (auto* c = rejected_counter_.load(std::memory_order_acquire)) {
-      c->inc();
-    }
     return result;
   }
 
@@ -212,15 +209,10 @@ CheckpointStore::AdmitResult CheckpointStore::admit(const SnapshotMeta& meta,
 
   result.accepted = true;
   demotes_.fetch_add(1, std::memory_order_relaxed);
-  if (auto* c = demotes_counter_.load(std::memory_order_acquire)) c->inc();
   const auto evicted_n = static_cast<std::uint64_t>(result.evicted.size());
   if (evicted_n > 0) {
     evictions_.fetch_add(evicted_n, std::memory_order_relaxed);
-    if (auto* c = evictions_counter_.load(std::memory_order_acquire)) {
-      c->inc(evicted_n);
-    }
   }
-  publish_gauges();
   return result;
 }
 
@@ -233,8 +225,6 @@ std::optional<SnapshotMeta> CheckpointStore::take(spec::KeyId key,
   SnapshotMeta meta = remove_slot(stripe, head);
   meta.last_access = now;
   restores_.fetch_add(1, std::memory_order_relaxed);
-  if (auto* c = restores_counter_.load(std::memory_order_acquire)) c->inc();
-  publish_gauges();
   return meta;
 }
 
@@ -262,12 +252,8 @@ std::vector<SnapshotMeta> CheckpointStore::drop_container(
     }
   }
   if (!dropped.empty()) {
-    const auto n = static_cast<std::uint64_t>(dropped.size());
-    evictions_.fetch_add(n, std::memory_order_relaxed);
-    if (auto* c = evictions_counter_.load(std::memory_order_acquire)) {
-      c->inc(n);
-    }
-    publish_gauges();
+    evictions_.fetch_add(static_cast<std::uint64_t>(dropped.size()),
+                         std::memory_order_relaxed);
   }
   return dropped;
 }
@@ -308,43 +294,6 @@ CheckpointStore::tenant_occupancy() const {
               return a.bytes > b.bytes;
             });
   return merged;
-}
-
-void CheckpointStore::attach_metrics(obs::Registry& registry) {
-  bytes_gauge_.store(
-      &registry.gauge("hotc_snapshot_store_bytes",
-                      "Disk bytes held by the checkpoint store"),
-      std::memory_order_release);
-  entries_gauge_.store(
-      &registry.gauge("hotc_snapshot_store_entries",
-                      "Snapshots resident in the checkpoint store"),
-      std::memory_order_release);
-  demotes_counter_.store(
-      &registry.counter("hotc_snapshot_demotes_total",
-                        "Runtimes demoted into the checkpoint store"),
-      std::memory_order_release);
-  restores_counter_.store(
-      &registry.counter("hotc_snapshot_restores_total",
-                        "Runtimes restored from the checkpoint store"),
-      std::memory_order_release);
-  evictions_counter_.store(
-      &registry.counter("hotc_snapshot_evictions_total",
-                        "Snapshots evicted from the checkpoint store"),
-      std::memory_order_release);
-  rejected_counter_.store(
-      &registry.counter("hotc_snapshot_rejected_total",
-                        "Snapshot admissions rejected by quota or budget"),
-      std::memory_order_release);
-  publish_gauges();
-}
-
-void CheckpointStore::publish_gauges() {
-  if (auto* g = bytes_gauge_.load(std::memory_order_acquire)) {
-    g->set(static_cast<double>(total_bytes()));
-  }
-  if (auto* g = entries_gauge_.load(std::memory_order_acquire)) {
-    g->set(static_cast<double>(entries()));
-  }
 }
 
 }  // namespace hotc::snapshot

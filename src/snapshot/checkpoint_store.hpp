@@ -22,7 +22,7 @@
 // miss path allocates nothing.  Concurrency: lock-striped by KeyId with a
 // dedicated rank band (kSnapshotStore = 55, see core/ranked_mutex.hpp's
 // band table): a pool-shard holder (50) may still demote into the store,
-// and a stripe holder may register metrics (80), intern (85) and log (90).
+// and a stripe holder may intern (85) and log (90).
 #pragma once
 
 #include <atomic>
@@ -36,7 +36,6 @@
 #include "core/ranked_mutex.hpp"
 #include "core/time.hpp"
 #include "core/units.hpp"
-#include "obs/metrics.hpp"
 #include "spec/key_interner.hpp"
 
 namespace hotc::snapshot {
@@ -144,10 +143,6 @@ class CheckpointStore {
   [[nodiscard]] std::vector<TenantOccupancy> tenant_occupancy() const
       HOTC_NO_THREAD_SAFETY_ANALYSIS;  // holds the lock_all() batch
 
-  /// Register the `hotc_snapshot_*` gauges/counters and start feeding
-  /// them.  The registry must outlive the store.
-  void attach_metrics(obs::Registry& registry);
-
  private:
   static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
 
@@ -202,28 +197,17 @@ class CheckpointStore {
   /// allocation.
   [[nodiscard]] LockBatch lock_all() const;
 
-  void publish_gauges();
-
   Options options_;
   std::uint64_t stripe_mask_ = 0;
   std::vector<std::unique_ptr<Stripe>> stripes_;
 
-  // Lock-free mirrors for introspection and the disk-budget gauge.
+  // Lock-free totals for introspection (and the owner's metrics).
   std::atomic<std::uint64_t> bytes_{0};
   std::atomic<std::size_t> entries_{0};
   std::atomic<std::uint64_t> demotes_{0};
   std::atomic<std::uint64_t> restores_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> rejected_{0};
-
-  // Metric handles, release-published by attach_metrics (the hot take()
-  // path may observe them mid-registration; each is independently valid).
-  std::atomic<obs::Gauge*> bytes_gauge_{nullptr};
-  std::atomic<obs::Gauge*> entries_gauge_{nullptr};
-  std::atomic<obs::Counter*> demotes_counter_{nullptr};
-  std::atomic<obs::Counter*> restores_counter_{nullptr};
-  std::atomic<obs::Counter*> evictions_counter_{nullptr};
-  std::atomic<obs::Counter*> rejected_counter_{nullptr};
 };
 
 }  // namespace hotc::snapshot

@@ -4,6 +4,7 @@
 #include <array>
 #include <cctype>
 #include <sstream>
+#include <string_view>
 
 namespace hotc::spec {
 namespace {
@@ -113,9 +114,11 @@ const char* to_string(BaseImageCategory category) {
 
 BaseImageCategory classify_base_image(const std::string& image_name) {
   // Strip any registry/namespace prefix: "library/python" -> "python".
-  std::string base = image_name;
+  // A view, not a copy: a function handle's first class query runs this
+  // on the request path.
+  std::string_view base = image_name;
   const std::size_t slash = base.rfind('/');
-  if (slash != std::string::npos) base = base.substr(slash + 1);
+  if (slash != std::string_view::npos) base.remove_prefix(slash + 1);
 
   static constexpr std::array<const char*, 9> kOs = {
       "ubuntu", "alpine", "debian", "centos", "busybox",
@@ -127,8 +130,9 @@ BaseImageCategory classify_base_image(const std::string& image_name) {
       "nginx", "redis",    "mysql",         "postgres", "httpd", "mongo",
       "kafka", "rabbitmq", "elasticsearch", "memcached", "cassandra", "tomcat"};
 
-  auto matches = [&base](const char* name) {
-    return base == name || base.rfind(std::string(name) + "-", 0) == 0;
+  auto matches = [base](std::string_view name) {
+    return base.starts_with(name) &&
+           (base.size() == name.size() || base[name.size()] == '-');
   };
   for (const char* name : kOs) {
     if (matches(name)) return BaseImageCategory::kOs;

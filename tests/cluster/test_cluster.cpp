@@ -199,5 +199,43 @@ TEST(Cluster, PerNodeEnginesIsolated) {
   EXPECT_EQ(cluster.engine(1).launches(), 0u);
 }
 
+TEST(Cluster, SharedRegistrySumsTheNodes) {
+  obs::Registry registry;
+  ClusterOptions opt = options_with(RoutingPolicy::kRoundRobin, 2);
+  opt.registry = &registry;
+  opt.controller.registry = &registry;
+  ClusterHotC cluster(opt);
+  cluster.preload_image(python_spec().image);
+  const auto app = engine::apps::qr_encoder();
+  for (int i = 0; i < 5; ++i) {
+    cluster.submit(python_spec(), app, [](Result<ClusterOutcome>) {});
+    cluster.simulator().run();
+  }
+  const auto& node0 = cluster.controller(0).stats();
+  const auto& node1 = cluster.controller(1).stats();
+  ASSERT_GT(node0.requests, 0u);
+  ASSERT_GT(node1.requests, 0u);
+  const auto routed = cluster.routed_counts();
+  std::size_t requests_samples = 0;
+  for (const auto& s : registry.snapshot()) {
+    if (s.name == "hotc_requests_total") {
+      ++requests_samples;
+      EXPECT_DOUBLE_EQ(s.value,
+                       static_cast<double>(node0.requests + node1.requests));
+    }
+    if (s.name == "hotc_engine_launches_total") {
+      EXPECT_DOUBLE_EQ(s.value,
+                       static_cast<double>(cluster.engine(0).launches() +
+                                           cluster.engine(1).launches()));
+    }
+    if (s.name == "hotc_cluster_routed_total") {
+      EXPECT_DOUBLE_EQ(s.value,
+                       static_cast<double>(
+                           routed[s.labels == "node=\"0\"" ? 0 : 1]));
+    }
+  }
+  EXPECT_EQ(requests_samples, 1u);  // one merged total, not one per node
+}
+
 }  // namespace
 }  // namespace hotc::cluster

@@ -84,6 +84,58 @@ TEST(Registry, SnapshotCapturesValues) {
   }
 }
 
+TEST(Registry, CollectedSamplesMergeWithPushedOnes) {
+  Registry reg;
+  reg.counter("hotc_events_total", "events").inc(2);
+  Registry::Collection a = reg.collect([](MetricSink& out) {
+    out.counter("hotc_events_total", "events", 3.0);
+    out.gauge("hotc_level", "level", 1.5, "node=\"0\"");
+  });
+  Registry::Collection b = reg.collect([](MetricSink& out) {
+    out.gauge("hotc_level", "level", 2.0, "node=\"0\"");
+    out.gauge("hotc_level", "level", 4.0, "node=\"1\"");
+  });
+  RegistrySnapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.size(), 3u);
+  EXPECT_EQ(snap[0].name, "hotc_events_total");
+  EXPECT_DOUBLE_EQ(snap[0].value, 5.0);  // pushed + collected
+  EXPECT_EQ(snap[1].labels, "node=\"0\"");
+  EXPECT_DOUBLE_EQ(snap[1].value, 3.5);  // two owners, one total
+  EXPECT_EQ(snap[2].labels, "node=\"1\"");
+  EXPECT_DOUBLE_EQ(snap[2].value, 4.0);
+
+  b = Registry::Collection();
+  snap = reg.snapshot();
+  ASSERT_EQ(snap.size(), 2u);
+  EXPECT_DOUBLE_EQ(snap[1].value, 1.5);
+  // A moved-from handle owns nothing; the moved-to one unregisters.
+  Registry::Collection moved = std::move(a);
+  a = Registry::Collection();
+  EXPECT_EQ(reg.snapshot().size(), 2u);
+  moved = Registry::Collection();
+  snap = reg.snapshot();
+  ASSERT_EQ(snap.size(), 1u);
+  EXPECT_DOUBLE_EQ(snap[0].value, 2.0);
+}
+
+TEST(Registry, CollectorMayTakeAPoolShardRankedLock) {
+  // snapshot() runs collectors after releasing the registry lock (band
+  // kObsRegistry), so a collector may take its owner's locks, which rank
+  // below it.  Under HOTC_AUDIT the rank auditor would abort otherwise.
+  Registry reg;
+  RankedMutex shard(LockRank::kPoolShard, 0, "test.shard");
+  const Registry::Collection handle = reg.collect([&shard](MetricSink& out) {
+    const RankedGuard lock(shard);
+    out.gauge("hotc_test_depth", "depth under the shard lock", 5.0);
+  });
+  reg.counter("hotc_test_total", "pushed").inc();
+  const RegistrySnapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.size(), 2u);
+  EXPECT_EQ(snap[0].name, "hotc_test_depth");
+  EXPECT_DOUBLE_EQ(snap[0].value, 5.0);
+  EXPECT_EQ(snap[1].name, "hotc_test_total");
+}
+
 TEST(LogHistogram, BucketIndexCoversTheDomain) {
   // Non-positive and sub-domain samples land in underflow (0); huge ones
   // in overflow (kBuckets + 1); everything else in a real bucket whose

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 
+#include "engine/app.hpp"
+#include "hotc/controller.hpp"
 #include "obs/metrics.hpp"
+#include "predict/baselines.hpp"
 
 namespace hotc::snapshot {
 namespace {
@@ -207,27 +211,68 @@ TEST(CheckpointStore, TenantOccupancyAggregatesAcrossKeys) {
   EXPECT_EQ(occupancy[1].entries, 1u);
 }
 
+/// The value of an unlabelled sample in a registry snapshot (-1: absent).
+double sample_value(const obs::Registry& registry, const std::string& name) {
+  for (const auto& s : registry.snapshot()) {
+    if (s.name == name && s.labels.empty()) return s.value;
+  }
+  return -1.0;
+}
+
 TEST(CheckpointStore, MetricsMirrorTheCounters) {
+  // The store's counters reach the registry through its owner, the
+  // controller, whose collector reads them at snapshot time.
+  // Declared first: the registry outlives every owner it collects from.
   obs::Registry registry;
-  CheckpointStore::Options opt;
-  opt.capacity_bytes = mib(2);
-  CheckpointStore store(opt);
-  store.attach_metrics(registry);
+  sim::Simulator sim;
+  engine::ContainerEngine engine(sim, engine::HostProfile::server());
+  ControllerOptions opt;
+  opt.registry = &registry;
+  opt.tiering.enabled = true;
+  // Room for two ordinary dumps (700 KiB resident + 2 MiB metadata each);
+  // the per-key quota turns away the 5 MiB dump of a 3 MiB-resident
+  // image, which the disk budget alone would admit.
+  opt.tiering.store.capacity_bytes = mib(6);
+  opt.tiering.store.per_key_bytes = mib(4);
+  engine.registry().push(engine::make_image(
+      spec::ImageRef{"bigstate", "1"}, engine::LanguageRuntime::kNative,
+      mib(100), 2, mib(3)));
+  // Forecast 0: every adaptive tick retires the pooled runtime, which
+  // the tiering plan demotes into the store.
+  opt.predictor_factory = [] {
+    return std::make_unique<predict::ConstantPredictor>(0.0);
+  };
+  HotCController ctl(engine, opt);
+  const auto spec_of = [](const std::string& image, int i) {
+    spec::RunSpec s;
+    s.image = spec::ImageRef{image, image == "python" ? "3.8" : "1"};
+    s.network = spec::NetworkMode::kBridge;
+    s.env["IDX"] = std::to_string(i);
+    return s;
+  };
+  const auto serve_then_tick = [&](const spec::RunSpec& s) {
+    engine.preload_image(s.image);
+    ctl.handle(s, engine::apps::v3_app(), [](Result<RequestOutcome>) {});
+    sim.run();
+    ctl.adaptive_tick();
+    sim.run();
+  };
+  serve_then_tick(spec_of("python", 1));
+  serve_then_tick(spec_of("python", 2));
+  serve_then_tick(spec_of("python", 3));  // evicts the oldest dump
+  serve_then_tick(spec_of("bigstate", 4));  // oversized: rejected
+  ctl.handle(spec_of("python", 3), engine::apps::v3_app(),
+             [](Result<RequestOutcome>) {});  // restores its dump
+  sim.run();
 
-  store.admit(meta(1, 1, mib(1)), seconds(1));
-  store.admit(meta(2, 2, mib(1)), seconds(2));
-  store.admit(meta(3, 3, mib(1)), seconds(3));  // evicts one
-  (void)store.take(3, seconds(4));
-  (void)store.admit(meta(4, 4, mib(5)), seconds(5));  // oversized: rejected
-
-  EXPECT_EQ(registry.counter("hotc_snapshot_demotes_total", "").value(), 3u);
-  EXPECT_EQ(registry.counter("hotc_snapshot_restores_total", "").value(), 1u);
-  EXPECT_EQ(registry.counter("hotc_snapshot_evictions_total", "").value(),
-            1u);
-  EXPECT_EQ(registry.counter("hotc_snapshot_rejected_total", "").value(), 1u);
-  EXPECT_EQ(registry.gauge("hotc_snapshot_store_bytes", "").value(),
+  const CheckpointStore& store = *ctl.checkpoint_store();
+  EXPECT_EQ(sample_value(registry, "hotc_snapshot_demotes_total"), 3.0);
+  EXPECT_EQ(sample_value(registry, "hotc_snapshot_restores_total"), 1.0);
+  EXPECT_EQ(sample_value(registry, "hotc_snapshot_evictions_total"), 1.0);
+  EXPECT_EQ(sample_value(registry, "hotc_snapshot_rejected_total"), 1.0);
+  EXPECT_EQ(sample_value(registry, "hotc_snapshot_store_bytes"),
             static_cast<double>(store.total_bytes()));
-  EXPECT_EQ(registry.gauge("hotc_snapshot_store_entries", "").value(),
+  EXPECT_EQ(sample_value(registry, "hotc_snapshot_store_entries"),
             static_cast<double>(store.entries()));
   expect_conserved(store);
 }

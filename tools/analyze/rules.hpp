@@ -7,6 +7,7 @@
 //   signal-purity  dump path stays async-signal-safe (rule 5)
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -31,12 +32,13 @@ struct RuleOptions {
   /// `all_in_scope` (explicit file lists, i.e. fixtures).  The obs
   /// headers hold the SeqRing publish path and the record codecs it calls;
   /// the function table holds the handle every RealHotC::submit(spec)
-  /// looks up.
+  /// looks up, and share/ the donor lookup and registration its first
+  /// class query runs.
   std::vector<std::string> scope_dirs = {
       "pool/",        "runtime/",      "core/",
       "spec/",        "obs/prof",      "snapshot/",
       "obs/seq_ring", "obs/trace.hpp", "obs/journal.hpp",
-      "engine/function_table"};
+      "engine/function_table", "share/"};
   bool all_in_scope = false;
 };
 
@@ -60,6 +62,25 @@ void check_guarded_by(const Model& model, std::vector<Finding>& out);
 /// a signal-root (the BlackBox dump path).
 void check_signal_purity(const Model& model, const RuleOptions& options,
                          std::vector<Finding>& out);
+
+/// Shared by rules 2, 3 and 5: true when toks[k] allocates — new,
+/// make_unique / make_shared, a string stream, malloc / calloc / realloc,
+/// std::to_string, or a std::string temporary or by-value local.
+bool is_alloc_ident(const std::vector<Token>& toks, std::size_t k);
+
+/// A comment holding `marker` on `line` or the line above suppresses.
+bool line_allows(const LexedFile& file, int line, const char* marker);
+
+/// Shared by rules 3 and 5: breadth-first walk of the call graph from
+/// `root`, calling visit(fn, path) — path is the call chain, for
+/// diagnostics — on every reachable function whose file lies under one of
+/// `dirs` (any file when options.all_in_scope).  Out-of-scope functions,
+/// and cold-path ones when `stop_at_cold`, are barriers.
+void walk_from(const Model& model, std::size_t root,
+               const RuleOptions& options,
+               const std::vector<std::string>& dirs, bool stop_at_cold,
+               const std::function<void(const Function&, const std::string&)>&
+                   visit);
 
 /// Shared helper: resolve an acquisition/guard expression in `fn`'s
 /// context, using receiver types when the expression is qualified.

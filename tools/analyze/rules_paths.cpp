@@ -16,22 +16,6 @@ bool is_atomic_write_method(const std::string& t) {
          t == "write_end";
 }
 
-bool is_alloc_ident(const std::vector<Token>& toks, std::size_t k) {
-  const std::string& t = toks[k].text;
-  if (t == "new" || t == "make_unique" || t == "make_shared" ||
-      t == "stringstream" || t == "ostringstream" || t == "istringstream")
-    return true;
-  // std:: only: the spec enums' to_string overloads return static text.
-  if (t == "to_string")
-    return k >= 2 && toks[k - 1].text == "::" && toks[k - 2].text == "std";
-  if (t != "string" || k + 1 >= toks.size()) return false;
-  // A temporary, `std::string(...)`, or a by-value local, `std::string s
-  // = ...;` (a const& or a string_view is a different token sequence).
-  const Token& next = toks[k + 1];
-  return next.text == "(" || next.text == "{" ||
-         (next.kind == TokKind::kIdent && next.text != "const");
-}
-
 bool is_assign_op(const std::string& t) {
   return t == "=" || t == "+=" || t == "-=" || t == "*=" || t == "/=" ||
          t == "%=" || t == "&=" || t == "|=" || t == "^=" || t == "<<=" ||
@@ -53,16 +37,6 @@ std::size_t match_forward(const std::vector<Token>& toks, std::size_t i,
     if (toks[j].text == close && --depth == 0) return j;
   }
   return limit;
-}
-
-bool line_allows(const LexedFile& file, int line, const char* marker) {
-  for (int l = line - 1; l <= line; ++l) {
-    auto it = file.comments.find(l);
-    if (it != file.comments.end() &&
-        it->second.find(marker) != std::string::npos)
-      return true;
-  }
-  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -259,13 +233,6 @@ bool is_hot_root(const Function& fn) {
   return false;
 }
 
-bool in_scope(const RuleOptions& options, const std::string& rel_path) {
-  if (options.all_in_scope) return true;
-  for (const auto& dir : options.scope_dirs)
-    if (rel_path.find(dir) != std::string::npos) return true;
-  return false;
-}
-
 void scan_allocs(const Model& model, const Function& fn,
                  const std::string& path, std::set<std::string>& seen,
                  std::vector<Finding>& out) {
@@ -293,6 +260,65 @@ void scan_allocs(const Model& model, const Function& fn,
 
 }  // namespace
 
+bool is_alloc_ident(const std::vector<Token>& toks, std::size_t k) {
+  const std::string& t = toks[k].text;
+  if (t == "new" || t == "make_unique" || t == "make_shared" ||
+      t == "stringstream" || t == "ostringstream" || t == "istringstream" ||
+      t == "malloc" || t == "calloc" || t == "realloc")
+    return true;
+  // std:: only: the spec enums' to_string overloads return static text.
+  if (t == "to_string")
+    return k >= 2 && toks[k - 1].text == "::" && toks[k - 2].text == "std";
+  if (t != "string" || k + 1 >= toks.size()) return false;
+  // A temporary, `std::string(...)`, or a by-value local, `std::string s
+  // = ...;` (a const& or a string_view is a different token sequence).
+  const Token& next = toks[k + 1];
+  return next.text == "(" || next.text == "{" ||
+         (next.kind == TokKind::kIdent && next.text != "const");
+}
+
+bool line_allows(const LexedFile& file, int line, const char* marker) {
+  for (int l = line - 1; l <= line; ++l) {
+    auto it = file.comments.find(l);
+    if (it != file.comments.end() &&
+        it->second.find(marker) != std::string::npos)
+      return true;
+  }
+  return false;
+}
+
+void walk_from(const Model& model, std::size_t root,
+               const RuleOptions& options,
+               const std::vector<std::string>& dirs, bool stop_at_cold,
+               const std::function<void(const Function&, const std::string&)>&
+                   visit) {
+  const auto in_scope = [&](const std::string& rel_path) {
+    if (options.all_in_scope) return true;
+    for (const auto& dir : dirs)
+      if (rel_path.find(dir) != std::string::npos) return true;
+    return false;
+  };
+  std::map<std::size_t, std::string> path;
+  std::deque<std::size_t> queue;
+  path[root] = model.functions[root].qual_name;
+  queue.push_back(root);
+  while (!queue.empty()) {
+    const std::size_t i = queue.front();
+    queue.pop_front();
+    const Function& fn = model.functions[i];
+    if (stop_at_cold && fn.cold_path) continue;
+    if (!in_scope(fn.file)) continue;
+    visit(fn, path[i]);
+    for (const auto& call : fn.calls) {
+      for (std::size_t callee : model.resolve_call(fn, call)) {
+        if (path.count(callee)) continue;
+        path[callee] = path[i] + " -> " + model.functions[callee].qual_name;
+        queue.push_back(callee);
+      }
+    }
+  }
+}
+
 void check_seqlock_purity(const Model& model, std::vector<Finding>& out) {
   for (const auto& fn : model.functions) seqlock_in(model, fn, out);
 }
@@ -302,27 +328,10 @@ void check_hot_path_alloc(const Model& model, const RuleOptions& options,
   std::set<std::string> seen;
   for (std::size_t r = 0; r < model.functions.size(); ++r) {
     if (!is_hot_root(model.functions[r])) continue;
-    // BFS from the root, recording the call path for diagnostics.
-    std::map<std::size_t, std::string> path;
-    std::deque<std::size_t> queue;
-    path[r] = model.functions[r].qual_name;
-    queue.push_back(r);
-    while (!queue.empty()) {
-      const std::size_t i = queue.front();
-      queue.pop_front();
-      const Function& fn = model.functions[i];
-      if (fn.cold_path) continue;
-      if (!in_scope(options, fn.file)) continue;
-      scan_allocs(model, fn, path[i], seen, out);
-      for (const auto& call : fn.calls) {
-        for (std::size_t callee : model.resolve_call(fn, call)) {
-          if (path.count(callee)) continue;
-          path[callee] = path[i] + " -> " +
-                         model.functions[callee].qual_name;
-          queue.push_back(callee);
-        }
-      }
-    }
+    walk_from(model, r, options, options.scope_dirs, /*stop_at_cold=*/true,
+              [&](const Function& fn, const std::string& path) {
+                scan_allocs(model, fn, path, seen, out);
+              });
   }
 }
 

@@ -7,17 +7,19 @@
 // declaration while the body lives in the .cpp.  From each root the rule
 // walks the call graph and flags, in any reachable function:
 //
-//   * allocation (new, make_unique, to_string, std::string building...)
+//   * allocation (the hot-path rule's test: new, make_unique,
+//     std::to_string, std::string temporaries and by-value locals...)
 //     — malloc may be held by the interrupted thread: instant deadlock;
 //   * mutex acquisition (RankedGuard, lock_guard, unique_lock,
 //     scoped_lock, .lock()) — same deadlock by another name;
 //   * non-signal-safe libc (printf family, FILE* I/O, exit, time
 //     formatting, iostreams) — none of it is on the signal-safe list.
 //
-// `// signal-purity: allow` on (or one line above) the offending line
-// suppresses, for the rare justified case.
-#include <deque>
-#include <map>
+// The walk is the hot-path rule's (walk_from) over the dump path's
+// directories; it does not stop at cold-path marks, which excuse the
+// request path, not a signal handler.  `// signal-purity: allow` on (or
+// one line above) the offending line suppresses, for the rare justified
+// case.
 #include <set>
 
 #include "rules.hpp"
@@ -25,17 +27,8 @@
 namespace hotc::analyze {
 namespace {
 
-bool is_alloc_ident(const std::vector<Token>& toks, std::size_t k) {
-  const std::string& t = toks[k].text;
-  if (t == "new" || t == "make_unique" || t == "make_shared" ||
-      t == "to_string" || t == "stringstream" || t == "ostringstream" ||
-      t == "malloc" || t == "calloc" || t == "realloc")
-    return true;
-  if (t == "string" && k + 1 < toks.size() &&
-      (toks[k + 1].text == "(" || toks[k + 1].text == "{"))
-    return true;
-  return false;
-}
+/// The dump path lives in obs/; its helpers may reach core/ and pool/.
+const std::vector<std::string> kSignalScope = {"obs/", "core/", "pool/"};
 
 bool is_guard_type(const std::string& t) {
   return t == "RankedGuard" || t == "lock_guard" || t == "unique_lock" ||
@@ -51,29 +44,11 @@ bool is_unsafe_libc(const std::string& t) {
   return deny.count(t) != 0;
 }
 
-bool line_allows(const LexedFile& file, int line) {
-  for (int l = line - 1; l <= line; ++l) {
-    auto it = file.comments.find(l);
-    if (it != file.comments.end() &&
-        it->second.find("signal-purity: allow") != std::string::npos)
-      return true;
-  }
-  return false;
-}
-
 bool is_signal_root(const Function& fn) {
   if (fn.signal_root) return true;
   // The class-level root: the marker lives on the header declaration,
   // which carries no body, so anchor the definition by name too.
   return last_component(fn.cls) == "BlackBox" && fn.name == "dump_now";
-}
-
-bool in_scope(const RuleOptions& options, const std::string& rel_path) {
-  if (options.all_in_scope) return true;
-  // The dump path lives in obs/; its helpers may reach core/ and pool/.
-  for (const char* dir : {"obs/", "core/", "pool/"})
-    if (rel_path.find(dir) != std::string::npos) return true;
-  return false;
 }
 
 void scan_function(const Model& model, const Function& fn,
@@ -82,7 +57,7 @@ void scan_function(const Model& model, const Function& fn,
   const auto& file = model.files[fn.file_index];
   const auto& toks = file.tokens;
   auto report = [&](std::size_t k, const std::string& what) {
-    if (line_allows(file, toks[k].line)) return;
+    if (line_allows(file, toks[k].line, "signal-purity: allow")) return;
     const std::string key = "signal-purity|" + fn.file + "|" + fn.qual_name +
                             "|" + toks[k].text;
     if (!seen.insert(key).second) return;
@@ -122,25 +97,10 @@ void check_signal_purity(const Model& model, const RuleOptions& options,
   std::set<std::string> seen;
   for (std::size_t r = 0; r < model.functions.size(); ++r) {
     if (!is_signal_root(model.functions[r])) continue;
-    std::map<std::size_t, std::string> path;
-    std::deque<std::size_t> queue;
-    path[r] = model.functions[r].qual_name;
-    queue.push_back(r);
-    while (!queue.empty()) {
-      const std::size_t i = queue.front();
-      queue.pop_front();
-      const Function& fn = model.functions[i];
-      if (!in_scope(options, fn.file)) continue;
-      scan_function(model, fn, path[i], seen, out);
-      for (const auto& call : fn.calls) {
-        for (std::size_t callee : model.resolve_call(fn, call)) {
-          if (path.count(callee)) continue;
-          path[callee] = path[i] + " -> " +
-                         model.functions[callee].qual_name;
-          queue.push_back(callee);
-        }
-      }
-    }
+    walk_from(model, r, options, kSignalScope, /*stop_at_cold=*/false,
+              [&](const Function& fn, const std::string& path) {
+                scan_function(model, fn, path, seen, out);
+              });
   }
 }
 

@@ -80,6 +80,7 @@ int main(int argc, char** argv) {
   sim::Simulator sim;
   engine::ContainerEngine engine(sim, engine::HostProfile::server());
   engine.preload_image(spec::ImageRef{"python", "3.8"});
+  engine.attach_metrics(registry);
   ControllerOptions opt;
   opt.registry = &registry;
   opt.tracer = &tracer;

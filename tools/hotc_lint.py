@@ -22,7 +22,8 @@ Rules (each one enforces a convention the compiler cannot):
                    (assert, lock-rank audit, pool conservation audit)
                    that cannot rely on the logger mid-crash.  snprintf
                    writes to a caller buffer, not a stream: allowed.
-  metric-naming    Instruments registered with a string-literal name
+  metric-naming    Instruments registered, and values a collector
+                   appends to its MetricSink, with a string-literal name
                    (.counter("...")/.gauge(...)/.histogram(...)) must use
                    the hotc_ prefix in lower_snake_case and carry
                    non-empty help text — the exporter emits names and
@@ -491,6 +492,12 @@ SELF_TEST_CASES = {
     "metric-naming fires on unprefixed snapshot series": (
         "snapshot/bad_metric.cpp",
         'void f(R& r) { r.gauge("snapshot_store_bytes", "Disk"); }\n',
+        "metric-naming"),
+    "metric-naming fires on unprefixed collected name": (
+        "hotc/bad_collect.cpp",
+        'void f(R& r, const S& s) {\n  h_ = r.collect([&s](MetricSink& out) '
+        '{\n    out.counter("requests_total", "Requests", s.requests);\n'
+        '  });\n}\n',
         "metric-naming"),
     "metric-naming ok on hotc_snapshot_ series": (
         "snapshot/ok_metric.cpp",
