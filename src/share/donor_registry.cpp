@@ -45,8 +45,6 @@ void DonorRegistry::set_flags(const spec::CompatClass& cls,
 std::optional<DonorCandidate> DonorRegistry::find_donor(
     const engine::FunctionHandle& request, const spec::RuntimeKey& exclude,
     const pool::PoolView& view) const {
-  lookups_.fetch_add(1, std::memory_order_relaxed);
-
   const spec::CompatClass cls = request.compat();
   Stripe& stripe = stripe_for(cls);
   // The stripe lock (rank 45) is held across the PoolView liveness reads

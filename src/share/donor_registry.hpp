@@ -86,9 +86,6 @@ class DonorRegistry {
       const pool::PoolView& view) const;
 
   // --- introspection ----------------------------------------------------
-  [[nodiscard]] std::uint64_t lookups() const {
-    return lookups_.load(std::memory_order_relaxed);
-  }
   [[nodiscard]] std::uint64_t found() const {
     return found_.load(std::memory_order_relaxed);
   }
@@ -117,7 +114,6 @@ class DonorRegistry {
   }
 
   std::vector<std::unique_ptr<Stripe>> stripes_;
-  mutable std::atomic<std::uint64_t> lookups_{0};
   mutable std::atomic<std::uint64_t> found_{0};
 };
 

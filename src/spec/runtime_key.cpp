@@ -1,25 +1,31 @@
 #include "spec/runtime_key.hpp"
 
 #include <charconv>
-#include <cstdio>
-#include <cstdlib>
 
 namespace hotc::spec {
-
-namespace {
 
 /// The historical `ostream << double` default formatting (%g, precision
 /// 6) whenever its text reads back as the same double, so canonical texts
 /// stay byte-identical to the pre-interner layout; otherwise %.17g, so
 /// values that differ past six significant digits get distinct keys.
-void append_double(std::string& out, double v) {
+/// to_chars' `general` format is printf's %g, byte for byte, without the
+/// locale and varargs machinery of snprintf.
+void append_key_double(std::string& out, double v) {
   char buf[32];
-  int n = std::snprintf(buf, sizeof(buf), "%g", v);
-  if (std::strtod(buf, nullptr) != v) {
-    n = std::snprintf(buf, sizeof(buf), "%.17g", v);
+  char* end =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 6)
+          .ptr;
+  double back = 0.0;
+  std::from_chars(buf, end, back);
+  if (back != v) {
+    end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                        17)
+              .ptr;
   }
-  out.append(buf, n > 0 ? static_cast<std::size_t>(n) : 0);
+  out.append(buf, end);
 }
+
+namespace {
 
 /// The fields every key variant shares, in the historical order.
 void append_runtime_fields(std::string& out, const RunSpec& spec) {
@@ -40,7 +46,7 @@ void append_runtime_fields(std::string& out, const RunSpec& spec) {
   out.append(digits, std::to_chars(digits, digits + sizeof(digits),
                                    spec.memory_limit).ptr);
   out += "|cpu=";
-  append_double(out, spec.cpu_limit);
+  append_key_double(out, spec.cpu_limit);
   out += "|ro=";
   out += spec.read_only_rootfs ? '1' : '0';
   out += "|priv=";

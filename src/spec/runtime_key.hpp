@@ -65,6 +65,10 @@ class RuntimeKey {
   std::uint64_t hash_ = 0;
 };
 
+/// Append `v` the way key texts spell a double (the `cpu=` field): printf's
+/// %g when its text reads back as `v`, otherwise %.17g.
+void append_key_double(std::string& out, double v);
+
 }  // namespace hotc::spec
 
 template <>

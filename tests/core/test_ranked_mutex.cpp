@@ -6,11 +6,18 @@
 #include "core/ranked_mutex.hpp"
 
 #include <gtest/gtest.h>
+#include <time.h>
 
+#include <chrono>
+#include <cstdint>
+#include <latch>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
+
+#include "obs/prof.hpp"
 
 namespace hotc {
 namespace {
@@ -88,6 +95,76 @@ TEST(RankedMutex, LibraryMutexMatchesBuildFlavour) {
   RankedMutex mu(LockRank::kLogSink, 0, "probe");
   RankedLock lock(mu);
   EXPECT_TRUE(lock.owns_lock());
+}
+
+// The contended path of both flavours: a bounded spin, then a blocking
+// lock, timed once when a profiler is attached.
+template <typename Mutex>
+class ContendedRankedMutex : public ::testing::Test {};
+using Flavours = ::testing::Types<BasicRankedMutex<false>, Audited>;
+TYPED_TEST_SUITE(ContendedRankedMutex, Flavours);
+
+std::chrono::nanoseconds thread_cpu_time() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return std::chrono::seconds(ts.tv_sec) + std::chrono::nanoseconds(ts.tv_nsec);
+}
+
+/// Hold `mu` for `hold` while another thread runs `waiter`, which starts
+/// after `mu` is taken and must find it held.
+template <typename Mutex, typename Waiter>
+void contend(Mutex& mu, std::chrono::milliseconds hold, Waiter waiter) {
+  mu.lock();
+  std::latch started(1);
+  std::thread other([&]() {
+    EXPECT_FALSE(mu.try_lock());
+    started.count_down();
+    waiter();
+  });
+  started.wait();
+  std::this_thread::sleep_for(hold);
+  mu.unlock();
+  other.join();
+}
+
+// A waiter that spun for the whole hold would burn 50 ms of CPU; a
+// bounded spin then a sleep in the kernel burns microseconds.
+TYPED_TEST(ContendedRankedMutex, LongHoldBlocksAfterABoundedSpin) {
+  TypeParam mu(LockRank::kPoolShard, 0, "test.long_hold");
+  std::chrono::nanoseconds spent{};
+  contend(mu, std::chrono::milliseconds(50), [&]() {
+    const auto cpu0 = thread_cpu_time();
+    mu.lock();
+    spent = thread_cpu_time() - cpu0;
+    mu.unlock();
+  });
+  EXPECT_LT(spent, std::chrono::milliseconds(5));
+}
+
+// The wait timer starts before the spin and stops once, whichever of the
+// spin or the block ends it.
+TYPED_TEST(ContendedRankedMutex, ProfilerSeesOneWaitCoveringTheHold) {
+  static constexpr const char* kSite = "test.profiled_hold";
+  obs::Profiler::reset();
+  obs::ProfOptions options;
+  options.sampler = false;
+  obs::Profiler profiler(options);
+  ASSERT_TRUE(profiler.start());
+  TypeParam mu(LockRank::kPoolShard, 0, kSite);
+  contend(mu, std::chrono::milliseconds(20), [&]() {
+    mu.lock();
+    mu.unlock();
+  });
+  profiler.stop();
+  std::uint64_t count = 0;
+  std::uint64_t wait_ns = 0;
+  for (const obs::ContentionEntry& e : profiler.snapshot().contention) {
+    if (std::string_view(e.site) != kSite) continue;
+    count += e.count;
+    wait_ns += e.wait_ns;
+  }
+  EXPECT_EQ(count, 1u);
+  EXPECT_GE(wait_ns, 15'000'000u);
 }
 
 using RankedMutexDeathTest = ::testing::Test;

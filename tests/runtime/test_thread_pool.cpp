@@ -7,6 +7,8 @@
 #include <future>
 #include <latch>
 #include <memory>
+#include <thread>
+#include <vector>
 
 namespace hotc::runtime {
 namespace {
@@ -156,6 +158,67 @@ TEST(ThreadPool, IdleWorkerStealsFromBlockedLane) {
   release.set_value();
   pool.shutdown();
   EXPECT_EQ(count.load(), 50);
+}
+
+// Every worker parked (or polling before it parks): shutdown wakes them
+// all at once rather than waiting out a poll or a timeout.
+TEST(ThreadPool, ShutdownOfAnIdlePoolIsPrompt) {
+  Pool pool(4, call);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto t0 = std::chrono::steady_clock::now();
+  pool.shutdown();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(100));
+}
+
+// One client, one request in flight: each post lands while the worker
+// that ran the previous task is still polling before it parks, or after
+// it parked.  Neither may lose the task.
+TEST(ThreadPool, SequentialRoundTripsAllComplete) {
+  Pool pool(2, call);
+  for (int i = 0; i < 10000; ++i) {
+    std::promise<void> done;
+    std::future<void> finished = done.get_future();
+    ASSERT_TRUE(post(pool, [&done]() { done.set_value(); }));
+    ASSERT_EQ(finished.wait_for(std::chrono::seconds(30)),
+              std::future_status::ready)
+        << "round trip " << i << " was stranded";
+  }
+  pool.shutdown();
+}
+
+// Two submitters post into their home lanes while both workers are
+// blocked: every task waits in a lane, and each runs exactly once after
+// the workers are released.
+TEST(ThreadPool, PostsIntoBusyLanesRunExactlyOnce) {
+  constexpr int kPerPoster = 1000;
+  Pool pool(2, call);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::latch both_busy(2);
+  for (int w = 0; w < 2; ++w) {
+    ASSERT_TRUE(post(pool, [&both_busy, released]() {
+      both_busy.arrive_and_wait();
+      released.wait();
+    }));
+  }
+  both_busy.wait();
+  std::vector<std::atomic<int>> runs(2 * kPerPoster);
+  std::vector<std::thread> posters;
+  for (int t = 0; t < 2; ++t) {
+    posters.emplace_back([&, t]() {
+      for (int i = 0; i < kPerPoster; ++i) {
+        std::atomic<int>& slot = runs[t * kPerPoster + i];
+        ASSERT_TRUE(post(pool, [&slot]() { ++slot; }));
+      }
+    });
+  }
+  for (auto& p : posters) p.join();
+  release.set_value();
+  pool.shutdown();
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "task " << i;
+  }
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,7 +74,6 @@ TEST_F(DonorRegistryTest, FindsSiblingWithSurplusStock) {
   ASSERT_TRUE(cand.has_value());
   EXPECT_EQ(cand->key, sib_key);
   EXPECT_FALSE(cand->nominated);
-  EXPECT_EQ(registry_.lookups(), 1u);
   EXPECT_EQ(registry_.found(), 1u);
 }
 
@@ -188,10 +189,12 @@ TEST_F(DonorRegistryTest, CoherentUnderConcurrentLeaseAndReturn) {
   });
   // Seekers: the controller's miss path — find a donor, lease it through
   // the donation seam, convert (re-key + flag), return it.
+  std::atomic<std::uint64_t> lookups{0};
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&, t]() {
       for (int i = 0; i < kOpsPerThread; ++i) {
         const int k = (i + t) % kKeys;
+        lookups.fetch_add(1, std::memory_order_relaxed);
         const auto cand = registry_.find_donor(*specs[k], keys[k], pool_);
         if (!cand.has_value()) continue;
         auto donor = pool_.acquire_for_donation(cand->key, seconds(3 + i));
@@ -210,7 +213,7 @@ TEST_F(DonorRegistryTest, CoherentUnderConcurrentLeaseAndReturn) {
   // Every donation was readmitted as a conversion, and nothing else was.
   EXPECT_EQ(ledger.donated, ledger.respecialized);
   EXPECT_EQ(registry_.known_keys(), static_cast<std::size_t>(kKeys));
-  EXPECT_GE(registry_.lookups(), registry_.found());
+  EXPECT_LE(registry_.found(), lookups.load());
 }
 
 }  // namespace

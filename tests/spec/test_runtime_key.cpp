@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <random>
+#include <string>
 #include <unordered_set>
 
 namespace hotc::spec {
@@ -124,6 +132,62 @@ TEST(RuntimeKey, TextIsHumanReadable) {
   const auto key = RuntimeKey::from_spec(base_spec());
   EXPECT_NE(key.text().find("img=python:3.8"), std::string::npos);
   EXPECT_NE(key.text().find("net=bridge"), std::string::npos);
+}
+
+/// The printf formatter key texts were spelled with before to_chars: %g,
+/// read back with strtod, else %.17g.  Key texts must stay byte-identical
+/// to it, or existing keys change.
+std::string reference_key_double(double v) {
+  char buf[32];
+  int n = std::snprintf(buf, sizeof(buf), "%g", v);
+  if (std::strtod(buf, nullptr) != v) {
+    n = std::snprintf(buf, sizeof(buf), "%.17g", v);
+  }
+  return std::string(buf, n > 0 ? static_cast<std::size_t>(n) : 0);
+}
+
+std::string key_double(double v) {
+  std::string out;
+  append_key_double(out, v);
+  return out;
+}
+
+TEST(KeyDouble, MatchesPrintfOnEdgeValues) {
+  using Limits = std::numeric_limits<double>;
+  const double table[] = {
+      0.0,       -0.0,         0.5,          0.1,
+      0.1234561, 0.1234564,    1e-7,         4.0 / 3.0,
+      1e300,     1.0,          2.0,          0.25,
+      1e6,       123456.0,     1234567.0,    1e-5,
+      Limits::infinity(),      -Limits::infinity(),
+      Limits::quiet_NaN(),     -Limits::quiet_NaN(),
+      Limits::denorm_min(),    -Limits::denorm_min(),
+      Limits::min(),           Limits::max(),
+      -Limits::max(),          Limits::epsilon(),
+  };
+  for (const double v : table) {
+    EXPECT_EQ(key_double(v), reference_key_double(v)) << "value " << v;
+  }
+}
+
+TEST(KeyDouble, MatchesPrintfOnRandomDoubles) {
+  std::mt19937_64 rng(20261020);
+  std::uniform_int_distribution<int> millis(0, 64000);
+  int mismatches = 0;
+  for (int i = 0; i < (1 << 20); ++i) {
+    // Alternate raw bit patterns (every exponent, subnormals and
+    // negatives included) with the 3-decimal values CPU limits take.
+    double v = (i % 2 == 0) ? std::bit_cast<double>(rng())
+                            : millis(rng) / 1000.0;
+    if (!std::isfinite(v)) v = static_cast<double>(i);
+    const std::string got = key_double(v);
+    const std::string want = reference_key_double(v);
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits " << std::bit_cast<std::uint64_t>(v) << ": "
+                    << got << " != " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(Fnv1a, StableKnownValue) {
